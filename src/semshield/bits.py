@@ -10,16 +10,6 @@ import numpy as np
 BitString = np.ndarray
 
 
-def as_bits(values) -> BitString:
-    """Coerce a sequence of 0/1 values into a canonical bit array."""
-    bits = np.asarray(values, dtype=np.uint8)
-    if bits.ndim != 1:
-        raise ValueError("bit strings must be one-dimensional")
-    if bits.size and int(bits.max(initial=0)) > 1:
-        raise ValueError("bit strings may only contain 0 and 1")
-    return bits
-
-
 def bits_from_bytes(data: bytes, nbits: int | None = None) -> BitString:
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     if nbits is not None:
@@ -34,12 +24,6 @@ def bytes_from_bits(bits: BitString) -> bytes:
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
 
 
-def bits_from_int(value: int, width: int) -> BitString:
-    if value < 0 or value >> width:
-        raise ValueError(f"{value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
-
-
 def int_from_bits(bits: BitString) -> int:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size == 0:
@@ -52,10 +36,6 @@ def hex_from_bits(bits: BitString) -> str:
     if len(bits) % 8:
         raise ValueError("hex encoding requires a whole number of bytes")
     return bytes_from_bits(bits).hex()
-
-
-def bits_from_hex(text: str) -> BitString:
-    return bits_from_bytes(bytes.fromhex(text))
 
 
 def xor_bits(a: BitString, b: BitString) -> BitString:

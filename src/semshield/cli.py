@@ -7,16 +7,6 @@ from dataclasses import replace
 
 from .experiments import SCENARIOS, ConfigError, ExperimentConfig, load_config, run_to_file
 
-_DEFAULT_EXT = {
-    "ber_sweep": "csv",
-    "bleu_compare": "csv",
-    "constellation": "csv",
-    "keygen_demo": "json",
-    "search_space": "json",
-    "dispersion": "json",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semshield",
@@ -66,7 +56,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out_path = args.out or cfg.output_path or f"{args.scenario}.{_DEFAULT_EXT[args.scenario]}"
+    out_path = args.out or cfg.output_path or f"{args.scenario}.{SCENARIOS[args.scenario].ext}"
     try:
         written = run_to_file(cfg, out_path)
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 3

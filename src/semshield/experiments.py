@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -42,15 +43,6 @@ from .ofdm import (
 )
 from . import security
 
-SCENARIOS = (
-    "ber_sweep",
-    "bleu_compare",
-    "constellation",
-    "keygen_demo",
-    "search_space",
-    "dispersion",
-)
-_CHANNEL_SCENARIOS = ("ber_sweep", "bleu_compare", "constellation")
 DEFAULT_SNR_GRID = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -86,7 +78,7 @@ class ExperimentConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         object.__setattr__(self, "snr_list", tuple(sorted(float(s) for s in self.snr_list)))
-        if self.scenario in _CHANNEL_SCENARIOS and not self.snr_list:
+        if SCENARIOS[self.scenario].needs_snr and not self.snr_list:
             raise ConfigError("snr_list must be non-empty for channel scenarios")
         if self.n_bits < 1 or self.n_sentences < 1:
             raise ConfigError("workload sizes must be >= 1")
@@ -387,25 +379,51 @@ def _csv_text(header: list[str], rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _render_ber_sweep(cfg: ExperimentConfig) -> str:
+    rows = sorted(run_ber_sweep(cfg), key=lambda r: r["snr_db"])
+    return _csv_text(["snr_db", "ber_plain", "ber_legit", "ber_eavesdropper", "n_bits"], rows)
+
+
+def _render_bleu_compare(cfg: ExperimentConfig) -> str:
+    rows = sorted(run_bleu_compare(cfg), key=lambda r: (r["gram"], r["snr_db"]))
+    return _csv_text(["gram", "snr_db", "bleu_enc", "bleu_noenc"], rows)
+
+
+def _render_constellation(cfg: ExperimentConfig) -> str:
+    lines = ["re,im"] + [f"{s.real:.9f},{s.imag:.9f}" for s in emit_constellation(cfg)]
+    return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """How one scenario is run and written: file extension, whether it
+    needs an SNR grid, and the renderer of its canonical file content."""
+
+    ext: str
+    needs_snr: bool
+    render: Callable[[ExperimentConfig], str]
+
+
+# The scenario registry; iteration order is the CLI's listing order.  The
+# renderers call the scenario functions by module-global name, so a function
+# patched on this module is the one that runs.
+SCENARIOS = {
+    "ber_sweep": Scenario("csv", True, _render_ber_sweep),
+    "bleu_compare": Scenario("csv", True, _render_bleu_compare),
+    "constellation": Scenario("csv", True, _render_constellation),
+    "keygen_demo": Scenario("json", False, lambda cfg: _json_text(run_keygen_demo(cfg))),
+    "search_space": Scenario("json", False, lambda cfg: _json_text(run_search_space(cfg))),
+    "dispersion": Scenario("json", False, lambda cfg: _json_text(run_dispersion(cfg))),
+}
+
+
 def render_output(cfg: ExperimentConfig) -> str:
     """Run the configured scenario and render its canonical file content."""
-    if cfg.scenario == "ber_sweep":
-        rows = sorted(run_ber_sweep(cfg), key=lambda r: r["snr_db"])
-        return _csv_text(["snr_db", "ber_plain", "ber_legit", "ber_eavesdropper", "n_bits"], rows)
-    if cfg.scenario == "bleu_compare":
-        rows = sorted(run_bleu_compare(cfg), key=lambda r: (r["gram"], r["snr_db"]))
-        return _csv_text(["gram", "snr_db", "bleu_enc", "bleu_noenc"], rows)
-    if cfg.scenario == "constellation":
-        symbols = emit_constellation(cfg)
-        lines = ["re,im"] + [f"{s.real:.9f},{s.imag:.9f}" for s in symbols]
-        return "\n".join(lines) + "\n"
-    if cfg.scenario == "keygen_demo":
-        return json.dumps(run_keygen_demo(cfg), indent=2, sort_keys=True) + "\n"
-    if cfg.scenario == "search_space":
-        return json.dumps(run_search_space(cfg), indent=2, sort_keys=True) + "\n"
-    if cfg.scenario == "dispersion":
-        return json.dumps(run_dispersion(cfg), indent=2, sort_keys=True) + "\n"
-    raise ConfigError(f"unknown scenario {cfg.scenario!r}")
+    return SCENARIOS[cfg.scenario].render(cfg)
 
 
 def run_to_file(cfg: ExperimentConfig, out_path: str | Path) -> Path:

@@ -180,11 +180,6 @@ def generate_skey(scores: BleuScores, w: WeightVector, l_skey: int = DEFAULT_KEY
     return skey_hash(gb.to_bytes(4, "big"), l_skey)
 
 
-def make_seed_key(skey: BitString, plk: BitString) -> BitString:
-    """Bitwise XOR of the two keys (equal lengths required)."""
-    return xor_bits(skey, plk)
-
-
 @dataclass(eq=False)
 class KeyMaterial:
     """The three key strings of one session."""

@@ -7,11 +7,14 @@ carry payload.  Per-unit (s, k) and the dummy placement are drawn from a
 seeded keystream, so a receiver holding the seed re-derives the layout
 exactly and an eavesdropper sees independently scrambled structure.
 
-Stream discipline per frame is fixed and normative: the "xor" stream
-yields the l_d encryption bits first, then per unit s, k, and the k
-location draws, in that order.  Dummy bits come from a second stream
-keyed by seed2 (label "dummy"); tail padding from a "pad" stream.
-Deviating from this order desynchronizes the two ends.
+Stream discipline per frame is fixed and normative, and ``derive_layout``
+is the one place it lives: the "xor" stream yields the l_d encryption
+bits first, then per unit s, k, and the k location draws, in that order,
+ending with the (s, k) draw that stops the unit loop.  ``obfuscate``,
+``deobfuscate`` and ``recover_bits`` all take their layout from it.
+Dummy bits come from a second stream keyed by seed2 (label "dummy");
+tail padding from a "pad" stream.  Deviating from this order
+desynchronizes the two ends.
 """
 from __future__ import annotations
 
@@ -28,6 +31,10 @@ from .keying import Keystream
 
 class DesyncError(ValueError):
     """Frame metadata disagrees with the layout re-derived from the seed."""
+
+
+class FrameFormatError(ValueError):
+    """A wire frame is truncated, malformed or outside the parameters' range."""
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,7 @@ class DataUnit:
             raise ValueError("locations must be strictly increasing and non-negative")
 
     def capacity_bits(self, p: ObfuscationParams) -> int:
-        return (self.s * p.n_d - self.k) * p.b
+        return _capacity(self.s, self.k, p)
 
 
 @dataclass(frozen=True)
@@ -93,11 +100,6 @@ class ObfuscatedFrame:
 def derive_seed2(seed: BitString) -> bytes:
     """Second stream key for dummy data, bound to the frame seed."""
     return hashlib.sha256(bytes_from_bits(np.asarray(seed, dtype=np.uint8)) + b"dummy").digest()
-
-
-def encrypt_bits(data: BitString, ks: Keystream) -> BitString:
-    data = np.asarray(data, dtype=np.uint8)
-    return xor_bits(data, ks.bits(data.size))
 
 
 def draw_unit_params(ks: Keystream, p: ObfuscationParams) -> tuple[int, int]:
@@ -129,106 +131,118 @@ def generate_dummy_bits(seed2_stream: Keystream, k: int, b: int, model: CodecMod
     return encode(tokens, model)[: k * b]
 
 
-def _data_slots(s: int, k: int, n_d: int, locs: np.ndarray) -> np.ndarray:
-    mask = np.ones(s * n_d, dtype=bool)
-    mask[locs] = False
-    return np.flatnonzero(mask)
+def _capacity(s: int, k: int, p: ObfuscationParams) -> int:
+    """Data bits one unit carries: its s*n_d subcarriers minus k dummies."""
+    return (s * p.n_d - k) * p.b
+
+
+def _expected_tail_bits(remaining: int, p: ObfuscationParams) -> int:
+    """On-air tail length: ``remaining`` bits padded to whole OFDM symbols."""
+    return -(-remaining // p.symbol_bits) * p.symbol_bits
+
+
+def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple[BitString, list, int]:
+    """Replay the "xor" stream for an ``l_d``-bit payload.
+
+    Returns ``(xor_bits, units, tail)``: the l_d encryption bits, the
+    ``(s, k, dummy_locations)`` of every unit in order, and the number of
+    encrypted bits left for the tail.  The unit loop stops at the first
+    drawn (s, k) whose capacity exceeds what is left; that stopping draw
+    is consumed but makes no unit.
+    """
+    ks = Keystream.from_seed_bits(seed, "xor")
+    xbits = ks.bits(l_d)
+    units = []
+    remaining = l_d
+    while True:
+        s, k = draw_unit_params(ks, p)
+        cap = _capacity(s, k, p)
+        if cap > remaining:
+            return xbits, units, remaining
+        units.append((s, k, dummy_locations(ks, s, k, p.n_d)))
+        remaining -= cap
+
+
+def _data_mask(units: list, p: ObfuscationParams) -> np.ndarray:
+    """(subcarrier, bit) mask over the units laid end to end, True on data.
+
+    Data subcarriers ascend within a unit and units follow stream order,
+    so the mask's True entries in C order are the encrypted bits in order.
+    The mask is a broadcast view: boolean indexing with it builds no
+    integer index array.
+    """
+    mask = np.ones(sum(s for s, _, _ in units) * p.n_d, dtype=bool)
+    off = 0
+    for s, _, locs in units:
+        mask[off + locs] = False
+        off += s * p.n_d
+    return np.broadcast_to(mask[:, None], (mask.size, p.b))
+
+
+def _gather(air: np.ndarray, units: list, p: ObfuscationParams) -> np.ndarray:
+    """Encrypted bits of an air string cut to its layout: unit data, then tail."""
+    if not units:
+        return air
+    mask = _data_mask(units, p)
+    return np.concatenate([air[: mask.size].reshape(mask.shape)[mask], air[mask.size:]])
 
 
 def obfuscate(data: BitString, seed: BitString, p: ObfuscationParams, model: CodecModel) -> ObfuscatedFrame:
     """Encrypt ``data`` and pack it into dummy-laced units plus a padded tail.
 
-    The unit loop draws (s, k) per unit and stops as soon as the drawn
-    unit's data capacity exceeds what is left; the stopping draw is still
-    consumed.  Leftover encrypted bits go to the tail, padded with "pad"
-    stream bits to a whole number of OFDM symbols.
+    The units are those of ``derive_layout``; each unit's dummy subcarriers
+    carry decoy bits from the "dummy" stream.  Leftover encrypted bits go
+    to the tail, padded with "pad" stream bits to a whole number of OFDM
+    symbols.
     """
     data = np.asarray(data, dtype=np.uint8)
     if data.size == 0:
         raise ValueError("data must be non-empty")
-    l_d = int(data.size)
-
-    ks = Keystream.from_seed_bits(seed, "xor")
-    enc = xor_bits(data, ks.bits(l_d))
-    dummy_ks = Keystream(derive_seed2(seed), "dummy")
+    xbits, layout, tail = derive_layout(seed, data.size, p)
+    enc = xor_bits(data, xbits)
 
     units = []
-    pos = 0
-    remaining = l_d
-    while True:
-        s, k = draw_unit_params(ks, p)
-        cap = (s * p.n_d - k) * p.b
-        if cap > remaining:
-            break
-        locs = dummy_locations(ks, s, k, p.n_d)
-        slots = np.empty((s * p.n_d, p.b), dtype=np.uint8)
-        slots[locs] = generate_dummy_bits(dummy_ks, k, p.b, model).reshape(k, p.b)
-        slots[_data_slots(s, k, p.n_d, locs)] = enc[pos:pos + cap].reshape(-1, p.b)
-        units.append(DataUnit(s, k, locs, slots.ravel()))
-        pos += cap
-        remaining -= cap
+    if layout:
+        mask = _data_mask(layout, p)
+        slots = np.empty(mask.shape, dtype=np.uint8)
+        slots[mask] = enc[: enc.size - tail]
+        dummy_ks = Keystream(derive_seed2(seed), "dummy")
+        off = 0
+        for s, k, locs in layout:
+            unit = slots[off:off + s * p.n_d]
+            unit[locs] = generate_dummy_bits(dummy_ks, k, p.b, model).reshape(k, p.b)
+            units.append(DataUnit(s, k, locs, unit.ravel()))
+            off += s * p.n_d
 
-    if remaining:
-        pad_len = -remaining % p.symbol_bits
-        pad_ks = Keystream.from_seed_bits(seed, "pad")
-        tail = np.concatenate([enc[pos:], pad_ks.bits(pad_len)])
-    else:
-        tail = np.zeros(0, dtype=np.uint8)
-    return ObfuscatedFrame(tuple(units), tail, l_d)
+    pad = Keystream.from_seed_bits(seed, "pad").bits(_expected_tail_bits(tail, p) - tail)
+    return ObfuscatedFrame(tuple(units), np.concatenate([enc[enc.size - tail:], pad]), data.size)
 
 
 def ota_bits(frame: ObfuscatedFrame) -> BitString:
     """The over-the-air bit string: unit payloads in order, then the tail."""
-    parts = [u.payload_bits for u in frame.units] + [frame.tail_bits]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
-
-
-def _expected_tail_bits(remaining: int, p: ObfuscationParams) -> int:
-    if remaining == 0:
-        return 0
-    return -(-remaining // p.symbol_bits) * p.symbol_bits
+    return np.concatenate([u.payload_bits for u in frame.units] + [frame.tail_bits])
 
 
 def deobfuscate(frame: ObfuscatedFrame, seed: BitString, p: ObfuscationParams) -> BitString:
     """Exact inverse of obfuscate for a trusted frame.
 
-    Replays the stream draws and demands that the frame's recorded
-    layout match them bit for bit; any disagreement raises DesyncError.
+    Demands that the frame's recorded layout match the one derived from
+    the seed bit for bit; any disagreement raises DesyncError.
     """
-    ks = Keystream.from_seed_bits(seed, "xor")
-    xbits = ks.bits(frame.l_d)
-    chunks = []
-    remaining = frame.l_d
-    for unit in frame.units:
-        s, k = draw_unit_params(ks, p)
-        cap = (s * p.n_d - k) * p.b
-        if cap > remaining:
-            raise DesyncError("unit present past the generator's stopping point")
+    xbits, layout, tail = derive_layout(seed, frame.l_d, p)
+    if len(frame.units) != len(layout):
+        raise DesyncError(f"frame has {len(frame.units)} units, the seed derives {len(layout)}")
+    for unit, (s, k, locs) in zip(frame.units, layout):
         if (s, k) != (unit.s, unit.k):
             raise DesyncError(f"unit params ({unit.s},{unit.k}) != derived ({s},{k})")
-        locs = dummy_locations(ks, s, k, p.n_d)
         if not np.array_equal(locs, unit.dummy_locations):
             raise DesyncError("dummy locations disagree with the derived placement")
-        if unit.payload_bits.size != s * p.n_d * p.b:
+        if unit.payload_bits.size != s * p.symbol_bits:
             raise DesyncError("unit payload has the wrong length")
-        chunks.append(unit.payload_bits.reshape(-1, p.b)[_data_slots(s, k, p.n_d, locs)].ravel())
-        remaining -= cap
-    s, k = draw_unit_params(ks, p)  # the stopping draw
-    if (s * p.n_d - k) * p.b <= remaining:
-        raise DesyncError("frame ends before the generator would stop")
-    if frame.tail_bits.size != _expected_tail_bits(remaining, p):
+    if frame.tail_bits.size != _expected_tail_bits(tail, p):
         raise DesyncError("tail length disagrees with the derived layout")
-    chunks.append(frame.tail_bits[:remaining])
-    enc = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
-    return xor_bits(enc[: frame.l_d], xbits)
-
-
-def _take(bits: np.ndarray, start: int, n: int) -> np.ndarray:
-    """Slice with zero padding past the end (lossy-channel tolerance)."""
-    out = np.zeros(n, dtype=np.uint8)
-    got = bits[start:start + n]
-    out[: got.size] = got
-    return out
+    air = ota_bits(frame)
+    return xor_bits(_gather(air[: air.size - frame.tail_bits.size + tail], layout, p), xbits)
 
 
 def recover_bits(ota: BitString, l_d: int, seed: BitString, p: ObfuscationParams) -> BitString:
@@ -242,41 +256,26 @@ def recover_bits(ota: BitString, l_d: int, seed: BitString, p: ObfuscationParams
     ota = np.asarray(ota, dtype=np.uint8)
     if l_d < 0:
         raise ValueError("l_d must be >= 0")
-    ks = Keystream.from_seed_bits(seed, "xor")
-    xbits = ks.bits(l_d)
-    chunks = []
-    pos = 0
-    remaining = l_d
-    while remaining > 0:
-        s, k = draw_unit_params(ks, p)
-        cap = (s * p.n_d - k) * p.b
-        if cap > remaining:
-            chunks.append(_take(ota, pos, remaining))
-            remaining = 0
-            break
-        locs = dummy_locations(ks, s, k, p.n_d)
-        unit = _take(ota, pos, s * p.n_d * p.b)
-        chunks.append(unit.reshape(-1, p.b)[_data_slots(s, k, p.n_d, locs)].ravel())
-        pos += s * p.n_d * p.b
-        remaining -= cap
-    enc = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
-    return xor_bits(enc, xbits)
+    xbits, layout, tail = derive_layout(seed, l_d, p)
+    air = np.zeros(sum(s for s, _, _ in layout) * p.symbol_bits + tail, dtype=np.uint8)
+    got = ota[: air.size]
+    air[: got.size] = got
+    return xor_bits(_gather(air, layout, p), xbits)
 
 
 # --- serialization ----------------------------------------------------------
 
 _MAGIC = b"SOBF"
 _VERSION = 1
+_HEADER = struct.Struct(">4sBQI")  # magic, version, l_d, unit count
+_UNIT_HEADER = struct.Struct(">HH")  # s, k
 
 
 def serialize_frame(frame: ObfuscatedFrame) -> bytes:
     """Pack a frame for the wire between simulator stages (big-endian)."""
-    out = bytearray()
-    out += _MAGIC
-    out.append(_VERSION)
-    out += struct.pack(">QI", frame.l_d, len(frame.units))
+    out = bytearray(_HEADER.pack(_MAGIC, _VERSION, frame.l_d, len(frame.units)))
     for u in frame.units:
-        out += struct.pack(">HH", u.s, u.k)
+        out += _UNIT_HEADER.pack(u.s, u.k)
         out += struct.pack(f">{u.k}I", *u.dummy_locations.tolist())
         out += bytes_from_bits(u.payload_bits)
     out += bytes_from_bits(frame.tail_bits)
@@ -284,30 +283,48 @@ def serialize_frame(frame: ObfuscatedFrame) -> bytes:
 
 
 def deserialize_frame(buf: bytes, p: ObfuscationParams) -> ObfuscatedFrame:
-    if buf[:4] != _MAGIC:
-        raise ValueError("bad magic")
-    if buf[4] != _VERSION:
-        raise ValueError(f"unsupported version {buf[4]}")
-    l_d, n_units = struct.unpack_from(">QI", buf, 5)
-    off = 17
+    """Parse a wire frame; any malformed input raises FrameFormatError.
+
+    Every field is checked against ``p`` and against the bytes left in
+    ``buf`` before anything is allocated from it.
+    """
+    if len(buf) < _HEADER.size:
+        raise FrameFormatError(f"{len(buf)}-byte buffer is shorter than the frame header")
+    magic, version, l_d, n_units = _HEADER.unpack_from(buf)
+    if magic != _MAGIC:
+        raise FrameFormatError("bad magic")
+    if version != _VERSION:
+        raise FrameFormatError(f"unsupported version {version}")
+    off = _HEADER.size
     units = []
     remaining = l_d
-    for _ in range(n_units):
-        s, k = struct.unpack_from(">HH", buf, off)
-        off += 4
-        locs = np.array(struct.unpack_from(f">{k}I", buf, off), dtype=np.int64)
-        off += 4 * k
-        nbits = s * p.n_d * p.b
-        nbytes = (nbits + 7) // 8
-        payload = np.unpackbits(np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=off))[:nbits]
-        off += nbytes
-        units.append(DataUnit(s, k, locs, payload))
-        remaining -= (s * p.n_d - k) * p.b
+    for i in range(n_units):
+        if len(buf) < off + _UNIT_HEADER.size:
+            raise FrameFormatError(f"frame truncated in the header of unit {i}")
+        s, k = _UNIT_HEADER.unpack_from(buf, off)
+        if not (1 <= s <= p.s_max and 1 <= k <= p.k_max):
+            raise FrameFormatError(f"unit {i} params ({s},{k}) outside [1,{p.s_max}] x [1,{p.k_max}]")
+        nbits = s * p.symbol_bits
+        locs_off = off + _UNIT_HEADER.size
+        payload_off = locs_off + 4 * k
+        off = payload_off + (nbits + 7) // 8
+        if len(buf) < off:
+            raise FrameFormatError(f"frame truncated in the body of unit {i}")
+        locs = np.frombuffer(buf, dtype=">u4", count=k, offset=locs_off).astype(np.int64)
+        if locs.max() >= s * p.n_d:
+            raise FrameFormatError(f"unit {i} has a dummy location past its {s * p.n_d} subcarriers")
+        payload = np.unpackbits(np.frombuffer(buf, dtype=np.uint8, count=off - payload_off,
+                                              offset=payload_off))[:nbits]
+        try:
+            units.append(DataUnit(s, k, locs, payload))
+        except ValueError as exc:
+            raise FrameFormatError(f"unit {i}: {exc}") from None
+        remaining -= _capacity(s, k, p)
     if remaining < 0:
-        raise ValueError("unit capacities exceed l_d")
+        raise FrameFormatError("unit capacities exceed l_d")
     tail_len = _expected_tail_bits(remaining, p)
     tail_bytes = (tail_len + 7) // 8
     if len(buf) - off != tail_bytes:
-        raise ValueError("trailing bytes disagree with the derived tail length")
+        raise FrameFormatError("trailing bytes disagree with the derived tail length")
     tail = np.unpackbits(np.frombuffer(buf, dtype=np.uint8, count=tail_bytes, offset=off))[:tail_len]
     return ObfuscatedFrame(tuple(units), tail, l_d)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semshield.bits import bits_from_bytes, bytes_from_bits, hex_from_bits, int_from_bits
+from semshield.bits import bits_from_bytes, bytes_from_bits, hex_from_bits, int_from_bits, xor_bits
 from semshield.codec import BleuScores, quantize_q32
 from semshield.keying import (
     InsufficientEntropyError,
@@ -18,7 +18,6 @@ from semshield.keying import (
     generate_skey,
     generated_bleu,
     label_nonce,
-    make_seed_key,
     quantize_samples,
     rayleigh_trace,
     simulate_plk,
@@ -231,13 +230,13 @@ class TestSeedKey:
         rng = np.random.default_rng(2)
         a = rng.integers(0, 2, 128).astype(np.uint8)
         b = rng.integers(0, 2, 128).astype(np.uint8)
-        assert np.array_equal(make_seed_key(a, a), np.zeros(128, dtype=np.uint8))
-        assert np.array_equal(make_seed_key(a, np.zeros(128, dtype=np.uint8)), a)
-        assert np.array_equal(make_seed_key(make_seed_key(a, b), b), a)
+        assert np.array_equal(KeyMaterial(a, a).seed_key, np.zeros(128, dtype=np.uint8))
+        assert np.array_equal(KeyMaterial(np.zeros(128, dtype=np.uint8), a).seed_key, a)
+        assert np.array_equal(KeyMaterial(b, KeyMaterial(b, a).seed_key).seed_key, a)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            make_seed_key(np.zeros(128, dtype=np.uint8), np.zeros(64, dtype=np.uint8))
+            xor_bits(np.zeros(128, dtype=np.uint8), np.zeros(64, dtype=np.uint8))
 
     def test_key_material_pads_short_skey(self):
         plk = np.ones(128, dtype=np.uint8)

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semshield.bits import bytes_from_bits
 from semshield.codec import CodecModel, decode
@@ -9,14 +11,15 @@ from semshield.keying import Keystream
 from semshield.obfuscation import (
     DataUnit,
     DesyncError,
+    FrameFormatError,
     ObfuscatedFrame,
     ObfuscationParams,
     deobfuscate,
+    derive_layout,
     derive_seed2,
     deserialize_frame,
     draw_unit_params,
     dummy_locations,
-    encrypt_bits,
     generate_dummy_bits,
     obfuscate,
     ota_bits,
@@ -30,11 +33,6 @@ MODEL = CodecModel(vocab_size=4096, deviation_rate=0.0)
 def _seed(tag: int) -> np.ndarray:
     rng = np.random.default_rng(tag)
     return rng.integers(0, 2, 128).astype(np.uint8)
-
-
-class _ZeroStream:
-    def bits(self, nbits):
-        return np.zeros(nbits, dtype=np.uint8)
 
 
 class TestParams:
@@ -51,21 +49,39 @@ class TestParams:
             ObfuscationParams(s_max=0)
 
 
-class TestEncryptBits:
-    def test_zero_stream_is_identity(self):
-        data = np.array([1, 0, 1, 1], dtype=np.uint8)
-        assert np.array_equal(encrypt_bits(data, _ZeroStream()), data)
+def _data_subcarrier_bits(frame, p):
+    """Encrypted bits read off a frame by hand: unit data subcarriers, then tail."""
+    parts = []
+    for unit in frame.units:
+        mask = np.ones(unit.s * p.n_d, dtype=bool)
+        mask[unit.dummy_locations] = False
+        parts.append(unit.payload_bits.reshape(-1, p.b)[mask].ravel())
+    return np.concatenate(parts + [frame.tail_bits])[: frame.l_d]
 
-    def test_involution_with_fresh_stream(self):
-        data = np.random.default_rng(1).integers(0, 2, 500).astype(np.uint8)
-        enc = encrypt_bits(data, Keystream(bytes(32), "xor"))
-        dec = encrypt_bits(enc, Keystream(bytes(32), "xor"))
-        assert np.array_equal(dec, data)
+
+class TestEncryption:
+    def test_zero_payload_carries_the_xor_stream(self):
+        p = ObfuscationParams()
+        seed = _seed(1)
+        frame = obfuscate(np.zeros(10_000, dtype=np.uint8), seed, p, MODEL)
+        xbits, _, _ = derive_layout(seed, frame.l_d, p)
+        assert np.array_equal(_data_subcarrier_bits(frame, p), xbits)
+
+    def test_involution(self):
+        p = ObfuscationParams()
+        seed = _seed(2)
+        data = np.random.default_rng(1).integers(0, 2, 5000).astype(np.uint8)
+        frame = obfuscate(data, seed, p, MODEL)
+        xbits, _, _ = derive_layout(seed, frame.l_d, p)
+        assert np.array_equal(_data_subcarrier_bits(frame, p) ^ xbits, data)
+        assert np.array_equal(recover_bits(ota_bits(frame), frame.l_d, seed, p), data)
+        assert np.array_equal(deobfuscate(frame, seed, p), data)
 
     def test_ciphertext_weight_near_half(self):
-        data = np.random.default_rng(2).integers(0, 2, 10_000).astype(np.uint8)
-        enc = encrypt_bits(data, Keystream(hashlib.sha256(b"w").digest(), "xor"))
-        assert 4600 <= int(enc.sum()) <= 5400
+        p = ObfuscationParams()
+        frame = obfuscate(np.zeros(10_000, dtype=np.uint8), _seed(3), p, MODEL)
+        assert frame.n_units() > 0
+        assert 4600 <= int(_data_subcarrier_bits(frame, p).sum()) <= 5400
 
 
 class TestDrawUnitParams:
@@ -364,3 +380,144 @@ class TestSerialization:
         frame = obfuscate(data, _seed(44), p, MODEL)
         total = sum(u.payload_bits.size for u in frame.units) + frame.tail_bits.size
         assert ota_bits(frame).size == total
+
+    def test_truncated_buffers_rejected(self):
+        p = ObfuscationParams()
+        data = np.random.default_rng(20).integers(0, 2, 9000).astype(np.uint8)
+        blob = serialize_frame(obfuscate(data, _seed(45), p, MODEL))
+        for cut in (0, 4, 10, 16, 20, 40, len(blob) - 1):
+            with pytest.raises(FrameFormatError):
+                deserialize_frame(blob[:cut], p)
+
+    def test_every_truncation_of_a_small_frame_rejected(self):
+        p = ObfuscationParams(s_max=2, k_max=3, n_d=8, b=2)
+        data = np.random.default_rng(21).integers(0, 2, 150).astype(np.uint8)
+        blob = serialize_frame(obfuscate(data, _seed(46), p, MODEL))
+        for cut in range(len(blob)):
+            with pytest.raises(FrameFormatError):
+                deserialize_frame(blob[:cut], p)
+
+    # One unit (s=1, k=2, dummies at 1 and 3) and no tail, laid out as
+    # header [0:17], s [17:19], k [19:21], locations [21:29], payload [29:31].
+    _HAND_PARAMS = ObfuscationParams(s_max=2, k_max=3, n_d=8, b=2)
+    _HAND_BLOB = serialize_frame(ObfuscatedFrame(
+        (DataUnit(1, 2, [1, 3], np.zeros(16, dtype=np.uint8)),), np.zeros(0, dtype=np.uint8), 12))
+
+    @pytest.mark.parametrize("offset,patch", [
+        (17, b"\0\0"),                  # s = 0
+        (19, b"\0\0"),                  # k = 0
+        (17, b"\0\3"),                  # s > s_max
+        (19, b"\0\4"),                  # k > k_max
+        (25, b"\0\0\0\x08"),          # location == s*n_d
+        (25, b"\0\0\0\x01"),          # repeated location
+        (5, (11).to_bytes(8, "big")),   # unit capacity exceeds l_d
+        (13, (2).to_bytes(4, "big")),   # unit count past the end of the buffer
+        (31, b"\0"),                    # trailing byte
+    ])
+    def test_malformed_fields_rejected(self, offset, patch):
+        p = self._HAND_PARAMS
+        assert deserialize_frame(self._HAND_BLOB, p).n_units() == 1
+        blob = bytearray(self._HAND_BLOB)
+        blob[offset:offset + len(patch)] = patch
+        with pytest.raises(FrameFormatError):
+            deserialize_frame(bytes(blob), p)
+
+
+_FUZZ_PARAMS = ObfuscationParams(s_max=2, k_max=3, n_d=8, b=2)
+_FUZZ_BLOB = serialize_frame(obfuscate(
+    np.random.default_rng(22).integers(0, 2, 200).astype(np.uint8), _seed(47), _FUZZ_PARAMS, MODEL))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut=st.integers(0, len(_FUZZ_BLOB)),
+       flips=st.lists(st.tuples(st.integers(0, len(_FUZZ_BLOB) - 1), st.integers(1, 255)), max_size=4))
+def test_fuzzed_frames_parse_or_raise_frame_format_error(cut, flips):
+    blob = bytearray(_FUZZ_BLOB[:cut])
+    for pos, mask in flips:
+        if pos < len(blob):
+            blob[pos] ^= mask
+    try:
+        frame = deserialize_frame(bytes(blob), _FUZZ_PARAMS)
+    except FrameFormatError:
+        return
+    assert isinstance(frame, ObfuscatedFrame)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_derive_layout_is_the_frame_layout(draw):
+    k_max = draw.draw(st.integers(1, 10))
+    p = ObfuscationParams(s_max=draw.draw(st.integers(1, 4)), k_max=k_max,
+                          n_d=draw.draw(st.integers(k_max + 1, 64)),
+                          b=draw.draw(st.sampled_from([1, 2, 4])))
+    rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
+    data = rng.integers(0, 2, draw.draw(st.integers(1, 3000))).astype(np.uint8)
+    seed = rng.integers(0, 2, 128).astype(np.uint8)
+
+    xbits, layout, tail = derive_layout(seed, data.size, p)
+    frame = obfuscate(data, seed, p, MODEL)
+    assert xbits.size == data.size
+    assert [(u.s, u.k, u.dummy_locations.tolist()) for u in frame.units] == \
+        [(s, k, locs.tolist()) for s, k, locs in layout]
+    assert sum(u.capacity_bits(p) for u in frame.units) + tail == data.size
+    assert frame.tail_bits.size == -(-tail // p.symbol_bits) * p.symbol_bits
+    assert np.array_equal(recover_bits(ota_bits(frame), frame.l_d, seed, p), data)
+    assert np.array_equal(deobfuscate(frame, seed, p), data)
+
+
+# --- pinned layout bytes --------------------------------------------------------
+
+# (params, payload bits, payload rng seed, frame seed tag) per case.  "small"
+# exercises a non-default geometry; "tail_only" has no unit at all and
+# "exact_fit" fills its units with no tail left over.
+LAYOUT_CASES = {
+    "default": (ObfuscationParams(), 20_000, 101, 50),
+    "small": (ObfuscationParams(s_max=2, k_max=3, n_d=8, b=2), 700, 102, 51),
+    "tail_only": (ObfuscationParams(), 100, 103, 52),
+    "exact_fit": (ObfuscationParams(s_max=1, k_max=1, n_d=4, b=1), 6, 104, 10),
+}
+
+# SHA-256 of serialize_frame(obfuscate(...)) and of recover_bits over the
+# on-air bits with every 37th bit flipped (full length, then cut to a third),
+# pinned from the reference implementation.  Any change to the stream
+# order, the slot order or the tail padding moves them.
+LAYOUT_GOLDENS = {
+    'default': (
+        '346c5017d0ddf76e6ddd829b330def654e57855b8d11e8a98f261cb07e340544',
+        'fdf93571cce833dc683e18146c880bf6bb3fb34d9c3691ab7ebde561ab596e52',
+        '8cd620acd77f2e0a07e0349dca2be9b60427e850569ec040aec16ccbae4f3a1f',
+    ),
+    'exact_fit': (
+        '65da23708b3ba3875b1a0a1640b34e499f41450b79307289e77e43ea3d09c57a',
+        '5c62e091b8c0565f1bafad0dad5934276143ae2ccef7a5381e8ada5b1a8d26d2',
+        '3f39d5c348e5b79d06e842c114e6cc571583bbf44e4b0ebfda1a01ec05745d43',
+    ),
+    'small': (
+        '18917aa8234ce73c0dd7c54d84b5eb7862837ca0a4bdec438cdd7b541bb0b3e6',
+        'c67b9d9cd4b3291390fe8d51a6f706f9bd45ab0871229463481241cf886a2a11',
+        '4867801eefbaf72b7e930bd22885b8ceb8d2235ff1463d7df3f14d0690978865',
+    ),
+    'tail_only': (
+        '083c3aa9fc123cd8bbb2c427b618390f2fd11e6be1b9d3f2d3459e5702e6531f',
+        '71fa50f41e47601b32fb878196d3c7fe4f0b6af96bceb9f73376d97b22480f71',
+        '4e87779b0480a19c427f116cf75e5d90d9f8e598ac90129f878d364047f135bb',
+    ),
+}
+
+
+def _layout_digests(case: str) -> tuple:
+    p, n_bits, data_seed, seed_tag = LAYOUT_CASES[case]
+    data = np.random.default_rng(data_seed).integers(0, 2, n_bits).astype(np.uint8)
+    seed = _seed(seed_tag)
+    frame = obfuscate(data, seed, p, MODEL)
+    air = ota_bits(frame)
+    air[::37] ^= 1
+    noisy = recover_bits(air, frame.l_d, seed, p)
+    short = recover_bits(air[: air.size // 3], frame.l_d, seed, p)
+    return tuple(hashlib.sha256(blob).hexdigest() for blob in (
+        serialize_frame(frame), bytes_from_bits(noisy), bytes_from_bits(short)))
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_layout_bytes_pinned(case):
+    assert _layout_digests(case) == LAYOUT_GOLDENS[case]
