@@ -89,6 +89,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.l_skey > 256 or self.l_seedkey > 256:
             raise ConfigError("key lengths above 256 bits are not supported")
+        if self.l_skey % 8 or self.l_seedkey % 8:
+            raise ConfigError("key lengths must be whole bytes (multiples of 8 bits)")
         if self.guard_band < 0 or self.probe_noise_std < 0:
             raise ConfigError("guard_band and probe_noise_std must be >= 0")
         try:

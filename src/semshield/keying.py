@@ -28,6 +28,8 @@ from .codec import BleuScores
 DEFAULT_KEY_BITS = 128
 CHACHA_BLOCK_BYTES = 64
 _WORD = 1 << 32
+_REFILL_BITS = 32768  # fewest bits one keystream refill generates
+_FIRST_READ_AHEAD = 16  # words; a stream that makes a few draws reads no more
 
 
 def skey_hash(data: bytes, nbits: int) -> BitString:
@@ -50,15 +52,27 @@ def chacha20_stream(key: bytes, nonce: bytes, counter: int, nbytes: int) -> byte
     return cipher.encryptor().update(bytes(nbytes))
 
 
+def _seed_bytes(seed: BitString) -> bytes:
+    """Pack seed bits into bytes; a seed must be a whole number of bytes.
+
+    Packing pads the last byte with zeros, so a ragged seed and the same
+    bits plus trailing zeros would otherwise name the same key.
+    """
+    seed = np.asarray(seed, dtype=np.uint8)
+    if seed.size % 8:
+        raise ValueError(f"seed length {seed.size} is not a multiple of 8 bits")
+    return bytes_from_bits(seed)
+
+
 def expand_seed(seed: BitString) -> bytes:
-    """Map seed bits of any length to a 32-byte stream key.
+    """Map seed bits (a multiple of 8 long) to a 32-byte stream key.
 
     A 256-bit seed is used verbatim; anything else is hashed.
     """
-    seed = np.asarray(seed, dtype=np.uint8)
-    if seed.size == 256:
-        return bytes_from_bits(seed)
-    return hashlib.sha256(bytes_from_bits(seed)).digest()
+    packed = _seed_bytes(seed)
+    if len(packed) == 32:
+        return packed
+    return hashlib.sha256(packed).digest()
 
 
 def label_nonce(label: bytes) -> bytes:
@@ -71,6 +85,12 @@ class Keystream:
     The stream is a pure function of (seed, label, position); bits are
     served most-significant-first within each keystream byte.  Instances
     are stateful and single-owner.
+
+    ``draw_uniform`` reads 32-bit words ahead of what it consumes, 16 at
+    first and twice as many on each later read-ahead, up to one buffer
+    refill.  ``bits`` hands the unread words back before it reads, so
+    ``position`` counts only consumed bits and any interleaving of
+    ``bits`` and ``draw_uniform`` reads the stream in order.
     """
 
     def __init__(self, seed: bytes, label: bytes | str, position: int = 0, nonce: bytes | None = None):
@@ -85,13 +105,15 @@ class Keystream:
         self._buf = np.zeros(0, dtype=np.uint8)
         self._buf_pos = 0
         self._gen_offset = position  # absolute bit offset of the next ungenerated bit
+        self._words = []  # read-ahead words in reverse; their bits lie just before _buf_pos
+        self._ahead = _FIRST_READ_AHEAD
 
     @classmethod
     def from_seed_bits(cls, seed_bits: BitString, label: bytes | str, position: int = 0) -> "Keystream":
         return cls(expand_seed(seed_bits), label, position)
 
     def _refill(self, min_bits: int) -> None:
-        n_gen = max(min_bits, 32768)
+        n_gen = max(min_bits, _REFILL_BITS)
         offset = self._gen_offset
         first_byte, bit_in_byte = divmod(offset, 8)
         counter, skip = divmod(first_byte, CHACHA_BLOCK_BYTES)
@@ -108,6 +130,9 @@ class Keystream:
             raise ValueError("nbits must be non-negative")
         if nbits == 0:
             return np.zeros(0, dtype=np.uint8)
+        if self._words:
+            self._buf_pos -= 32 * len(self._words)
+            self._words = []
         available = self._buf.size - self._buf_pos
         if available < nbits:
             self._refill(nbits - available)
@@ -116,13 +141,33 @@ class Keystream:
         self.position += nbits
         return out
 
+    def _read_ahead(self) -> list:
+        """Move the next read-ahead of words from the bit buffer to ``_words``."""
+        nbits = 32 * self._ahead
+        self._ahead = min(2 * self._ahead, _REFILL_BITS // 32)
+        available = self._buf.size - self._buf_pos
+        if available < nbits:
+            self._refill(nbits - available)
+        chunk = self._buf[self._buf_pos:self._buf_pos + nbits]
+        self._buf_pos += nbits
+        self._words = np.packbits(chunk).view(">u4").tolist()[::-1]
+        return self._words
+
     def draw_uniform(self, m: int) -> int:
-        """Unbiased draw from [0, m) by rejection on 32-bit stream words."""
+        """Unbiased draw from [0, m) by rejection on 32-bit stream words.
+
+        Words come from the read-ahead list in stream order; a rejected
+        word is consumed and skipped exactly as if it had been read alone.
+        """
         if not 1 <= m <= _WORD:
             raise ValueError("m must lie in [1, 2^32]")
         limit = (_WORD // m) * m
+        words = self._words
         for _ in range(1000):
-            word = int_from_bits(self.bits(32))
+            if not words:
+                words = self._read_ahead()
+            word = words.pop()
+            self.position += 32
             if word < limit:
                 return word % m
         raise RuntimeError("rejection sampling failed to terminate")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bits import BitString, bytes_from_bits, xor_bits
 from .codec import CodecModel, encode
-from .keying import Keystream
+from .keying import Keystream, _seed_bytes
 
 
 class DesyncError(ValueError):
@@ -74,9 +74,11 @@ class DataUnit:
         locs = np.asarray(self.dummy_locations, dtype=np.int64)
         object.__setattr__(self, "dummy_locations", locs)
         object.__setattr__(self, "payload_bits", np.asarray(self.payload_bits, dtype=np.uint8))
-        if locs.size != self.k:
-            raise ValueError("location count must equal k")
-        if locs.size and (np.any(np.diff(locs) <= 0) or locs[0] < 0):
+        if locs.shape != (self.k,):
+            raise ValueError("locations must be a flat list of k entries")
+        # k is at most k_max, so Python ints check faster than numpy calls
+        ints = locs.tolist()
+        if ints and (ints[0] < 0 or any(a >= b for a, b in zip(ints, ints[1:]))):
             raise ValueError("locations must be strictly increasing and non-negative")
 
     def capacity_bits(self, p: ObfuscationParams) -> int:
@@ -99,7 +101,7 @@ class ObfuscatedFrame:
 
 def derive_seed2(seed: BitString) -> bytes:
     """Second stream key for dummy data, bound to the frame seed."""
-    return hashlib.sha256(bytes_from_bits(np.asarray(seed, dtype=np.uint8)) + b"dummy").digest()
+    return hashlib.sha256(_seed_bytes(seed) + b"dummy").digest()
 
 
 def draw_unit_params(ks: Keystream, p: ObfuscationParams) -> tuple[int, int]:
@@ -295,6 +297,8 @@ def deserialize_frame(buf: bytes, p: ObfuscationParams) -> ObfuscatedFrame:
         raise FrameFormatError("bad magic")
     if version != _VERSION:
         raise FrameFormatError(f"unsupported version {version}")
+    if l_d == 0:
+        raise FrameFormatError("l_d is 0; a frame carries at least one payload bit")
     off = _HEADER.size
     units = []
     remaining = l_d

@@ -61,6 +61,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(l_skey=257)
 
+    @pytest.mark.parametrize("field", ["l_skey", "l_seedkey"])
+    def test_rejects_key_lengths_that_are_not_whole_bytes(self, field):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**{field: 100})
+
     def test_channel_helper_passes_taps_only_for_multipath(self):
         cfg = ExperimentConfig(channel_kind="rayleigh_multipath", channel_taps=5)
         assert cfg.channel(10.0, 1).taps == 5
@@ -303,6 +308,14 @@ class TestCli:
         cfg_path = tmp_path / "broken.json"
         cfg_path.write_text("{oops", encoding="utf-8")
         rc = main(["search_space", "--config", str(cfg_path)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_ragged_key_length_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "keygen_demo", "l_skey": 100}),
+                            encoding="utf-8")
+        rc = main(["keygen_demo", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 

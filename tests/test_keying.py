@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semshield.bits import bits_from_bytes, bytes_from_bits, hex_from_bits, int_from_bits, xor_bits
 from semshield.codec import BleuScores, quantize_q32
@@ -113,6 +115,17 @@ class TestKeystream:
         direct = Keystream(expected_key, "xor")
         assert np.array_equal(ks.bits(64), direct.bits(64))
 
+    def test_ragged_seed_rejected(self):
+        # 127 bits and the same bits plus a 0 would pack to the same bytes
+        seed = np.random.default_rng(4).integers(0, 2, 128).astype(np.uint8)
+        seed[-1] = 0
+        for bad in (seed[:127], seed[:1], np.ones(255, dtype=np.uint8)):
+            with pytest.raises(ValueError):
+                expand_seed(bad)
+            with pytest.raises(ValueError):
+                Keystream.from_seed_bits(bad, "xor")
+        assert expand_seed(seed) == hashlib.sha256(bytes_from_bits(seed)).digest()
+
     def test_expand_seed_passthrough_at_256(self):
         bits = bits_from_bytes(bytes(range(32)))
         assert expand_seed(bits) == bytes(range(32))
@@ -150,6 +163,61 @@ class TestDrawUniform:
             counts[ks.draw_uniform(10)] += 1
         sigma = np.sqrt(n * 0.1 * 0.9)
         assert np.all(np.abs(counts - n / 10) <= 3 * sigma)
+
+
+class _RawReader:
+    """Reference reader: bits and rejection draws taken straight from cipher bytes."""
+
+    def __init__(self, seed: bytes, label: str, position: int):
+        self._seed, self._nonce = seed, label_nonce(label.encode())
+        self._block = position // 512  # first cipher block the reader needs
+        self._bits = np.zeros(0, dtype=np.uint8)
+        self.position = position
+
+    def bits(self, n):
+        start = self.position - 512 * self._block
+        if start + n > self._bits.size:
+            raw = chacha20_stream(self._seed, self._nonce, self._block, (start + n) // 4 + 64)
+            self._bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+        self.position += n
+        return self._bits[start:start + n]
+
+    def draw_uniform(self, m):
+        limit = (1 << 32) // m * m
+        while True:
+            word = int.from_bytes(np.packbits(self.bits(32)).tobytes(), "big")
+            if word < limit:
+                return word % m
+
+
+# m = 2^31 + 1 rejects about half of all words; m = 1 and m = 2^32 reject none.
+_DRAW_M = st.one_of(st.sampled_from([1, 2, 3, 10, 1 << 31, (1 << 31) + 1, 1 << 32]),
+                    st.integers(1, 1 << 32))
+_STREAM_OPS = st.lists(st.one_of(
+    st.tuples(st.just("bits"), st.one_of(st.integers(0, 70), st.integers(0, 40_000))),
+    st.tuples(st.just("draw"), _DRAW_M, st.integers(1, 1200)),
+), min_size=1, max_size=10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.binary(min_size=32, max_size=32), label=st.sampled_from(["xor", "dummy", "pad"]),
+       position=st.one_of(st.integers(0, 100), st.integers(0, 70_000)), ops=_STREAM_OPS)
+# From an odd offset: 1100 full-range words run past the first 32768-bit
+# refill, then a bit read hands back read-ahead words mid-buffer.
+@example(seed=bytes(32), label="xor", position=3,
+         ops=[("draw", 1 << 32, 1100), ("bits", 5), ("draw", (1 << 31) + 1, 1200),
+              ("bits", 40_000), ("draw", 1, 3)])
+def test_interleaved_reads_follow_the_raw_stream(seed, label, position, ops):
+    ks = Keystream(seed, label, position=position)
+    ref = _RawReader(seed, label, position)
+    for op in ops:
+        if op[0] == "bits":
+            assert np.array_equal(ks.bits(op[1]), ref.bits(op[1]))
+        else:
+            _, m, count = op
+            assert [ks.draw_uniform(m) for _ in range(count)] == \
+                [ref.draw_uniform(m) for _ in range(count)]
+        assert ks.position == ref.position
 
 
 class _StubStream:

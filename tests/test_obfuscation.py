@@ -1,8 +1,9 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semshield.bits import bytes_from_bits
@@ -231,6 +232,16 @@ class TestObfuscate:
         expected = hashlib.sha256(bytes_from_bits(seed) + b"dummy").digest()
         assert derive_seed2(seed) == expected
 
+    def test_ragged_seed_rejected(self):
+        # packing would pad 127 bits with a 0 and collide with this 128-bit seed
+        seed = _seed(31)
+        seed[-1] = 0
+        with pytest.raises(ValueError):
+            derive_seed2(seed[:127])
+        with pytest.raises(ValueError):
+            obfuscate(np.ones(10, dtype=np.uint8), seed[:127], ObfuscationParams(), MODEL)
+        assert len(derive_seed2(seed)) == 32
+
 
 class TestDeobfuscate:
     def test_tail_only_frame(self):
@@ -397,6 +408,12 @@ class TestSerialization:
             with pytest.raises(FrameFormatError):
                 deserialize_frame(blob[:cut], p)
 
+    def test_bare_header_with_zero_l_d_rejected(self):
+        # obfuscate refuses an empty payload, so no sender writes this frame
+        blob = b"SOBF\x01" + struct.pack(">QI", 0, 0)
+        with pytest.raises(FrameFormatError):
+            deserialize_frame(blob, ObfuscationParams())
+
     # One unit (s=1, k=2, dummies at 1 and 3) and no tail, laid out as
     # header [0:17], s [17:19], k [19:21], locations [21:29], payload [29:31].
     _HAND_PARAMS = ObfuscationParams(s_max=2, k_max=3, n_d=8, b=2)
@@ -431,6 +448,9 @@ _FUZZ_BLOB = serialize_frame(obfuscate(
 @settings(max_examples=300, deadline=None)
 @given(cut=st.integers(0, len(_FUZZ_BLOB)),
        flips=st.lists(st.tuples(st.integers(0, len(_FUZZ_BLOB) - 1), st.integers(1, 255)), max_size=4))
+# The header alone with the low bytes of l_d and of the unit count cleared:
+# l_d = 0 and no units.
+@example(cut=17, flips=[(12, _FUZZ_BLOB[12]), (16, _FUZZ_BLOB[16])])
 def test_fuzzed_frames_parse_or_raise_frame_format_error(cut, flips):
     blob = bytearray(_FUZZ_BLOB[:cut])
     for pos, mask in flips:
@@ -441,6 +461,7 @@ def test_fuzzed_frames_parse_or_raise_frame_format_error(cut, flips):
     except FrameFormatError:
         return
     assert isinstance(frame, ObfuscatedFrame)
+    assert frame.l_d >= 1
 
 
 @settings(max_examples=60, deadline=None)
