@@ -1,7 +1,12 @@
+import hashlib
 import math
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semshield.codec import (
     Q32_MAX,
@@ -162,3 +167,48 @@ class TestCorpus:
     def test_lengths_within_bounds(self):
         corpus = make_corpus(200, CodecModel(), seed=4, min_len=4, max_len=30)
         assert all(4 <= len(s) <= 30 for s in corpus)
+
+
+def _bleu_reference(reference, hypothesis):
+    """Clipped n-gram precision (orders 1-4) with the brevity penalty, from
+    Counters of list slices."""
+    ref, hyp = list(reference), list(hypothesis)
+    bp = 1.0 if len(hyp) >= len(ref) else math.exp(1.0 - len(ref) / len(hyp))
+    raw = []
+    for n in range(1, 5):
+        hyp_counts = Counter(tuple(hyp[i:i + n]) for i in range(len(hyp) - n + 1))
+        ref_counts = Counter(tuple(ref[i:i + n]) for i in range(len(ref) - n + 1))
+        if not hyp_counts:
+            raw.append(0)
+            continue
+        clipped = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        p = clipped / sum(hyp_counts.values())
+        raw.append(quantize_q32(bp * p) if p > 0.0 else 0)
+    return BleuScores(*raw)
+
+
+# A four-token vocabulary, so n-grams repeat within and across sentences.
+_SMALL_VOCAB_SENTENCE = st.lists(st.integers(0, 3), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reference=_SMALL_VOCAB_SENTENCE, hypothesis=_SMALL_VOCAB_SENTENCE)
+def test_bleu_scores_match_reference(reference, hypothesis):
+    assert bleu_scores(np.array(reference), np.array(hypothesis)) == \
+        _bleu_reference(reference, hypothesis)
+
+
+# SHA-256 over the raw scores of 200 decoded sentences of a 16-token
+# vocabulary against their references; see test_bleu_scores_pinned.
+BLEU_SCORES_SHA256 = "83642f5db98431da7a02a768f457abfe681def285cde582cef00cd6714aa4fc1"
+
+
+def test_bleu_scores_pinned():
+    model = CodecModel(vocab_size=16, deviation_rate=0.3)
+    h = hashlib.sha256()
+    for i, sentence in enumerate(make_corpus(200, model, seed=11, min_len=1, max_len=30)):
+        # Every third hypothesis is cut short so the brevity penalty applies.
+        hyp = decode(encode(sentence, model), model, noise_seed=i)[:max(1, len(sentence) - i % 3)]
+        s = bleu_scores(sentence, hyp)
+        h.update(struct.pack(">4I", s.s1, s.s2, s.s3, s.s4))
+    assert h.hexdigest() == BLEU_SCORES_SHA256

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -334,3 +335,22 @@ class TestCli:
         rc = main(["search_space", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["scenario"] == "search_space"
+
+
+# SHA-256 of render_output for small bleu_compare configs, one per key
+# refresh policy and probe noise level; recorded before the key ceremony
+# was made cheaper and unchanged by it.
+BLEU_COMPARE_SHA256 = {
+    ("per_frame", 0.0): "fb817ea61aa55525e901503a89b0b45ff83d5eab133017670a0241882c6163fb",
+    ("per_frame", 0.1): "7200fdd921d4a15e0c1e15c569f85d2d48488550133b5c6208f28552b06d598d",
+    ("per_point", 0.0): "fa328a0498c01525e3cf25772232adb9028c6b3826a7f89e84301ef9ba41ff20",
+    ("per_point", 0.1): "a645db1f2b600768d0898611857b79f1f9440eb8b73fc96da6b4947d09725d8e",
+}
+
+
+@pytest.mark.parametrize("key_refresh,probe_noise_std", sorted(BLEU_COMPARE_SHA256))
+def test_bleu_compare_output_pinned(key_refresh, probe_noise_std):
+    cfg = _fast_cfg(scenario="bleu_compare", snr_list=(6.0, 40.0), n_sentences=8,
+                    key_refresh=key_refresh, probe_noise_std=probe_noise_std)
+    digest = hashlib.sha256(render_output(cfg).encode("ascii")).hexdigest()
+    assert digest == BLEU_COMPARE_SHA256[key_refresh, probe_noise_std]

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from semshield.bits import bits_from_bytes, bytes_from_bits, hex_from_bits, int_from_bits, xor_bits
 from semshield.codec import BleuScores, quantize_q32
 from semshield.keying import (
+    ChannelTrace,
     InsufficientEntropyError,
     KeyMaterial,
     Keystream,
@@ -367,3 +369,98 @@ class TestPlkSimulation:
             simulate_plk(rayleigh_trace(100, seed=0), 0, 0.1)
         with pytest.raises(ValueError):
             simulate_plk(rayleigh_trace(100, seed=0), 10, -0.5)
+
+
+# --- pinned key-ceremony bytes ----------------------------------------------
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _plk_outcome(trace, target_bits, guard_band, noise_seed):
+    """``("key", plk, entropy)`` or ``("insufficient", agreed_bits, entropy)``."""
+    try:
+        plk, entropy = simulate_plk(trace, target_bits, guard_band, noise_seed=noise_seed)
+    except InsufficientEntropyError as exc:
+        return "insufficient", exc.agreed_bits, exc.entropy_estimate
+    return "key", plk.tolist(), entropy
+
+
+def _plk_reference(trace, target_bits, guard_band, noise_seed):
+    """By-hand distillation: noisy observations, guard-band quantization, index
+    intersection, 8-bit parity reconciliation and counter-mode SHA-256."""
+    probes = np.repeat(trace.samples, trace.coherence)
+    observed = []
+    for party in (0xA11CE, 0xB0B):
+        rng = np.random.default_rng([noise_seed & _MASK64, party])
+        noise = rng.normal(0.0, trace.probe_noise_std, size=probes.size)
+        observed.append(probes + noise if trace.probe_noise_std else probes)
+    bits, kept = [], []
+    for obs in observed:
+        median, std = float(np.median(obs)), float(np.std(obs))
+        ones = obs > median + guard_band * std
+        k = np.flatnonzero(ones | (obs < median - guard_band * std))
+        bits.append(ones[k].astype(np.uint8))
+        kept.append(k)
+    _, idx_a, idx_b = np.intersect1d(kept[0], kept[1], return_indices=True)
+    a, b = bits[0][idx_a], bits[1][idx_b]
+    agreed = []
+    for i in range(0, a.size - 7, 8):
+        if a[i:i + 8].sum() % 2 == b[i:i + 8].sum() % 2:
+            agreed.extend(a[i:i + 8].tolist())
+    entropy = empirical_bit_entropy(np.array(agreed, dtype=np.uint8))
+    if len(agreed) < 8:
+        return "insufficient", len(agreed), entropy
+    material = struct.pack(">Q", len(agreed)) + bytes_from_bits(np.array(agreed, dtype=np.uint8))
+    out = []
+    for c in range(-(-target_bits // 256)):
+        block = hashlib.sha256(material + struct.pack(">I", c)).digest()
+        out.extend(bits_from_bytes(block, min(256, target_bits - 256 * c)).tolist())
+    return "key", out, entropy
+
+
+# SHA-256 over simulate_plk on 40 seeds x probe noise {0, 0.05, 0.5} x
+# coherence {1, 8} x guard band {0, 0.2, 1}; see test_plk_grid_bytes_pinned.
+PLK_GRID_SHA256 = "5ad30a04e67100ce631e8e78e9eb67b6c762b1d72234de97fcb1d62b3dd4afcd"
+
+
+class TestPlkPinned:
+    def test_plk_grid_bytes_pinned(self):
+        h = hashlib.sha256()
+        for seed in range(40):
+            target = (1, 128, 300)[seed % 3]
+            for noise_std in (0.0, 0.05, 0.5):
+                for coherence in (1, 8):
+                    trace = rayleigh_trace(4096, seed, coherence, noise_std)
+                    for guard_band in (0.0, 0.2, 1.0):
+                        kind, value, entropy = _plk_outcome(trace, target, guard_band, seed)
+                        if kind == "key":
+                            h.update(b"K" + bytes_from_bits(np.array(value, dtype=np.uint8)))
+                        else:
+                            h.update(b"I" + struct.pack(">Q", value))
+                        h.update(struct.pack(">d", entropy))
+        assert h.hexdigest() == PLK_GRID_SHA256
+
+    @pytest.mark.parametrize("n_probes", [1, 8, 4096])
+    @pytest.mark.parametrize("value", [0.0, 1.0, -2.5])
+    @pytest.mark.parametrize("guard_band", [0.0, 0.2])
+    def test_constant_trace_error_pinned(self, n_probes, value, guard_band):
+        kind, agreed_bits, entropy = _plk_outcome(
+            constant_trace(n_probes, value), 128, guard_band, noise_seed=n_probes)
+        assert (kind, agreed_bits, entropy) == ("insufficient", 0, 0.0)
+
+
+_PLK_SAMPLES = st.lists(
+    st.one_of(st.floats(0.0, 3.0, allow_nan=False), st.sampled_from([0.0, 0.5, 1.0])),
+    min_size=1, max_size=300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=_PLK_SAMPLES, coherence=st.integers(1, 9),
+       noise_std=st.one_of(st.sampled_from([0.0, 0.05, 0.5]), st.floats(0.0, 2.0)),
+       guard_band=st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 2.0)),
+       target_bits=st.integers(1, 600), noise_seed=st.integers(0, (1 << 64) - 1))
+def test_simulate_plk_matches_reference(samples, coherence, noise_std, guard_band,
+                                        target_bits, noise_seed):
+    trace = ChannelTrace(np.array(samples), coherence=coherence, probe_noise_std=noise_std)
+    assert _plk_outcome(trace, target_bits, guard_band, noise_seed) == \
+        _plk_reference(trace, target_bits, guard_band, noise_seed)
