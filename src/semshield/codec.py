@@ -119,17 +119,17 @@ class BleuScores:
         return cls(*(quantize_q32(v) for v in (s1, s2, s3, s4)))
 
 
-def _ngrams(tokens: list, n: int) -> list[tuple]:
-    return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
+def _ngrams(tokens: list, n: int) -> Counter:
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def _clipped_precision(hypothesis: list, reference: list, n: int) -> float:
-    counts = Counter(_ngrams(hypothesis, n))
+    counts = _ngrams(hypothesis, n)
     if not counts:
         return 0.0
-    ref_counts = Counter(_ngrams(reference, n))
+    ref_counts = _ngrams(reference, n)
     clipped = sum(min(c, ref_counts[g]) for g, c in counts.items())
-    return clipped / sum(counts.values())
+    return clipped / (len(hypothesis) - n + 1)
 
 
 def bleu_scores(reference: TokenSequence, hypothesis: TokenSequence) -> BleuScores:

@@ -45,6 +45,8 @@ from . import security
 
 DEFAULT_SNR_GRID = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_INT_FIELDS = ("n_bits", "n_sentences", "n_unit", "l_weight", "l_skey", "l_seedkey",
+               "n_probes", "probe_coherence", "channel_taps", "master_seed")
 
 
 class ConfigError(ValueError):
@@ -77,6 +79,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
+        for name in ("guard_band", "probe_noise_std"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, not {value!r}")
         object.__setattr__(self, "snr_list", tuple(sorted(float(s) for s in self.snr_list)))
         if SCENARIOS[self.scenario].needs_snr and not self.snr_list:
             raise ConfigError("snr_list must be non-empty for channel scenarios")
@@ -94,7 +104,8 @@ class ExperimentConfig:
         if self.guard_band < 0 or self.probe_noise_std < 0:
             raise ConfigError("guard_band and probe_noise_std must be >= 0")
         try:
-            self.channel(snr_db=math.inf, channel_seed=0)
+            for snr in self.snr_list or (math.inf,):
+                self.channel(snr, channel_seed=0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

@@ -252,7 +252,8 @@ class ChannelTrace:
 
     ``samples`` holds the underlying gain process; each value is observed
     for ``coherence`` consecutive probes.  Each party sees the probes plus
-    its own Gaussian observation noise of std ``probe_noise_std``.
+    its own Gaussian observation noise of std ``probe_noise_std``.  Samples
+    and noise std must be finite.
     """
 
     samples: np.ndarray
@@ -263,10 +264,12 @@ class ChannelTrace:
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         if self.samples.size == 0:
             raise ValueError("trace must contain at least one sample")
+        if not np.isfinite(self.samples).all():
+            raise ValueError("trace samples must be finite")
         if self.coherence < 1:
             raise ValueError("coherence must be >= 1")
-        if self.probe_noise_std < 0:
-            raise ValueError("probe_noise_std must be >= 0")
+        if not math.isfinite(self.probe_noise_std) or self.probe_noise_std < 0:
+            raise ValueError("probe_noise_std must be finite and >= 0")
 
     def probes(self) -> np.ndarray:
         return np.repeat(self.samples, self.coherence)
@@ -350,26 +353,37 @@ def simulate_plk(
     Both parties observe the probe sequence plus independent Gaussian
     noise, quantize with a guard band around their own median, keep only
     indices where both emitted a bit, and drop 8-bit blocks whose parity
-    disagrees.  The surviving bits are hashed (counter mode) down to
-    exactly ``target_bits``.  Returns (plk, entropy_estimate) where the
-    estimate is the empirical per-bit entropy of the pre-amplification
-    string.  Raises InsufficientEntropyError when fewer than 8 bits agree.
+    disagrees.  With noise-free probes both parties see the same samples
+    and share one quantization.  The surviving bits are hashed (counter
+    mode) down to exactly ``target_bits``.  Returns (plk, entropy_estimate)
+    where the estimate is the empirical per-bit entropy of the
+    pre-amplification string.  Raises InsufficientEntropyError when fewer
+    than 8 bits agree.
     """
     if target_bits < 1:
         raise ValueError("target_bits must be >= 1")
     if guard_band < 0:
         raise ValueError("guard_band must be >= 0")
     probes = trace.probes()
-    rng_a = np.random.default_rng([noise_seed & 0xFFFFFFFFFFFFFFFF, 0xA11CE])
-    rng_b = np.random.default_rng([noise_seed & 0xFFFFFFFFFFFFFFFF, 0xB0B])
-    obs_a = probes + rng_a.normal(0.0, trace.probe_noise_std, size=probes.size) if trace.probe_noise_std else probes
-    obs_b = probes + rng_b.normal(0.0, trace.probe_noise_std, size=probes.size) if trace.probe_noise_std else probes
+    obs_a = obs_b = probes
+    if trace.probe_noise_std:
+        rng_a = np.random.default_rng([noise_seed & 0xFFFFFFFFFFFFFFFF, 0xA11CE])
+        rng_b = np.random.default_rng([noise_seed & 0xFFFFFFFFFFFFFFFF, 0xB0B])
+        obs_a = probes + rng_a.normal(0.0, trace.probe_noise_std, size=probes.size)
+        obs_b = probes + rng_b.normal(0.0, trace.probe_noise_std, size=probes.size)
 
     bits_a, kept_a = quantize_samples(obs_a, guard_band)
-    bits_b, kept_b = quantize_samples(obs_b, guard_band)
-    common, idx_a, idx_b = np.intersect1d(kept_a, kept_b, return_indices=True)
-    a = bits_a[idx_a]
-    b = bits_b[idx_b]
+    if obs_b is obs_a:
+        bits_b, kept_b = bits_a, kept_a
+    else:
+        bits_b, kept_b = quantize_samples(obs_b, guard_band)
+    # Keep the bits at indices both parties kept, in index order.
+    in_a = np.zeros(probes.size, dtype=bool)
+    in_b = np.zeros(probes.size, dtype=bool)
+    in_a[kept_a] = True
+    in_b[kept_b] = True
+    a = bits_a[in_b[kept_a]]
+    b = bits_b[in_a[kept_b]]
 
     # Parity reconciliation: compare 8-bit block parities, discard
     # disagreeing blocks and the ragged tail.

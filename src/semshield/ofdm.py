@@ -49,8 +49,13 @@ def _axis_decide(x: np.ndarray) -> np.ndarray:
 
 
 def qam16_demap(symbols: np.ndarray) -> BitString:
-    """Hard-decision inverse of qam16_map (nearest constellation point)."""
+    """Hard-decision inverse of qam16_map (nearest constellation point).
+
+    Raises ValueError for NaN or infinite symbols, which have no nearest point.
+    """
     symbols = np.asarray(symbols, dtype=np.complex128)
+    if not np.isfinite(symbols).all():
+        raise ValueError("symbols must be finite")
     i_idx = _axis_decide(symbols.real)
     q_idx = _axis_decide(symbols.imag)
     out = np.empty((symbols.size, 4), dtype=np.uint8)
@@ -72,7 +77,10 @@ def ofdm_modulate(symbols: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Block-fading channel configuration; taps are drawn per realization."""
+    """Block-fading channel configuration; taps are drawn per realization.
+
+    ``snr_db`` is a finite number or +inf, which turns the noise off.
+    """
 
     kind: str = KIND_AWGN
     snr_db: float = math.inf
@@ -82,6 +90,8 @@ class ChannelModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must be finite or +inf, not {self.snr_db}")
         if not 1 <= self.taps <= CP_LEN:
             raise ValueError(f"taps must lie in [1, {CP_LEN}]")
         if self.kind != KIND_RAYLEIGH_MULTIPATH and self.taps != 1:
@@ -104,12 +114,12 @@ def apply_channel(samples: np.ndarray, ch: ChannelModel) -> np.ndarray:
     """Convolve with the realized taps and add seeded complex AWGN.
 
     Noise variance per sample is Es/SNR_lin with Es the mean energy of
-    the input samples; snr_db = inf disables noise.
+    the input samples; snr_db = +inf disables noise.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     h = realize_taps(ch)
     out = np.convolve(samples, h)[: samples.size] if h.size > 1 or h[0] != 1.0 else samples.copy()
-    if math.isinf(ch.snr_db):
+    if ch.snr_db == math.inf:
         return out
     es = float(np.mean(np.abs(samples) ** 2))
     noise_var = es / (10.0 ** (ch.snr_db / 10.0))

@@ -67,6 +67,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(**{field: 100})
 
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+    def test_rejects_nan_and_negative_infinite_snr(self, snr_db):
+        # ber_sweep at -inf dB used to run noise-free and report ber_plain 0.
+        with pytest.raises(ConfigError, match="snr_db"):
+            ExperimentConfig(scenario="ber_sweep", snr_list=(snr_db,))
+
+    @pytest.mark.parametrize("field", ["n_bits", "n_sentences", "n_unit", "l_weight", "l_skey",
+                                       "l_seedkey", "n_probes", "probe_coherence",
+                                       "channel_taps", "master_seed"])
+    @pytest.mark.parametrize("value", [8.0, True, "8"])
+    def test_rejects_integer_fields_of_other_types(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["guard_band", "probe_noise_std"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "0.1", True])
+    def test_rejects_non_finite_real_fields(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**{field: value})
+
     def test_channel_helper_passes_taps_only_for_multipath(self):
         cfg = ExperimentConfig(channel_kind="rayleigh_multipath", channel_taps=5)
         assert cfg.channel(10.0, 1).taps == 5
@@ -319,6 +339,34 @@ class TestCli:
         rc = main(["keygen_demo", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr", ["-inf", "nan"])
+    def test_nan_or_negative_infinite_snr_exits_two(self, tmp_path, capsys, snr):
+        rc = main(["ber_sweep", f"--snr={snr}", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    # JSON as Python's json module reads it: NaN and Infinity are accepted literals.
+    @pytest.mark.parametrize("entry", ['"n_bits": 2000.0', '"n_bits": true',
+                                       '"guard_band": NaN', '"probe_noise_std": Infinity'])
+    def test_bad_field_type_or_value_exits_two(self, tmp_path, capsys, entry):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"scenario": "ber_sweep", %s}' % entry, encoding="utf-8")
+        rc = main(["ber_sweep", "--config", str(cfg_path), "--snr", "30",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_non_finite_symbols_exit_three(self, tmp_path, capsys, monkeypatch):
+        # A channel that returns NaN samples reaches the demapper, a runtime failure.
+        monkeypatch.setattr("semshield.experiments.apply_channel",
+                            lambda samples, ch: np.full(np.shape(samples), np.nan, dtype=complex))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_bits": 2000, "n_probes": 512}), encoding="utf-8")
+        rc = main(["ber_sweep", "--config", str(cfg_path), "--snr", "30",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert "symbols must be finite" in capsys.readouterr().err
 
     def test_runtime_failure_exits_three(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

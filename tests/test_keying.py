@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -363,6 +364,19 @@ class TestPlkSimulation:
         assert empirical_bit_entropy(np.zeros(0, dtype=np.uint8)) == 0.0
         assert empirical_bit_entropy(np.ones(16, dtype=np.uint8)) == 0.0
         assert empirical_bit_entropy(np.array([0, 1] * 8, dtype=np.uint8)) == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_trace_rejects_non_finite_samples(self, bad):
+        # A NaN trace used to quantize to nothing and key the frame with the all-zero PLK.
+        samples = np.ones(16)
+        samples[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ChannelTrace(samples)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_trace_rejects_non_finite_noise_std(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            rayleigh_trace(64, seed=0, probe_noise_std=bad)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,14 @@ class TestQam16Demap:
         assert np.array_equal(qam16_demap(far),
                               np.array([1, 0, 1, 0, 0, 0, 0, 0], dtype=np.uint8))
 
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf),
+                                     complex(-math.inf, 1)])
+    def test_rejects_non_finite_symbols(self, bad):
+        syms = qam16_map(_bits(64, 5))
+        syms[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            qam16_demap(syms)
+
 
 class TestOfdmModulate:
     def test_output_framing(self):
@@ -101,6 +111,17 @@ class TestChannelModel:
             ChannelModel(kind="rayleigh_multipath", taps=CP_LEN + 1)
         with pytest.raises(ValueError):
             ChannelModel(kind="awgn", taps=2)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_rejects_nan_and_negative_infinite_snr(self, snr_db):
+        # -inf dB is all noise; it used to pass the noise-off test in apply_channel.
+        with pytest.raises(ValueError, match="snr_db"):
+            ChannelModel(snr_db=snr_db)
+
+    def test_positive_infinite_snr_is_noise_off(self):
+        samples = ofdm_modulate(qam16_map(_bits(N_FFT * 4, 6)))
+        out = apply_channel(samples, ChannelModel(snr_db=math.inf, channel_seed=3))
+        assert np.array_equal(out, samples)
 
     def test_realized_tap_power_is_unity(self):
         for seed in range(50):
