@@ -118,11 +118,6 @@ class TestChannelModel:
         with pytest.raises(ValueError, match="snr_db"):
             ChannelModel(snr_db=snr_db)
 
-    def test_positive_infinite_snr_is_noise_off(self):
-        samples = ofdm_modulate(qam16_map(_bits(N_FFT * 4, 6)))
-        out = apply_channel(samples, ChannelModel(snr_db=math.inf, channel_seed=3))
-        assert np.array_equal(out, samples)
-
     def test_realized_tap_power_is_unity(self):
         for seed in range(50):
             h = realize_taps(ChannelModel(kind="rayleigh_multipath", taps=5,
