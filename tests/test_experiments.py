@@ -402,3 +402,26 @@ def test_bleu_compare_output_pinned(key_refresh, probe_noise_std):
                     key_refresh=key_refresh, probe_noise_std=probe_noise_std)
     digest = hashlib.sha256(render_output(cfg).encode("ascii")).hexdigest()
     assert digest == BLEU_COMPARE_SHA256[key_refresh, probe_noise_std]
+
+
+# SHA-256 of render_output for small constellation and ber_sweep configs over
+# an AWGN and a multipath channel; recorded before the two scenarios were
+# made to share one transmit/receive chain, and unchanged by it.
+CHAIN_OUTPUT_SHA256 = {
+    ("constellation", "awgn"): "50e66788984c925ca5f9131647cf910ddb536555136c7087b434e1d6280602a4",
+    ("constellation", "rayleigh_multipath"):
+        "9fc0e00d58ac69a3fe905f659ee2bc190130cefe8b02644381d198fa97139b4c",
+    ("ber_sweep", "awgn"): "9f2fcc6f444d1972ab3b8596727ddde7b8e7ea432c0313ca9111e471bbf13e40",
+    ("ber_sweep", "rayleigh_multipath"):
+        "b98876ce5286cca4e1d83be7bdff6a7d0cb1490d0b54a90cfde3f70635aae695",
+}
+
+
+@pytest.mark.parametrize("scenario,channel_kind", sorted(CHAIN_OUTPUT_SHA256))
+def test_chain_output_pinned(scenario, channel_kind):
+    if scenario == "constellation":
+        cfg = _fast_cfg(scenario=scenario, snr_list=(12.0,), n_bits=4096, channel_kind=channel_kind)
+    else:
+        cfg = _fast_cfg(scenario=scenario, snr_list=(3.0, 40.0), n_bits=3000, channel_kind=channel_kind)
+    digest = hashlib.sha256(render_output(cfg).encode("ascii")).hexdigest()
+    assert digest == CHAIN_OUTPUT_SHA256[scenario, channel_kind]
