@@ -35,6 +35,19 @@ def quantize_q32(x: float) -> int:
     return min(int(math.floor(x * Q32_ONE + 0.5)), Q32_MAX)
 
 
+def _check_types(obj, ints=(), reals=(), error=ValueError) -> None:
+    """Raise ``error`` unless the ``ints`` fields of ``obj`` are ints and its
+    ``reals`` fields finite ints or floats; a bool is neither."""
+    for name in ints:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise error(f"{name} must be an integer, not {value!r}")
+    for name in reals:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise error(f"{name} must be a finite number, not {value!r}")
+
+
 class InvalidTokenError(ValueError):
     """A token id is outside the codec vocabulary."""
 
@@ -53,6 +66,7 @@ class CodecModel:
     codec_seed: int = 0
 
     def __post_init__(self):
+        _check_types(self, ints=("vocab_size", "codec_seed"), reals=("deviation_rate",))
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be at least 2")
         if not 0.0 <= self.deviation_rate <= 1.0:
@@ -60,7 +74,8 @@ class CodecModel:
         min_bits = max(1, (self.vocab_size - 1).bit_length())
         if self.token_bits is None:
             object.__setattr__(self, "token_bits", min_bits)
-        elif self.token_bits < min_bits:
+        _check_types(self, ints=("token_bits",))
+        if self.token_bits < min_bits:
             raise ValueError(f"token_bits={self.token_bits} cannot hold ids below {self.vocab_size}")
 
 
@@ -113,10 +128,6 @@ class BleuScores:
 
     def as_floats(self) -> tuple[float, float, float, float]:
         return tuple(v / Q32_ONE for v in (self.s1, self.s2, self.s3, self.s4))
-
-    @classmethod
-    def from_floats(cls, s1: float, s2: float, s3: float, s4: float) -> "BleuScores":
-        return cls(*(quantize_q32(v) for v in (s1, s2, s3, s4)))
 
 
 def _ngrams(tokens: list, n: int) -> Counter:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .bits import BitString, hex_from_bits, xor_bits
-from .codec import CodecModel, bleu_scores, decode, encode, make_corpus
+from .codec import CodecModel, _check_types, bleu_scores, decode, encode, make_corpus
 from .keying import (
     InsufficientEntropyError,
     KeyMaterial,
@@ -44,7 +44,6 @@ from .ofdm import (
 from . import security
 
 DEFAULT_SNR_GRID = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0)
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _INT_FIELDS = ("n_bits", "n_sentences", "n_unit", "l_weight", "l_skey", "l_seedkey",
                "n_probes", "probe_coherence", "channel_taps", "master_seed")
 
@@ -79,14 +78,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, not {value!r}")
-        for name in ("guard_band", "probe_noise_std"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, not {value!r}")
+        _check_types(self, ints=_INT_FIELDS, reals=("guard_band", "probe_noise_std"), error=ConfigError)
+        if not isinstance(self.static_channel, bool):
+            raise ConfigError(f"static_channel must be true or false, not {self.static_channel!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string, not {self.output_path!r}")
+        if not isinstance(self.obfuscation, ObfuscationParams):
+            raise ConfigError(f"obfuscation must be ObfuscationParams, not {self.obfuscation!r}")
+        if not isinstance(self.codec, CodecModel):
+            raise ConfigError(f"codec must be CodecModel, not {self.codec!r}")
         object.__setattr__(self, "snr_list", tuple(sorted(float(s) for s in self.snr_list)))
         if SCENARIOS[self.scenario].needs_snr and not self.snr_list:
             raise ConfigError("snr_list must be non-empty for channel scenarios")
@@ -175,9 +175,13 @@ def _transmit(bits: BitString, pad_rng: np.random.Generator) -> np.ndarray:
     return ofdm_modulate(qam16_map(_pad_to_grid(bits, pad_rng)))
 
 
+def _equalize(tx: np.ndarray, ch: ChannelModel) -> np.ndarray:
+    """Pass a transmitted waveform through the channel; return equalized symbols."""
+    return ofdm_demodulate_equalize(apply_channel(tx, ch), ch)
+
+
 def _receive(tx: np.ndarray, ch: ChannelModel, nbits: int) -> BitString:
-    eq = ofdm_demodulate_equalize(apply_channel(tx, ch), ch)
-    return qam16_demap(eq)[:nbits]
+    return qam16_demap(_equalize(tx, ch))[:nbits]
 
 
 def _run_chain(bits: BitString, ch: ChannelModel, pad_rng: np.random.Generator) -> BitString:
@@ -227,12 +231,7 @@ def _derive_key_material(cfg: ExperimentConfig, *scope) -> tuple[KeyMaterial, di
     weights = weight_generator(Keystream.from_seed_bits(plk, "weights"), cfg.l_weight)
     skey = generate_skey(scores, weights, cfg.l_skey)
     km = KeyMaterial(plk, skey)
-    info = {
-        "plk_entropy_estimate": entropy,
-        "insufficient_entropy": insufficient,
-        "scores": scores,
-        "weights": weights,
-    }
+    info = {"plk_entropy_estimate": entropy, "insufficient_entropy": insufficient}
     return km, info
 
 
@@ -327,10 +326,9 @@ def emit_constellation(cfg: ExperimentConfig) -> np.ndarray:
     snr = cfg.snr_list[0]
     scope = ("constellation", 0)
     bits = _corpus_bits(cfg, cfg.n_bits, derive_rng(cfg.master_seed, *scope, "data"))
-    padded = _pad_to_grid(bits, derive_rng(cfg.master_seed, *scope, "pad"))
-    tx = ofdm_modulate(qam16_map(padded))
+    tx = _transmit(bits, derive_rng(cfg.master_seed, *scope, "pad"))
     ch = cfg.channel(snr, derive_int(cfg.master_seed, *scope, "ch"))
-    return ofdm_demodulate_equalize(apply_channel(tx, ch), ch)
+    return _equalize(tx, ch)
 
 
 def run_keygen_demo(cfg: ExperimentConfig) -> dict:

@@ -86,11 +86,12 @@ class Keystream:
     served most-significant-first within each keystream byte.  Instances
     are stateful and single-owner.
 
-    ``draw_uniform`` reads 32-bit words ahead of what it consumes, 16 at
-    first and twice as many on each later read-ahead, up to one buffer
-    refill.  ``bits`` hands the unread words back before it reads, so
-    ``position`` counts only consumed bits and any interleaving of
-    ``bits`` and ``draw_uniform`` reads the stream in order.
+    Every read starts at ``position``: ``bits`` returns the next bits and
+    advances past them, and ``draw_uniform`` advances 32 bits per word it
+    draws.  ``draw_uniform`` takes its words from a list read ahead of
+    ``position`` (16 words at first, twice as many on each later read-ahead,
+    up to one refill); ``bits`` drops that list before it reads, so any
+    interleaving of the two reads the stream in order.
     """
 
     def __init__(self, seed: bytes, label: bytes | str, position: int = 0, nonce: bytes | None = None):
@@ -102,56 +103,42 @@ class Keystream:
         self.label = label
         self.position = position
         self._nonce = nonce if nonce is not None else label_nonce(label)
-        self._buf = np.zeros(0, dtype=np.uint8)
-        self._buf_pos = 0
-        self._gen_offset = position  # absolute bit offset of the next ungenerated bit
-        self._words = []  # read-ahead words in reverse; their bits lie just before _buf_pos
+        # Generated keystream bytes, from bit offset _base; they always end
+        # on a cipher block boundary, so the next block counter follows.
+        self._base = position - position % (8 * CHACHA_BLOCK_BYTES)
+        self._raw = b""
+        self._words = []  # read-ahead words in reverse; the last one starts at position
         self._ahead = _FIRST_READ_AHEAD
 
     @classmethod
     def from_seed_bits(cls, seed_bits: BitString, label: bytes | str, position: int = 0) -> "Keystream":
         return cls(expand_seed(seed_bits), label, position)
 
-    def _refill(self, min_bits: int) -> None:
-        n_gen = max(min_bits, _REFILL_BITS)
-        offset = self._gen_offset
-        first_byte, bit_in_byte = divmod(offset, 8)
-        counter, skip = divmod(first_byte, CHACHA_BLOCK_BYTES)
-        nbytes = (bit_in_byte + n_gen + 7) // 8
-        raw = chacha20_stream(self.seed, self._nonce, counter, skip + nbytes)[skip:]
-        fresh = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[bit_in_byte:bit_in_byte + n_gen]
-        self._buf = np.concatenate([self._buf[self._buf_pos:], fresh])
-        self._buf_pos = 0
-        self._gen_offset += n_gen
+    def _peek(self, nbits: int) -> BitString:
+        """The ``nbits`` bits from ``position`` on, without consuming them."""
+        start = self.position - self._base
+        stop = start + nbits
+        if stop > 8 * len(self._raw):
+            counter = (self._base // 8 + len(self._raw)) // CHACHA_BLOCK_BYTES
+            n_blocks = -(-max(stop - 8 * len(self._raw), _REFILL_BITS) // (8 * CHACHA_BLOCK_BYTES))
+            fresh = chacha20_stream(self.seed, self._nonce, counter, n_blocks * CHACHA_BLOCK_BYTES)
+            # A fresh stream seeked into a block holds fewer bytes than it skips.
+            drop = min(start // 8, len(self._raw))
+            self._raw = self._raw[drop:] + fresh
+            self._base += 8 * drop
+            start -= 8 * drop
+            stop -= 8 * drop
+        raw = np.frombuffer(self._raw, dtype=np.uint8)[start // 8:(stop + 7) // 8]
+        return np.unpackbits(raw)[start % 8:start % 8 + nbits]
 
     def bits(self, nbits: int) -> BitString:
         """Return the next ``nbits`` of the stream and advance the position."""
         if nbits < 0:
             raise ValueError("nbits must be non-negative")
-        if nbits == 0:
-            return np.zeros(0, dtype=np.uint8)
-        if self._words:
-            self._buf_pos -= 32 * len(self._words)
-            self._words = []
-        available = self._buf.size - self._buf_pos
-        if available < nbits:
-            self._refill(nbits - available)
-        out = self._buf[self._buf_pos:self._buf_pos + nbits].copy()
-        self._buf_pos += nbits
+        self._words = []
+        out = self._peek(nbits)
         self.position += nbits
         return out
-
-    def _read_ahead(self) -> list:
-        """Move the next read-ahead of words from the bit buffer to ``_words``."""
-        nbits = 32 * self._ahead
-        self._ahead = min(2 * self._ahead, _REFILL_BITS // 32)
-        available = self._buf.size - self._buf_pos
-        if available < nbits:
-            self._refill(nbits - available)
-        chunk = self._buf[self._buf_pos:self._buf_pos + nbits]
-        self._buf_pos += nbits
-        self._words = np.packbits(chunk).view(">u4").tolist()[::-1]
-        return self._words
 
     def draw_uniform(self, m: int) -> int:
         """Unbiased draw from [0, m) by rejection on 32-bit stream words.
@@ -165,7 +152,9 @@ class Keystream:
         words = self._words
         for _ in range(1000):
             if not words:
-                words = self._read_ahead()
+                chunk = self._peek(32 * self._ahead)
+                words = self._words = np.packbits(chunk).view(">u4").tolist()[::-1]
+                self._ahead = min(2 * self._ahead, _REFILL_BITS // 32)
             word = words.pop()
             self.position += 32
             if word < limit:

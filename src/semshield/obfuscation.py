@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitString, bytes_from_bits, xor_bits
-from .codec import CodecModel, encode
+from .codec import CodecModel, _check_types, encode
 from .keying import Keystream, _seed_bytes
 
 
@@ -45,6 +45,7 @@ class ObfuscationParams:
     b: int = 4
 
     def __post_init__(self):
+        _check_types(self, ints=("s_max", "k_max", "n_d", "b"))
         for name in ("s_max", "k_max", "n_d", "b"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -14,10 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .codec import CodecModel, bleu_scores, decode, encode
+from .codec import Q32_ONE, CodecModel, bleu_scores, decode, encode
 from .keying import Keystream, generated_bleu, weight_generator
-
-Q32_ONE = float(1 << 32)
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,18 @@ class TestKeystream:
             assert bytes_from_bits(ks.bits(512)).hex() == stream_hex, label
 
 
+    def test_mutating_returned_bits_leaves_the_stream_alone(self):
+        ks = Keystream(bytes(32), "xor", position=3)
+        twin = Keystream(bytes(32), "xor", position=3)
+        for n in (13, 600, 40_000):
+            out = ks.bits(n)
+            expected = twin.bits(n)
+            assert np.array_equal(out, expected)
+            out ^= 1
+            assert ks.draw_uniform(1 << 32) == twin.draw_uniform(1 << 32)
+        assert np.array_equal(ks.bits(1000), twin.bits(1000))
+
+
 class TestDrawUniform:
     def test_single_outcome_consumes_one_word(self):
         ks = Keystream(bytes(32), "xor")
@@ -206,10 +218,20 @@ _STREAM_OPS = st.lists(st.one_of(
 @given(seed=st.binary(min_size=32, max_size=32), label=st.sampled_from(["xor", "dummy", "pad"]),
        position=st.one_of(st.integers(0, 100), st.integers(0, 70_000)), ops=_STREAM_OPS)
 # From an odd offset: 1100 full-range words run past the first 32768-bit
-# refill, then a bit read hands back read-ahead words mid-buffer.
+# refill, then a bit read drops the unread read-ahead words and reads on
+# from position.
 @example(seed=bytes(32), label="xor", position=3,
          ops=[("draw", 1 << 32, 1100), ("bits", 5), ("draw", (1 << 31) + 1, 1200),
               ("bits", 40_000), ("draw", 1, 3)])
+# Fresh streams seeked into their first cipher block, by whole bytes and not.
+@example(seed=bytes(32), label="pad", position=8, ops=[("bits", 5), ("draw", 10, 20), ("bits", 9)])
+@example(seed=bytes(32), label="pad", position=19, ops=[("draw", 3, 40), ("bits", 70)])
+# One bit read longer than two refills, from an odd offset, after read-ahead words.
+@example(seed=bytes(32), label="dummy", position=77,
+         ops=[("draw", 10, 5), ("bits", 70_001), ("draw", 1 << 32, 3)])
+# Empty reads at a seek position, before and between other reads.
+@example(seed=bytes(32), label="xor", position=1001,
+         ops=[("bits", 0), ("draw", 7, 2), ("bits", 0), ("bits", 11), ("draw", 7, 2)])
 def test_interleaved_reads_follow_the_raw_stream(seed, label, position, ops):
     ks = Keystream(seed, label, position=position)
     ref = _RawReader(seed, label, position)
