@@ -356,43 +356,24 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     # JSON as Python's json module reads it: NaN and Infinity are accepted literals.
-    @pytest.mark.parametrize("entry", ['"n_bits": 2000.0', '"n_bits": true',
-                                       '"guard_band": NaN', '"probe_noise_std": Infinity'])
-    def test_bad_field_type_or_value_exits_two(self, tmp_path, capsys, entry):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text('{"scenario": "ber_sweep", %s}' % entry, encoding="utf-8")
-        rc = main(["ber_sweep", "--config", str(cfg_path), "--snr", "30",
-                   "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
-        assert "config error" in capsys.readouterr().err
-
-    # A truthy string used to run the static channel; a non-string path
-    # used to fail only when the output was written (exit 3).
-    @pytest.mark.parametrize("entry", ['"static_channel": "false"', '"static_channel": 0',
-                                       '"output_path": 5', '"output_path": ["x.json"]'])
-    def test_bad_flag_or_output_path_exits_two(self, tmp_path, capsys, entry):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text('{"scenario": "keygen_demo", "n_probes": 512, %s}' % entry,
-                            encoding="utf-8")
-        rc = main(["keygen_demo", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")])
-        assert rc == 2
-        assert "config error" in capsys.readouterr().err
-        assert not (tmp_path / "x.json").exists()
-
-    # A fractional vocab_size used to end in an AttributeError traceback
-    # (exit 1); bools and floats in the other fields were accepted.
+    # A truthy string used to run the static channel, a non-string path to
+    # fail only when the output was written (exit 3) and a fractional
+    # vocab_size to end in an AttributeError traceback (exit 1).
     @pytest.mark.parametrize("entry", [
+        '"n_bits": 2000.0', '"n_bits": true', '"guard_band": NaN', '"probe_noise_std": Infinity',
+        '"static_channel": "false"', '"static_channel": 0',
+        '"output_path": 5', '"output_path": ["x.json"]',
         '"codec": {"vocab_size": 4096.5}', '"codec": {"token_bits": 12.0}',
         '"codec": {"codec_seed": 1.5}', '"codec": {"deviation_rate": true}',
         '"obfuscation": {"s_max": true}', '"obfuscation": {"s_max": 4.0}',
         '"obfuscation": {"k_max": true}', '"obfuscation": {"n_d": 64.0}',
         '"obfuscation": {"b": 2.0}',
     ])
-    def test_bad_nested_field_exits_two(self, tmp_path, capsys, entry):
+    def test_bad_field_type_or_value_exits_two(self, tmp_path, capsys, entry):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text('{"scenario": "keygen_demo", "n_probes": 512, %s}' % entry,
-                            encoding="utf-8")
-        rc = main(["keygen_demo", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")])
+        cfg_path.write_text('{"scenario": "ber_sweep", %s}' % entry, encoding="utf-8")
+        rc = main(["ber_sweep", "--config", str(cfg_path), "--snr", "30",
+                   "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 

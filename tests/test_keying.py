@@ -139,7 +139,6 @@ class TestKeystream:
             ks = Keystream(bytes.fromhex(seed_hex), label)
             assert bytes_from_bits(ks.bits(512)).hex() == stream_hex, label
 
-
     def test_mutating_returned_bits_leaves_the_stream_alone(self):
         ks = Keystream(bytes(32), "xor", position=3)
         twin = Keystream(bytes(32), "xor", position=3)
