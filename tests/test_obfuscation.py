@@ -470,7 +470,7 @@ def test_derive_layout_is_the_frame_layout(draw):
     k_max = draw.draw(st.integers(1, 10))
     p = ObfuscationParams(s_max=draw.draw(st.integers(1, 4)), k_max=k_max,
                           n_d=draw.draw(st.integers(k_max + 1, 64)),
-                          b=draw.draw(st.sampled_from([1, 2, 4])))
+                          b=draw.draw(st.sampled_from([1, 2, 3, 4])))
     rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
     data = rng.integers(0, 2, draw.draw(st.integers(1, 3000))).astype(np.uint8)
     seed = rng.integers(0, 2, 128).astype(np.uint8)
@@ -484,18 +484,21 @@ def test_derive_layout_is_the_frame_layout(draw):
     assert frame.tail_bits.size == -(-tail // p.symbol_bits) * p.symbol_bits
     assert np.array_equal(recover_bits(ota_bits(frame), frame.l_d, seed, p), data)
     assert np.array_equal(deobfuscate(frame, seed, p), data)
+    assert np.array_equal(deobfuscate(deserialize_frame(serialize_frame(frame), p), seed, p), data)
 
 
 # --- pinned layout bytes --------------------------------------------------------
 
 # (params, payload bits, payload rng seed, frame seed tag) per case.  "small"
 # exercises a non-default geometry; "tail_only" has no unit at all and
-# "exact_fit" fills its units with no tail left over.
+# "exact_fit" fills its units with no tail left over.  "ragged" has units
+# that are not whole bytes and k*b that does not fill whole 12-bit tokens.
 LAYOUT_CASES = {
     "default": (ObfuscationParams(), 20_000, 101, 50),
     "small": (ObfuscationParams(s_max=2, k_max=3, n_d=8, b=2), 700, 102, 51),
     "tail_only": (ObfuscationParams(), 100, 103, 52),
     "exact_fit": (ObfuscationParams(s_max=1, k_max=1, n_d=4, b=1), 6, 104, 10),
+    "ragged": (ObfuscationParams(s_max=3, k_max=5, n_d=7, b=3), 3000, 105, 53),
 }
 
 # SHA-256 of serialize_frame(obfuscate(...)) and of recover_bits over the
@@ -512,6 +515,11 @@ LAYOUT_GOLDENS = {
         '65da23708b3ba3875b1a0a1640b34e499f41450b79307289e77e43ea3d09c57a',
         '5c62e091b8c0565f1bafad0dad5934276143ae2ccef7a5381e8ada5b1a8d26d2',
         '3f39d5c348e5b79d06e842c114e6cc571583bbf44e4b0ebfda1a01ec05745d43',
+    ),
+    'ragged': (
+        '84cc4a07ffa505d4f50ac0dd30ec60e57db303d90e506641ee8c1308ff4e0376',
+        '06ec6f437ec6e1745ca48c53252bcd0308cf7c20bbc39ee80d2aae506c530e36',
+        '999e9c4538033c08066ea31f6e6fdd6943b19c92025560612803938f43618170',
     ),
     'small': (
         '18917aa8234ce73c0dd7c54d84b5eb7862837ca0a4bdec438cdd7b541bb0b3e6',
