@@ -5,7 +5,14 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .experiments import SCENARIOS, ConfigError, ExperimentConfig, load_config, run_to_file
+from .experiments import (
+    SCENARIOS,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    run_to_file,
+    snr_values,
+)
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -27,12 +34,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_snr(text: str) -> tuple:
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"bad --snr value {text!r}") from None
     if not values:
         raise ConfigError("--snr must list at least one value")
-    return values
+    return snr_values(values)
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -52,6 +53,17 @@ class ConfigError(ValueError):
     """The experiment configuration is missing, malformed, or inconsistent."""
 
 
+def snr_values(value) -> tuple:
+    """An ``snr_list`` as sorted floats; it must be a list or tuple of real
+    numbers, and a bool or a string is none."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"snr_list must be a list of numbers, not {value!r}")
+    for snr in value:
+        if isinstance(snr, bool) or not isinstance(snr, numbers.Real):
+            raise ConfigError(f"snr_list entries must be numbers, not {snr!r}")
+    return tuple(sorted(float(snr) for snr in value))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str = "ber_sweep"
@@ -87,7 +99,7 @@ class ExperimentConfig:
             raise ConfigError(f"obfuscation must be ObfuscationParams, not {self.obfuscation!r}")
         if not isinstance(self.codec, CodecModel):
             raise ConfigError(f"codec must be CodecModel, not {self.codec!r}")
-        object.__setattr__(self, "snr_list", tuple(sorted(float(s) for s in self.snr_list)))
+        object.__setattr__(self, "snr_list", snr_values(self.snr_list))
         if SCENARIOS[self.scenario].needs_snr and not self.snr_list:
             raise ConfigError("snr_list must be non-empty for channel scenarios")
         if self.n_bits < 1 or self.n_sentences < 1:

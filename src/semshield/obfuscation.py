@@ -7,14 +7,27 @@ carry payload.  Per-unit (s, k) and the dummy placement are drawn from a
 seeded keystream, so a receiver holding the seed re-derives the layout
 exactly and an eavesdropper sees independently scrambled structure.
 
+A frame is its layout as arrays (per-unit ``s`` and ``k``, and one flat
+array of frame-level dummy subcarrier indices) plus one on-air bit array:
+the units laid end to end, ``b`` bits per subcarrier, then the tail.
+
 Stream discipline per frame is fixed and normative, and ``derive_layout``
 is the one place it lives: the "xor" stream yields the l_d encryption
 bits first, then per unit s, k, and the k location draws, in that order,
-ending with the (s, k) draw that stops the unit loop.  ``obfuscate``,
+ending with the (s, k) draw that stops the unit loop.  Every draw is a
+``Keystream.draw_uniform`` draw: one 32-bit word, skipped and followed by
+the next when it is at or above the largest multiple of the range.
+``derive_layout`` replays the draws from 32-bit words it reads in chunks:
+one plain-int loop over units resolves (s, k) and finds where each
+unit's location words start.  A unit whose k location words are all at
+most 2**32 - s*n_d rejects none of them; a unit with a larger word, or a
+rejected (s, k) word, is replayed draw by draw with ``dummy_locations``
+or ``draw_unit_params``.  The partial Fisher-Yates shuffles of all units
+then run at once, one column swap per location draw.  ``obfuscate``,
 ``deobfuscate`` and ``recover_bits`` all take their layout from it.
-Dummy bits come from a second stream keyed by seed2 (label "dummy");
-tail padding from a "pad" stream.  Deviating from this order
-desynchronizes the two ends.
+Dummy bits come from a second stream keyed by seed2 (label "dummy"),
+every unit's tokens in unit order; tail padding from a "pad" stream.
+Deviating from this order desynchronizes the two ends.
 """
 from __future__ import annotations
 
@@ -27,6 +40,10 @@ import numpy as np
 from .bits import BitString, bytes_from_bits, xor_bits
 from .codec import CodecModel, _check_types, encode
 from .keying import Keystream, _seed_bytes
+
+_WORD = 1 << 32
+_NO_UNITS = np.zeros(0, dtype=np.int64)
+_NO_UNITS.flags.writeable = False
 
 
 class DesyncError(ValueError):
@@ -58,11 +75,23 @@ class ObfuscationParams:
         return self.n_d * self.b
 
 
-@dataclass(frozen=True)
-class DataUnit:
-    """One obfuscated unit: s OFDM symbols with k dummy subcarriers.
+def _subcarriers(bits: np.ndarray, b: int) -> np.ndarray:
+    """A contiguous bit array seen as one ``b``-byte element per subcarrier."""
+    return bits.view(np.dtype((np.void, b)))
 
-    ``payload_bits`` is the full on-air content, s*n_d*b bits with dummy
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices of consecutive runs: ``starts[i]`` up to ``starts[i] + lengths[i]``, run after run."""
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return shift + np.arange(shift.size)
+
+
+@dataclass(frozen=True, eq=False)
+class DataUnit:
+    """One obfuscated unit under ``params``: s OFDM symbols with k dummy subcarriers.
+
+    ``dummy_locations`` are the unit's own subcarrier indices, and
+    ``payload_bits`` is its full on-air content, s*n_d*b bits with dummy
     and data subcarriers interleaved (b bits per subcarrier, MSB first).
     """
 
@@ -70,34 +99,75 @@ class DataUnit:
     k: int
     dummy_locations: np.ndarray
     payload_bits: BitString
+    params: ObfuscationParams
 
     def __post_init__(self):
+        p = self.params
         locs = np.asarray(self.dummy_locations, dtype=np.int64)
         object.__setattr__(self, "dummy_locations", locs)
         object.__setattr__(self, "payload_bits", np.asarray(self.payload_bits, dtype=np.uint8))
+        if not (1 <= self.s <= p.s_max and 1 <= self.k <= p.k_max):
+            raise ValueError(f"params ({self.s},{self.k}) outside [1,{p.s_max}] x [1,{p.k_max}]")
         if locs.shape != (self.k,):
             raise ValueError("locations must be a flat list of k entries")
         # k is at most k_max, so Python ints check faster than numpy calls
         ints = locs.tolist()
-        if ints and (ints[0] < 0 or any(a >= b for a, b in zip(ints, ints[1:]))):
+        if ints[0] < 0 or any(a >= b for a, b in zip(ints, ints[1:])):
             raise ValueError("locations must be strictly increasing and non-negative")
+        if ints[-1] >= self.s * p.n_d:
+            raise ValueError(f"dummy location {ints[-1]} past the unit's {self.s * p.n_d} subcarriers")
+        if self.payload_bits.shape != (self.s * p.symbol_bits,):
+            raise ValueError(f"payload must be {self.s * p.symbol_bits} bits, not {self.payload_bits.size}")
 
-    def capacity_bits(self, p: ObfuscationParams) -> int:
-        return _capacity(self.s, self.k, p)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObfuscatedFrame:
-    units: tuple
-    tail_bits: BitString
+    """A frame: its layout as arrays plus one on-air bit array.
+
+    ``s`` and ``k`` hold each unit's symbol and dummy counts in stream
+    order.  ``dummy_locations`` holds every dummy's frame-level subcarrier
+    index, ascending: unit u's subcarriers follow those of units 0..u-1.
+    ``air`` is the on-air content, each unit's s*n_d*b bits laid end to
+    end, then the tail.  ``obfuscate`` builds frames from the seed's
+    layout; a frame from elsewhere is checked where it enters:
+    ``deserialize_frame`` checks its layout against the params and
+    ``deobfuscate`` against the seed.
+    """
+
     l_d: int
+    params: ObfuscationParams
+    s: np.ndarray
+    k: np.ndarray
+    dummy_locations: np.ndarray
+    air: BitString
 
     def __post_init__(self):
-        object.__setattr__(self, "units", tuple(self.units))
-        object.__setattr__(self, "tail_bits", np.asarray(self.tail_bits, dtype=np.uint8))
+        for name in ("s", "k", "dummy_locations"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        object.__setattr__(self, "air", np.ascontiguousarray(self.air, dtype=np.uint8))
 
-    def n_units(self) -> int:
-        return len(self.units)
+    @property
+    def unit_bits(self) -> int:
+        """On-air bits of the units; the tail follows them."""
+        return _unit_subcarriers(self.s, self.params) * self.params.b
+
+    @property
+    def tail_bits(self) -> BitString:
+        return self.air[self.unit_bits:]
+
+    @property
+    def units(self) -> tuple:
+        """Every unit, its payload a view into ``air``."""
+        p = self.params
+        n = self.s * p.n_d
+        local = (self.dummy_locations - np.repeat(np.cumsum(n) - n, self.k)).tolist()
+        units, loc, bit = [], 0, 0
+        for s, k in zip(self.s.tolist(), self.k.tolist()):
+            nbits = s * p.symbol_bits
+            units.append(DataUnit(s, k, local[loc:loc + k], self.air[bit:bit + nbits], p))
+            loc += k
+            bit += nbits
+        return tuple(units)
 
 
 def derive_seed2(seed: BitString) -> bytes:
@@ -125,13 +195,24 @@ def dummy_locations(ks: Keystream, s: int, k: int, n_d: int) -> np.ndarray:
     return chosen
 
 
-def generate_dummy_bits(seed2_stream: Keystream, k: int, b: int, model: CodecModel) -> BitString:
-    """Decoy content: uniformly drawn tokens, semantically encoded, k*b bits."""
-    if k < 1 or b < 1:
+def generate_dummy_bits(seed2_stream: Keystream, k: np.ndarray, b: int, model: CodecModel) -> BitString:
+    """Decoy content of units with ``k`` dummies each: k*b bits per unit, in unit order.
+
+    Each unit draws ceil(k*b / token_bits) uniform tokens, in unit order,
+    and keeps the first k*b bits of their encoding.
+    """
+    need = np.asarray(k, dtype=np.int64) * b
+    if b < 1 or np.any(need < 1):
         raise ValueError("k and b must be >= 1")
-    n_tokens = -(-(k * b) // model.token_bits)
-    tokens = [seed2_stream.draw_uniform(model.vocab_size) for _ in range(n_tokens)]
-    return encode(tokens, model)[: k * b]
+    n_tokens = -(-need // model.token_bits)
+    draw, vocab = seed2_stream.draw_uniform, model.vocab_size
+    tokens = [draw(vocab) for _ in range(int(n_tokens.sum()))]
+    return encode(tokens, model)[_runs((np.cumsum(n_tokens) - n_tokens) * model.token_bits, need)]
+
+
+def _unit_subcarriers(s: np.ndarray, p: ObfuscationParams) -> int:
+    """Subcarriers of units of ``s`` symbols each, laid end to end."""
+    return int(s.sum()) * p.n_d if s.size else 0
 
 
 def _capacity(s: int, k: int, p: ObfuscationParams) -> int:
@@ -144,86 +225,187 @@ def _expected_tail_bits(remaining: int, p: ObfuscationParams) -> int:
     return -(-remaining // p.symbol_bits) * p.symbol_bits
 
 
-def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple[BitString, list, int]:
+class _WordStream:
+    """The "xor" stream's 32-bit words after the encryption bits, read in chunks.
+
+    ``words`` is the list read so far; ``need`` reads more chunks until it
+    holds ``n`` words.  ``draw_uniform`` draws from word ``pos`` on with
+    the rejection rule of ``Keystream.draw_uniform``, so that
+    ``draw_unit_params`` and ``dummy_locations`` replay a unit draw by draw.
+    """
+
+    def __init__(self, ks: Keystream, first: BitString, more: int):
+        self._ks, self._more = ks, more
+        self.chunks = [np.packbits(first).view(">u4")]
+        self.words = self.chunks[0].tolist()
+        self.pos = 0
+
+    def need(self, n: int) -> None:
+        while len(self.words) < n:
+            self.chunks.append(np.packbits(self._ks.bits(32 * self._more)).view(">u4"))
+            self.words.extend(self.chunks[-1].tolist())
+
+    def draw_uniform(self, m: int) -> int:
+        limit = (_WORD // m) * m
+        for _ in range(1000):
+            self.need(self.pos + 1)
+            word = self.words[self.pos]
+            self.pos += 1
+            if word < limit:
+                return word % m
+        raise RuntimeError("rejection sampling failed to terminate")
+
+    def array(self) -> np.ndarray:
+        return self.chunks[0] if len(self.chunks) == 1 else np.concatenate(self.chunks)
+
+
+def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
     """Replay the "xor" stream for an ``l_d``-bit payload.
 
-    Returns ``(xor_bits, units, tail)``: the l_d encryption bits, the
-    ``(s, k, dummy_locations)`` of every unit in order, and the number of
-    encrypted bits left for the tail.  The unit loop stops at the first
-    drawn (s, k) whose capacity exceeds what is left; that stopping draw
-    is consumed but makes no unit.
+    Returns ``(xor_bits, s, k, dummy_locations, tail)``: the l_d encryption
+    bits, every unit's s and k in stream order, the dummies' frame-level
+    subcarrier indices, and the number of encrypted bits left for the
+    tail.  The unit loop stops at the first drawn (s, k) whose capacity
+    exceeds what is left; that stopping draw is consumed but makes no unit.
     """
+    n_d, b, s_max, k_max = p.n_d, p.b, p.s_max, p.k_max
+    lim_s, lim_k = _WORD - _WORD % s_max, _WORD - _WORD % k_max
+    # One read covers the encryption bits and the words of the units an
+    # l_d-bit frame holds on average, plus two units' worth; the loop reads
+    # a quarter as many words again whenever it runs out.
+    mean_cap = ((s_max + 1) * n_d - k_max - 1) * b / 2
+    chunk = int(l_d / mean_cap * (k_max + 5) / 2) + 2 * (k_max + 2)
     ks = Keystream.from_seed_bits(seed, "xor")
-    xbits = ks.bits(l_d)
-    units = []
+    first = ks.bits(l_d + 32 * chunk)
+    stream = _WordStream(ks, first[l_d:], chunk // 4 + k_max + 2)
+    words = stream.words
+
+    s_of, k_of, loc_word, replayed = [], [], [], {}
     remaining = l_d
+    i = 0  # next word, counted from the end of the encryption bits
     while True:
-        s, k = draw_unit_params(ks, p)
-        cap = _capacity(s, k, p)
+        stream.need(i + 2 + k_max)
+        ws, wk = words[i], words[i + 1]
+        if ws < lim_s and wk < lim_k:
+            s, k = 1 + ws % s_max, 1 + wk % k_max
+            i += 2
+        else:
+            stream.pos = i
+            s, k = draw_unit_params(stream, p)
+            i = stream.pos
+            stream.need(i + k_max)
+        cap = (s * n_d - k) * b
         if cap > remaining:
-            return xbits, units, remaining
-        units.append((s, k, dummy_locations(ks, s, k, p.n_d)))
+            break
         remaining -= cap
+        if max(words[i:i + k]) <= _WORD - s * n_d:
+            loc_word.append(i)
+            i += k
+        else:
+            stream.pos = i
+            replayed[len(s_of)] = dummy_locations(stream, s, k, n_d)
+            loc_word.append(0)
+            i = stream.pos
+        s_of.append(s)
+        k_of.append(k)
+
+    xbits = first[:l_d]
+    if not s_of:
+        return xbits, _NO_UNITS, _NO_UNITS, _NO_UNITS, remaining
+    s, k = np.array(s_of), np.array(k_of)
+    if s.size == 1:
+        # One unit does not pay for the batched shuffle: replay it draw by draw.
+        if not replayed:
+            stream.pos = loc_word[0]
+            replayed[0] = dummy_locations(stream, s_of[0], k_of[0], n_d)
+        return xbits, s, k, replayed[0], remaining
+    locs = _place_dummies(stream.array(), np.array(loc_word), s, k, max(k_of), replayed, p)
+    return xbits, s, k, locs, remaining
 
 
-def _data_mask(units: list, p: ObfuscationParams) -> np.ndarray:
-    """(subcarrier, bit) mask over the units laid end to end, True on data.
+def _place_dummies(words, loc_word, s, k, k_hi, replayed, p) -> np.ndarray:
+    """Frame-level dummy indices: every unit's partial Fisher-Yates shuffle at once.
+
+    Row u of the pool holds unit u's subcarriers, numbered frame-wide.
+    Swap t exchanges each row's entry t with entry t + w % (s*n_d - t), w
+    being the unit's t-th location word, ``words[loc_word[u] + t]``.  A
+    row's first k entries are then what ``dummy_locations`` picks for its
+    unit; the units in ``replayed`` had a rejected word and take them from
+    it.  Swaps past a unit's k only move entries past its first k, and the
+    words they read exist: the unit loop kept k_max words past every unit.
+    """
+    n = s * p.n_d
+    start = np.cumsum(n) - n
+    width = p.s_max * p.n_d
+    draws = np.arange(k_hi)[:, None]
+    at = np.arange(0, s.size * width, width) + draws
+    to = at + words[loc_word + draws].astype(np.int64) % (n - draws)
+    pool = (start.astype(np.int32)[:, None] + np.arange(width, dtype=np.int32)).ravel()
+    # One gather and one scatter per swap: each row's two entries trade places.
+    for dst, src in zip(np.hstack([at, to]), np.hstack([to, at])):
+        pool[dst] = pool[src]
+    pool = pool.reshape(s.size, width)
+    for u, locs in replayed.items():
+        pool[u, :locs.size] = start[u] + locs
+    # Each unit's picks lie in its own subcarrier range, so one sort of the
+    # whole frame sorts every unit.
+    locs = pool[:, :k_hi][draws.T < k[:, None]].astype(np.int64)
+    locs.sort()
+    return locs
+
+
+def _data_mask(locs: np.ndarray, n_sub: int) -> np.ndarray:
+    """Mask over the units' ``n_sub`` subcarriers laid end to end, True on data.
 
     Data subcarriers ascend within a unit and units follow stream order,
-    so the mask's True entries in C order are the encrypted bits in order.
-    The mask is a broadcast view: boolean indexing with it builds no
-    integer index array.
+    so the data subcarriers in mask order carry the encrypted bits in order.
     """
-    mask = np.ones(sum(s for s, _, _ in units) * p.n_d, dtype=bool)
-    off = 0
-    for s, _, locs in units:
-        mask[off + locs] = False
-        off += s * p.n_d
-    return np.broadcast_to(mask[:, None], (mask.size, p.b))
+    mask = np.ones(n_sub, dtype=bool)
+    mask[locs] = False
+    return mask
 
 
-def _gather(air: np.ndarray, units: list, p: ObfuscationParams) -> np.ndarray:
-    """Encrypted bits of an air string cut to its layout: unit data, then tail."""
-    if not units:
-        return air
-    mask = _data_mask(units, p)
-    return np.concatenate([air[: mask.size].reshape(mask.shape)[mask], air[mask.size:]])
+def _decrypt(air: np.ndarray, xbits: BitString, locs: np.ndarray, n_sub: int,
+             p: ObfuscationParams) -> BitString:
+    """Payload of an air string cut to its layout, ``n_sub`` unit subcarriers
+    and the tail: the units' data subcarriers, then the tail, XORed with ``xbits``."""
+    if n_sub:
+        data = _subcarriers(air[: n_sub * p.b], p.b)[_data_mask(locs, n_sub)]
+        air = np.concatenate([data.view(np.uint8), air[n_sub * p.b:]])
+    return xor_bits(air, xbits)
 
 
 def obfuscate(data: BitString, seed: BitString, p: ObfuscationParams, model: CodecModel) -> ObfuscatedFrame:
     """Encrypt ``data`` and pack it into dummy-laced units plus a padded tail.
 
-    The units are those of ``derive_layout``; each unit's dummy subcarriers
-    carry decoy bits from the "dummy" stream.  Leftover encrypted bits go
-    to the tail, padded with "pad" stream bits to a whole number of OFDM
-    symbols.
+    The units are those of ``derive_layout``; their dummy subcarriers carry
+    decoy bits from the "dummy" stream.  Leftover encrypted bits go to the
+    tail, padded with "pad" stream bits to a whole number of OFDM symbols.
     """
     data = np.asarray(data, dtype=np.uint8)
     if data.size == 0:
         raise ValueError("data must be non-empty")
-    xbits, layout, tail = derive_layout(seed, data.size, p)
+    xbits, s, k, locs, tail = derive_layout(seed, data.size, p)
     enc = xor_bits(data, xbits)
-
-    units = []
-    if layout:
-        mask = _data_mask(layout, p)
-        slots = np.empty(mask.shape, dtype=np.uint8)
-        slots[mask] = enc[: enc.size - tail]
-        dummy_ks = Keystream(derive_seed2(seed), "dummy")
-        off = 0
-        for s, k, locs in layout:
-            unit = slots[off:off + s * p.n_d]
-            unit[locs] = generate_dummy_bits(dummy_ks, k, p.b, model).reshape(k, p.b)
-            units.append(DataUnit(s, k, locs, unit.ravel()))
-            off += s * p.n_d
-
     pad = Keystream.from_seed_bits(seed, "pad").bits(_expected_tail_bits(tail, p) - tail)
-    return ObfuscatedFrame(tuple(units), np.concatenate([enc[enc.size - tail:], pad]), data.size)
+    if not s.size:
+        return ObfuscatedFrame(data.size, p, s, k, locs, np.concatenate([enc, pad]))
+
+    n_sub = _unit_subcarriers(s, p)
+    unit_bits = n_sub * p.b
+    air = np.empty(unit_bits + tail + pad.size, dtype=np.uint8)
+    slots = _subcarriers(air[:unit_bits], p.b)
+    slots[_data_mask(locs, n_sub)] = _subcarriers(enc[: enc.size - tail], p.b)
+    dummy = generate_dummy_bits(Keystream(derive_seed2(seed), "dummy"), k, p.b, model)
+    slots[locs] = _subcarriers(dummy, p.b)
+    air[unit_bits:unit_bits + tail] = enc[enc.size - tail:]
+    air[unit_bits + tail:] = pad
+    return ObfuscatedFrame(data.size, p, s, k, locs, air)
 
 
 def ota_bits(frame: ObfuscatedFrame) -> BitString:
-    """The over-the-air bit string: unit payloads in order, then the tail."""
-    return np.concatenate([u.payload_bits for u in frame.units] + [frame.tail_bits])
+    """The over-the-air bit string, a fresh copy: unit payloads in order, then the tail."""
+    return frame.air.copy()
 
 
 def deobfuscate(frame: ObfuscatedFrame, seed: BitString, p: ObfuscationParams) -> BitString:
@@ -232,20 +414,24 @@ def deobfuscate(frame: ObfuscatedFrame, seed: BitString, p: ObfuscationParams) -
     Demands that the frame's recorded layout match the one derived from
     the seed bit for bit; any disagreement raises DesyncError.
     """
-    xbits, layout, tail = derive_layout(seed, frame.l_d, p)
-    if len(frame.units) != len(layout):
-        raise DesyncError(f"frame has {len(frame.units)} units, the seed derives {len(layout)}")
-    for unit, (s, k, locs) in zip(frame.units, layout):
-        if (s, k) != (unit.s, unit.k):
-            raise DesyncError(f"unit params ({unit.s},{unit.k}) != derived ({s},{k})")
-        if not np.array_equal(locs, unit.dummy_locations):
-            raise DesyncError("dummy locations disagree with the derived placement")
-        if unit.payload_bits.size != s * p.symbol_bits:
-            raise DesyncError("unit payload has the wrong length")
-    if frame.tail_bits.size != _expected_tail_bits(tail, p):
+    if frame.params != p:
+        raise DesyncError(f"frame params {frame.params} != {p}")
+    xbits, s, k, locs, tail = derive_layout(seed, frame.l_d, p)
+    if frame.s.size != s.size:
+        raise DesyncError(f"frame has {frame.s.size} units, the seed derives {s.size}")
+    bad = np.flatnonzero((frame.s != s) | (frame.k != k))
+    if bad.size:
+        i = bad[0]
+        raise DesyncError(f"unit {i} params ({frame.s[i]},{frame.k[i]}) != derived ({s[i]},{k[i]})")
+    if not np.array_equal(frame.dummy_locations, locs):
+        raise DesyncError("dummy locations disagree with the derived placement")
+    n_sub = _unit_subcarriers(s, p)
+    unit_bits = n_sub * p.b
+    if frame.air.size < unit_bits:
+        raise DesyncError(f"{frame.air.size} on-air bits end inside the {unit_bits} unit bits")
+    if frame.air.size - unit_bits != _expected_tail_bits(tail, p):
         raise DesyncError("tail length disagrees with the derived layout")
-    air = ota_bits(frame)
-    return xor_bits(_gather(air[: air.size - frame.tail_bits.size + tail], layout, p), xbits)
+    return _decrypt(frame.air[: unit_bits + tail], xbits, locs, n_sub, p)
 
 
 def recover_bits(ota: BitString, l_d: int, seed: BitString, p: ObfuscationParams) -> BitString:
@@ -256,14 +442,16 @@ def recover_bits(ota: BitString, l_d: int, seed: BitString, p: ObfuscationParams
     ignored, so demodulation bit errors (or a wrong seed) degrade the
     output instead of aborting it.
     """
-    ota = np.asarray(ota, dtype=np.uint8)
+    ota = np.ascontiguousarray(ota, dtype=np.uint8)
     if l_d < 0:
         raise ValueError("l_d must be >= 0")
-    xbits, layout, tail = derive_layout(seed, l_d, p)
-    air = np.zeros(sum(s for s, _, _ in layout) * p.symbol_bits + tail, dtype=np.uint8)
-    got = ota[: air.size]
-    air[: got.size] = got
-    return xor_bits(_gather(air, layout, p), xbits)
+    xbits, s, k, locs, tail = derive_layout(seed, l_d, p)
+    n_sub = _unit_subcarriers(s, p)
+    n_air = n_sub * p.b + tail
+    air = ota[:n_air]
+    if air.size < n_air:
+        air = np.concatenate([air, np.zeros(n_air - air.size, dtype=np.uint8)])
+    return _decrypt(air, xbits, locs, n_sub, p)
 
 
 # --- serialization ----------------------------------------------------------
@@ -275,14 +463,36 @@ _UNIT_HEADER = struct.Struct(">HH")  # s, k
 
 
 def serialize_frame(frame: ObfuscatedFrame) -> bytes:
-    """Pack a frame for the wire between simulator stages (big-endian)."""
-    out = bytearray(_HEADER.pack(_MAGIC, _VERSION, frame.l_d, len(frame.units)))
-    for u in frame.units:
-        out += _UNIT_HEADER.pack(u.s, u.k)
-        out += struct.pack(f">{u.k}I", *u.dummy_locations.tolist())
-        out += bytes_from_bits(u.payload_bits)
-    out += bytes_from_bits(frame.tail_bits)
-    return bytes(out)
+    """Pack a frame for the wire between simulator stages (big-endian).
+
+    Each unit is its (s, k) header, its k unit-level dummy locations and
+    its on-air bits padded to whole bytes; the tail, padded likewise, ends
+    the frame.
+    """
+    p, s, k = frame.params, frame.s, frame.k
+    header = _HEADER.pack(_MAGIC, _VERSION, frame.l_d, s.size)
+    if not s.size:
+        return header + bytes_from_bits(frame.air)
+    bits = s * p.symbol_bits
+    if p.symbol_bits % 8 == 0:
+        # Every unit is whole bytes: pack the units and the tail at once.
+        pay = bits // 8
+        body = np.packbits(frame.air)
+    else:
+        pay = -(-bits // 8)
+        padded = np.zeros(8 * int(pay.sum()), dtype=np.uint8)
+        padded[_runs(8 * (np.cumsum(pay) - pay), bits)] = frame.air[: frame.unit_bits]
+        body = np.concatenate([np.packbits(padded), np.packbits(frame.tail_bits)])
+    heads = np.stack([s, k], axis=1).astype(">u2").view(np.uint8).ravel()
+    n = s * p.n_d
+    local = frame.dummy_locations - np.repeat(np.cumsum(n) - n, k)
+    locs = local.astype(">u4").view(np.uint8)
+    # Interleave the three byte streams unit by unit: header, locations, payload.
+    src = np.concatenate([heads, locs, body])
+    starts = np.stack([4 * np.arange(s.size), heads.size + 4 * (np.cumsum(k) - k),
+                       heads.size + locs.size + np.cumsum(pay) - pay], axis=1).ravel()
+    lengths = np.stack([np.full(s.size, 4), 4 * k, pay], axis=1).ravel()
+    return header + src[_runs(starts, lengths)].tobytes() + body[int(pay.sum()):].tobytes()
 
 
 def deserialize_frame(buf: bytes, p: ObfuscationParams) -> ObfuscatedFrame:
@@ -301,7 +511,7 @@ def deserialize_frame(buf: bytes, p: ObfuscationParams) -> ObfuscatedFrame:
     if l_d == 0:
         raise FrameFormatError("l_d is 0; a frame carries at least one payload bit")
     off = _HEADER.size
-    units = []
+    s_of, k_of, locs_at = [], [], []
     remaining = l_d
     for i in range(n_units):
         if len(buf) < off + _UNIT_HEADER.size:
@@ -309,21 +519,12 @@ def deserialize_frame(buf: bytes, p: ObfuscationParams) -> ObfuscatedFrame:
         s, k = _UNIT_HEADER.unpack_from(buf, off)
         if not (1 <= s <= p.s_max and 1 <= k <= p.k_max):
             raise FrameFormatError(f"unit {i} params ({s},{k}) outside [1,{p.s_max}] x [1,{p.k_max}]")
-        nbits = s * p.symbol_bits
-        locs_off = off + _UNIT_HEADER.size
-        payload_off = locs_off + 4 * k
-        off = payload_off + (nbits + 7) // 8
+        locs_at.append(off + _UNIT_HEADER.size)
+        off += _UNIT_HEADER.size + 4 * k + (s * p.symbol_bits + 7) // 8
         if len(buf) < off:
             raise FrameFormatError(f"frame truncated in the body of unit {i}")
-        locs = np.frombuffer(buf, dtype=">u4", count=k, offset=locs_off).astype(np.int64)
-        if locs.max() >= s * p.n_d:
-            raise FrameFormatError(f"unit {i} has a dummy location past its {s * p.n_d} subcarriers")
-        payload = np.unpackbits(np.frombuffer(buf, dtype=np.uint8, count=off - payload_off,
-                                              offset=payload_off))[:nbits]
-        try:
-            units.append(DataUnit(s, k, locs, payload))
-        except ValueError as exc:
-            raise FrameFormatError(f"unit {i}: {exc}") from None
+        s_of.append(s)
+        k_of.append(k)
         remaining -= _capacity(s, k, p)
     if remaining < 0:
         raise FrameFormatError("unit capacities exceed l_d")
@@ -331,5 +532,32 @@ def deserialize_frame(buf: bytes, p: ObfuscationParams) -> ObfuscatedFrame:
     tail_bytes = (tail_len + 7) // 8
     if len(buf) - off != tail_bytes:
         raise FrameFormatError("trailing bytes disagree with the derived tail length")
-    tail = np.unpackbits(np.frombuffer(buf, dtype=np.uint8, count=tail_bytes, offset=off))[:tail_len]
-    return ObfuscatedFrame(tuple(units), tail, l_d)
+
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    s, k = np.array(s_of, dtype=np.int64), np.array(k_of, dtype=np.int64)
+    locs_at = np.array(locs_at, dtype=np.int64)
+    bits = s * p.symbol_bits
+    pay = (bits + 7) // 8
+    locs = raw[_runs(locs_at, 4 * k)].view(">u4").astype(np.int64)
+    body = np.unpackbits(np.concatenate([raw[_runs(locs_at + 4 * k, pay)], raw[off:]]))
+    unit_bits = int(bits.sum())
+    if p.symbol_bits % 8 == 0:
+        air = body[: unit_bits + tail_len]
+    else:
+        air = body[_runs(np.append(8 * (np.cumsum(pay) - pay), 8 * int(pay.sum())),
+                         np.append(bits, tail_len))]
+    n = s * p.n_d
+    end = np.repeat(np.cumsum(n), k)
+    locs += end - np.repeat(n, k)
+    # In its own unit's range each location is above the previous unit's,
+    # so one frame-wide ascent check covers the order within every unit.
+    past = locs >= end
+    bad = past.copy()
+    bad[1:] |= locs[1:] <= locs[:-1]
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
+        i = np.searchsorted(np.cumsum(k), first, side="right")
+        if past[first]:
+            raise FrameFormatError(f"unit {i} has a dummy location past its {n[i]} subcarriers")
+        raise FrameFormatError(f"unit {i}: dummy locations must be strictly increasing")
+    return ObfuscatedFrame(l_d, p, s, k, locs, air)

@@ -357,8 +357,9 @@ class TestCli:
 
     # JSON as Python's json module reads it: NaN and Infinity are accepted literals.
     # A truthy string used to run the static channel, a non-string path to
-    # fail only when the output was written (exit 3) and a fractional
-    # vocab_size to end in an AttributeError traceback (exit 1).
+    # fail only when the output was written (exit 3), a fractional
+    # vocab_size to end in an AttributeError traceback (exit 1), and an
+    # snr_list of "30" to run at 0 and 3 dB, [true, 6] at 1 and 6 dB.
     @pytest.mark.parametrize("entry", [
         '"n_bits": 2000.0', '"n_bits": true', '"guard_band": NaN', '"probe_noise_std": Infinity',
         '"static_channel": "false"', '"static_channel": 0',
@@ -368,6 +369,7 @@ class TestCli:
         '"obfuscation": {"s_max": true}', '"obfuscation": {"s_max": 4.0}',
         '"obfuscation": {"k_max": true}', '"obfuscation": {"n_d": 64.0}',
         '"obfuscation": {"b": 2.0}',
+        '"snr_list": "30"', '"snr_list": [true, 6]', '"snr_list": {"12": 1}', '"snr_list": ["12"]',
     ])
     def test_bad_field_type_or_value_exits_two(self, tmp_path, capsys, entry):
         cfg_path = tmp_path / "cfg.json"

@@ -1,14 +1,16 @@
 import hashlib
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semshield import keying, obfuscation
 from semshield.bits import bytes_from_bits
-from semshield.codec import CodecModel, decode
-from semshield.keying import Keystream
+from semshield.codec import CodecModel, decode, encode
+from semshield.keying import Keystream, expand_seed, label_nonce
 from semshield.obfuscation import (
     DataUnit,
     DesyncError,
@@ -27,6 +29,7 @@ from semshield.obfuscation import (
     recover_bits,
     serialize_frame,
 )
+from semshield.obfuscation import _capacity
 
 MODEL = CodecModel(vocab_size=4096, deviation_rate=0.0)
 
@@ -65,7 +68,7 @@ class TestEncryption:
         p = ObfuscationParams()
         seed = _seed(1)
         frame = obfuscate(np.zeros(10_000, dtype=np.uint8), seed, p, MODEL)
-        xbits, _, _ = derive_layout(seed, frame.l_d, p)
+        xbits = derive_layout(seed, frame.l_d, p)[0]
         assert np.array_equal(_data_subcarrier_bits(frame, p), xbits)
 
     def test_involution(self):
@@ -73,7 +76,7 @@ class TestEncryption:
         seed = _seed(2)
         data = np.random.default_rng(1).integers(0, 2, 5000).astype(np.uint8)
         frame = obfuscate(data, seed, p, MODEL)
-        xbits, _, _ = derive_layout(seed, frame.l_d, p)
+        xbits = derive_layout(seed, frame.l_d, p)[0]
         assert np.array_equal(_data_subcarrier_bits(frame, p) ^ xbits, data)
         assert np.array_equal(recover_bits(ota_bits(frame), frame.l_d, seed, p), data)
         assert np.array_equal(deobfuscate(frame, seed, p), data)
@@ -81,7 +84,7 @@ class TestEncryption:
     def test_ciphertext_weight_near_half(self):
         p = ObfuscationParams()
         frame = obfuscate(np.zeros(10_000, dtype=np.uint8), _seed(3), p, MODEL)
-        assert frame.n_units() > 0
+        assert len(frame.units) > 0
         assert 4600 <= int(_data_subcarrier_bits(frame, p).sum()) <= 5400
 
 
@@ -143,23 +146,32 @@ class TestDummyLocations:
 class TestDummyBits:
     def test_single_token_exact_fit(self):
         ks = Keystream(bytes(32), "dummy")
-        out = generate_dummy_bits(ks, 3, 4, MODEL)  # 12 bits = one token
+        out = generate_dummy_bits(ks, [3], 4, MODEL)  # 12 bits = one token
         assert out.size == 12
 
     def test_deterministic(self):
-        a = generate_dummy_bits(Keystream(bytes(32), "dummy"), 5, 4, MODEL)
-        b = generate_dummy_bits(Keystream(bytes(32), "dummy"), 5, 4, MODEL)
+        a = generate_dummy_bits(Keystream(bytes(32), "dummy"), [5], 4, MODEL)
+        b = generate_dummy_bits(Keystream(bytes(32), "dummy"), [5], 4, MODEL)
         assert np.array_equal(a, b)
 
     def test_truncates_to_requested_bits(self):
         ks = Keystream(bytes(32), "dummy")
-        assert generate_dummy_bits(ks, 5, 4, MODEL).size == 20
+        assert generate_dummy_bits(ks, [5], 4, MODEL).size == 20
+
+    def test_units_take_their_own_tokens_in_order(self):
+        # k*b = 15 bits takes two 12-bit tokens and keeps 15 of their 24 bits.
+        ks = Keystream(bytes(32), "dummy")
+        tokens = [ks.draw_uniform(MODEL.vocab_size) for _ in range(5)]
+        expect = np.concatenate([encode(tokens[0:2], MODEL)[:15], encode(tokens[2:3], MODEL)[:12],
+                                 encode(tokens[3:5], MODEL)[:15]])
+        got = generate_dummy_bits(Keystream(bytes(32), "dummy"), [5, 4, 5], 3, MODEL)
+        assert np.array_equal(got, expect)
 
     def test_decoded_dummies_are_valid_tokens(self):
         for case in range(100):
             seed2 = hashlib.sha256(f"case{case}".encode()).digest()
             ks = Keystream(seed2, "dummy")
-            bits = generate_dummy_bits(ks, 3, 4, MODEL)  # 12 bits -> 1 token
+            bits = generate_dummy_bits(ks, [3], 4, MODEL)  # 12 bits -> 1 token
             tokens = decode(bits, MODEL, noise_seed=0)
             assert np.all(tokens >= 0) and np.all(tokens < MODEL.vocab_size)
 
@@ -170,19 +182,19 @@ class TestObfuscate:
         model = CodecModel(vocab_size=4, deviation_rate=0.0)
         data = np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8)
         frame = obfuscate(data, _seed(10), p, model)
-        assert frame.n_units() == 2
+        assert len(frame.units) == 2
         assert frame.tail_bits.size == 0
         assert frame.l_d == 6
         for unit in frame.units:
             assert unit.s == 1 and unit.k == 1
             assert unit.payload_bits.size == 4
-            assert unit.capacity_bits(p) == 3
+            assert _capacity(unit.s, unit.k, p) == 3
 
     def test_short_payload_goes_to_padded_tail(self):
         p = ObfuscationParams()
         data = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         frame = obfuscate(data, _seed(11), p, MODEL)
-        assert frame.n_units() == 0
+        assert len(frame.units) == 0
         assert frame.tail_bits.size == p.n_d * p.b  # one whole symbol
         assert frame.l_d == 5
 
@@ -223,7 +235,7 @@ class TestObfuscate:
             assert unit.payload_bits.size == unit.s * p.n_d * p.b
             assert np.all(np.diff(unit.dummy_locations) > 0)
             assert unit.dummy_locations[-1] < unit.s * p.n_d
-            cap += unit.capacity_bits(p)
+            cap += _capacity(unit.s, unit.k, p)
         assert cap + frame.tail_bits.size >= frame.l_d
         assert frame.tail_bits.size % (p.n_d * p.b) == 0
 
@@ -243,13 +255,53 @@ class TestObfuscate:
         assert len(derive_seed2(seed)) == 32
 
 
+def _frame_with(frame, **fields):
+    """``frame`` with some of its fields replaced."""
+    keep = dict(l_d=frame.l_d, params=frame.params, s=frame.s, k=frame.k,
+                dummy_locations=frame.dummy_locations, air=frame.air)
+    return ObfuscatedFrame(**{**keep, **fields})
+
+
+class TestFrame:
+    def test_units_are_views_into_the_air(self):
+        p = ObfuscationParams()
+        frame = obfuscate(np.ones(5000, dtype=np.uint8), _seed(25), p, MODEL)
+        units = frame.units
+        assert len(units) == frame.s.size > 1
+        assert sum(u.payload_bits.size for u in units) + frame.tail_bits.size == frame.air.size
+        for unit in units:
+            assert np.shares_memory(unit.payload_bits, frame.air)
+        off = frame.s[0] * p.n_d
+        assert np.array_equal(units[1].dummy_locations + off,
+                              frame.dummy_locations[frame.k[0]:frame.k[0] + frame.k[1]])
+
+    def test_ota_bits_is_a_fresh_copy(self):
+        p = ObfuscationParams()
+        frame = obfuscate(np.ones(5000, dtype=np.uint8), _seed(26), p, MODEL)
+        air = ota_bits(frame)
+        air ^= 1
+        assert np.array_equal(ota_bits(frame) ^ 1, air)
+
+    def test_data_unit_checks_its_params(self):
+        p = ObfuscationParams(s_max=2, k_max=3, n_d=8, b=2)
+        DataUnit(1, 1, [7], np.zeros(16, dtype=np.uint8), p)
+        with pytest.raises(ValueError, match="past"):
+            DataUnit(1, 1, [500], np.zeros(16, dtype=np.uint8), p)
+        with pytest.raises(ValueError, match="payload"):
+            DataUnit(1, 1, [5], np.zeros(3, dtype=np.uint8), p)
+        with pytest.raises(ValueError, match="increasing"):
+            DataUnit(1, 2, [5, 5], np.zeros(16, dtype=np.uint8), p)
+        with pytest.raises(ValueError, match="outside"):
+            DataUnit(3, 1, [5], np.zeros(48, dtype=np.uint8), p)
+
+
 class TestDeobfuscate:
     def test_tail_only_frame(self):
         p = ObfuscationParams()
         data = np.random.default_rng(8).integers(0, 2, 100).astype(np.uint8)
         seed = _seed(31)
         frame = obfuscate(data, seed, p, MODEL)
-        assert frame.n_units() == 0
+        assert len(frame.units) == 0
         assert np.array_equal(deobfuscate(frame, seed, p), data)
 
     def test_wrong_seed_desyncs_trusted_frame(self):
@@ -262,39 +314,66 @@ class TestDeobfuscate:
         with pytest.raises(DesyncError):
             deobfuscate(frame, wrong, p)
 
+    def test_other_params_desync(self):
+        p = ObfuscationParams()
+        seed = _seed(32)
+        frame = obfuscate(np.ones(3000, dtype=np.uint8), seed, p, MODEL)
+        with pytest.raises(DesyncError, match="params"):
+            deobfuscate(frame, seed, ObfuscationParams(k_max=9))
+
     def test_tampered_unit_metadata_desyncs(self):
         p = ObfuscationParams()
         data = np.random.default_rng(10).integers(0, 2, 10_000).astype(np.uint8)
         seed = _seed(33)
         frame = obfuscate(data, seed, p, MODEL)
-        unit = frame.units[0]
-        bad_s = unit.s + 1 if unit.s < p.s_max else unit.s - 1
-        tampered = ObfuscatedFrame(
-            (DataUnit(bad_s, unit.k, unit.dummy_locations,
-                      np.zeros(bad_s * p.n_d * p.b, dtype=np.uint8)),) + frame.units[1:],
-            frame.tail_bits, frame.l_d)
-        with pytest.raises(DesyncError):
-            deobfuscate(tampered, seed, p)
+        s0 = int(frame.s[0])
+        bad_s = s0 + 1 if s0 < p.s_max else s0 - 1
+        s = frame.s.copy()
+        s[0] = bad_s
+        air = np.concatenate([np.zeros(bad_s * p.symbol_bits, dtype=np.uint8),
+                              frame.air[s0 * p.symbol_bits:]])
+        with pytest.raises(DesyncError, match=r"unit 0 params"):
+            deobfuscate(_frame_with(frame, s=s, air=air), seed, p)
 
     def test_truncated_frame_desyncs(self):
         p = ObfuscationParams()
         data = np.random.default_rng(11).integers(0, 2, 10_000).astype(np.uint8)
         seed = _seed(34)
         frame = obfuscate(data, seed, p, MODEL)
-        truncated = ObfuscatedFrame(frame.units[:-1], frame.tail_bits, frame.l_d)
-        with pytest.raises(DesyncError):
+        last = frame.unit_bits - int(frame.s[-1]) * p.symbol_bits
+        truncated = _frame_with(
+            frame, s=frame.s[:-1], k=frame.k[:-1],
+            dummy_locations=frame.dummy_locations[:-int(frame.k[-1])],
+            air=np.concatenate([frame.air[:last], frame.tail_bits]))
+        with pytest.raises(DesyncError, match="units"):
             deobfuscate(truncated, seed, p)
+
+    def test_moved_dummy_desyncs(self):
+        p = ObfuscationParams()
+        seed = _seed(36)
+        frame = obfuscate(np.ones(10_000, dtype=np.uint8), seed, p, MODEL)
+        locs = frame.dummy_locations.copy()
+        gap = int(np.flatnonzero(np.diff(locs) > 1)[0])
+        locs[gap] += 1
+        with pytest.raises(DesyncError, match="dummy locations"):
+            deobfuscate(_frame_with(frame, dummy_locations=locs), seed, p)
+
+    def test_air_ending_inside_the_units_desyncs(self):
+        p = ObfuscationParams()
+        seed = _seed(37)
+        frame = obfuscate(np.ones(10_000, dtype=np.uint8), seed, p, MODEL)
+        short = _frame_with(frame, air=frame.air[: frame.unit_bits - 1])
+        with pytest.raises(DesyncError, match="inside"):
+            deobfuscate(short, seed, p)
 
     def test_bad_tail_length_desyncs(self):
         p = ObfuscationParams()
         data = np.random.default_rng(12).integers(0, 2, 300).astype(np.uint8)
         seed = _seed(35)
         frame = obfuscate(data, seed, p, MODEL)
-        padded = ObfuscatedFrame(
-            frame.units,
-            np.concatenate([frame.tail_bits, np.zeros(p.n_d * p.b, dtype=np.uint8)]),
-            frame.l_d)
-        with pytest.raises(DesyncError):
+        padded = _frame_with(
+            frame, air=np.concatenate([frame.air, np.zeros(p.n_d * p.b, dtype=np.uint8)]))
+        with pytest.raises(DesyncError, match="tail length"):
             deobfuscate(padded, seed, p)
 
 
@@ -361,12 +440,9 @@ class TestSerialization:
         assert blob[:4] == b"SOBF"
         back = deserialize_frame(blob, p)
         assert back.l_d == frame.l_d
-        assert back.n_units() == frame.n_units()
-        for a, b in zip(back.units, frame.units):
-            assert (a.s, a.k) == (b.s, b.k)
-            assert np.array_equal(a.dummy_locations, b.dummy_locations)
-            assert np.array_equal(a.payload_bits, b.payload_bits)
-        assert np.array_equal(back.tail_bits, frame.tail_bits)
+        assert back.params == frame.params
+        for name in ("s", "k", "dummy_locations", "air"):
+            assert np.array_equal(getattr(back, name), getattr(frame, name)), name
         assert np.array_equal(deobfuscate(back, seed, p), data)
 
     def test_bad_magic_rejected(self):
@@ -418,7 +494,7 @@ class TestSerialization:
     # header [0:17], s [17:19], k [19:21], locations [21:29], payload [29:31].
     _HAND_PARAMS = ObfuscationParams(s_max=2, k_max=3, n_d=8, b=2)
     _HAND_BLOB = serialize_frame(ObfuscatedFrame(
-        (DataUnit(1, 2, [1, 3], np.zeros(16, dtype=np.uint8)),), np.zeros(0, dtype=np.uint8), 12))
+        12, _HAND_PARAMS, [1], [2], [1, 3], np.zeros(16, dtype=np.uint8)))
 
     @pytest.mark.parametrize("offset,patch", [
         (17, b"\0\0"),                  # s = 0
@@ -433,10 +509,27 @@ class TestSerialization:
     ])
     def test_malformed_fields_rejected(self, offset, patch):
         p = self._HAND_PARAMS
-        assert deserialize_frame(self._HAND_BLOB, p).n_units() == 1
+        assert len(deserialize_frame(self._HAND_BLOB, p).units) == 1
         blob = bytearray(self._HAND_BLOB)
         blob[offset:offset + len(patch)] = patch
         with pytest.raises(FrameFormatError):
+            deserialize_frame(bytes(blob), p)
+
+
+    @pytest.mark.parametrize("local,message", [(256, "past its"), (None, "increasing")])
+    def test_bad_location_names_its_unit(self, local, message):
+        p = ObfuscationParams()
+        frame = obfuscate(np.ones(5000, dtype=np.uint8), _seed(48), p, MODEL)
+        blob = bytearray(serialize_frame(frame))
+        off = 17
+        for s, k in zip(frame.s[:2].tolist(), frame.k[:2].tolist()):
+            off += 4 + 4 * k + s * p.symbol_bits // 8
+        # The first location of unit 2: past its subcarriers, or equal to the second.
+        second = blob[off + 8:off + 12]
+        blob[off + 4:off + 8] = second if local is None else local.to_bytes(4, "big")
+        if local is not None:
+            blob[off + 4:off + 8] = (int(frame.s[2]) * p.n_d).to_bytes(4, "big")
+        with pytest.raises(FrameFormatError, match=f"unit 2.*{message}"):
             deserialize_frame(bytes(blob), p)
 
 
@@ -475,12 +568,12 @@ def test_derive_layout_is_the_frame_layout(draw):
     data = rng.integers(0, 2, draw.draw(st.integers(1, 3000))).astype(np.uint8)
     seed = rng.integers(0, 2, 128).astype(np.uint8)
 
-    xbits, layout, tail = derive_layout(seed, data.size, p)
+    xbits, s, k, locs, tail = derive_layout(seed, data.size, p)
     frame = obfuscate(data, seed, p, MODEL)
     assert xbits.size == data.size
-    assert [(u.s, u.k, u.dummy_locations.tolist()) for u in frame.units] == \
-        [(s, k, locs.tolist()) for s, k, locs in layout]
-    assert sum(u.capacity_bits(p) for u in frame.units) + tail == data.size
+    assert np.array_equal(frame.s, s) and np.array_equal(frame.k, k)
+    assert np.array_equal(frame.dummy_locations, locs)
+    assert sum(_capacity(u.s, u.k, p) for u in frame.units) + tail == data.size
     assert frame.tail_bits.size == -(-tail // p.symbol_bits) * p.symbol_bits
     assert np.array_equal(recover_bits(ota_bits(frame), frame.l_d, seed, p), data)
     assert np.array_equal(deobfuscate(frame, seed, p), data)
@@ -550,3 +643,96 @@ def _layout_digests(case: str) -> tuple:
 @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
 def test_layout_bytes_pinned(case):
     assert _layout_digests(case) == LAYOUT_GOLDENS[case]
+
+
+# --- rejected stream words --------------------------------------------------------
+
+def _draw_by_draw(seed, l_d, p):
+    """The layout replayed with draw_unit_params and dummy_locations, one draw
+    at a time, plus the word each unit's draws start at."""
+    ks = Keystream.from_seed_bits(seed, "xor")
+    ks.bits(l_d)
+    s_of, k_of, locs, first_word = [], [], [], []
+    remaining, offset = l_d, 0
+    while True:
+        word = (ks.position - l_d) // 32
+        s, k = draw_unit_params(ks, p)
+        if _capacity(s, k, p) > remaining:
+            return s_of, k_of, locs, remaining, first_word
+        locs += (offset + dummy_locations(ks, s, k, p.n_d)).tolist()
+        s_of.append(s)
+        k_of.append(k)
+        first_word.append(word)
+        remaining -= _capacity(s, k, p)
+        offset += s * p.n_d
+
+
+def _patch_stream(monkeypatch, seed, label, patches):
+    """Overwrite bytes of one ChaCha20 stream: ``patches`` maps a byte offset
+    in the stream to the bytes written there."""
+    key, nonce = expand_seed(seed), label_nonce(label)
+    real = keying.chacha20_stream
+
+    def stream(k, n, counter, nbytes):
+        out = bytearray(real(k, n, counter, nbytes))
+        if (k, n) == (key, nonce):
+            base = counter * keying.CHACHA_BLOCK_BYTES
+            for at, blob in patches.items():
+                for i, byte in enumerate(blob):
+                    if 0 <= at + i - base < nbytes:
+                        out[at + i - base] = byte
+        return bytes(out)
+
+    monkeypatch.setattr(keying, "chacha20_stream", stream)
+
+
+_RAGGED = ObfuscationParams(s_max=3, k_max=5, n_d=7, b=3)
+# 2**32 mod 641 == 640, so 2**32 - 640 is the smallest word a draw from
+# [0, 641) rejects, and 2**32 - 641 the largest it keeps.
+_WIDE = ObfuscationParams(s_max=1, k_max=3, n_d=641, b=1)
+
+# (params, l_d, [(unit, draw, word)], whether a unit is replayed draw by
+# draw).  Draw 0 is the unit's s, 1 its k, 2.. its locations, -1 its last.
+REJECTION_CASES = {
+    "s_draw": (_RAGGED, 3000, [(4, 0, 0xFFFFFFFF)], True),
+    "k_draw": (_RAGGED, 3000, [(1, 1, 0xFFFFFFFF)], True),
+    "first_location": (_RAGGED, 3000, [(3, 2, 0xFFFFFFFF)], True),
+    "last_location": (_RAGGED, 3000, [(5, -1, 0xFFFFFFFF)], True),
+    "two_in_a_row": (_RAGGED, 3000, [(8, 2, 0xFFFFFFFF), (8, 3, 0xFFFFFFFF)], True),
+    "several_units": (_RAGGED, 3000, [(2, 1, 0xFFFFFFFF), (6, 2, 0xFFFFFFFF),
+                                      (7, -1, 0xFFFFFFFF)], True),
+    "smallest_rejected": (_WIDE, 3200, [(2, 2, 2**32 - 640)], True),
+    "largest_kept": (_WIDE, 3200, [(2, 2, 2**32 - 641)], False),
+    "one_unit_frame": (_WIDE, 640, [(0, 2, 0xFFFFFFFF)], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTION_CASES))
+def test_rejected_words_replay_like_single_draws(case, monkeypatch):
+    p, l_d, patches, replayed = REJECTION_CASES[case]
+    seed = _seed(60)
+    clean = derive_layout(seed, l_d, p)
+    _, k_of, _, _, first_word = _draw_by_draw(seed, l_d, p)
+    stream_bytes = {}
+    for unit, draw, word in patches:
+        index = first_word[unit] + (draw if draw >= 0 else 2 + k_of[unit] + draw)
+        stream_bytes[l_d // 8 + 4 * index] = word.to_bytes(4, "big")
+    _patch_stream(monkeypatch, seed, b"xor", stream_bytes)
+
+    calls = Counter()
+    for name in ("draw_unit_params", "dummy_locations"):
+        def counted(*args, _fn=getattr(obfuscation, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(obfuscation, name, counted)
+    xbits, s, k, locs, tail = derive_layout(seed, l_d, p)
+    assert (sum(calls.values()) > 0) == replayed
+    monkeypatch.undo()
+    _patch_stream(monkeypatch, seed, b"xor", stream_bytes)
+
+    ref_s, ref_k, ref_locs, ref_tail, _ = _draw_by_draw(seed, l_d, p)
+    assert np.array_equal(xbits, clean[0])
+    assert s.tolist() == ref_s and k.tolist() == ref_k
+    assert locs.tolist() == ref_locs and tail == ref_tail
+    assert (s.tolist(), k.tolist(), locs.tolist()) != \
+        (clean[1].tolist(), clean[2].tolist(), clean[3].tolist())
