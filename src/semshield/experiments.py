@@ -54,8 +54,8 @@ class ConfigError(ValueError):
 
 
 def snr_values(value) -> tuple:
-    """An ``snr_list`` as sorted floats; it must be a list or tuple of real
-    numbers, and a bool or a string is none."""
+    """An ``snr_list`` as sorted floats.  It must be a list or tuple of real
+    numbers; bools and strings are rejected."""
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"snr_list must be a list of numbers, not {value!r}")
     for snr in value:

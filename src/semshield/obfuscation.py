@@ -20,11 +20,13 @@ the next when it is at or above the largest multiple of the range.
 ``derive_layout`` replays the draws from 32-bit words it reads in chunks:
 one plain-int loop over units resolves (s, k) and finds where each
 unit's location words start.  A unit whose k location words are all at
-most 2**32 - s*n_d rejects none of them; a unit with a larger word, or a
-rejected (s, k) word, is replayed draw by draw with ``dummy_locations``
-or ``draw_unit_params``.  The partial Fisher-Yates shuffles of all units
-then run at once, one column swap per location draw.  ``obfuscate``,
-``deobfuscate`` and ``recover_bits`` all take their layout from it.
+most 2**32 - s*n_d rejects none of them.  A rejected (s, k) word, a unit
+with a larger location word and the only unit of a one-unit frame are
+replayed draw by draw over the same words, with ``draw_unit_params`` and
+``dummy_locations``.  The partial Fisher-Yates shuffles (Knuth's
+Algorithm P) of all other units then run at once, one column swap per
+location draw.  ``obfuscate``, ``deobfuscate`` and ``recover_bits`` all
+take their layout from it.
 Dummy bits come from a second stream keyed by seed2 (label "dummy"),
 every unit's tokens in unit order; tail padding from a "pad" stream.
 Deviating from this order desynchronizes the two ends.
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, bytes_from_bits, xor_bits
+from .bits import BitString, xor_bits
 from .codec import CodecModel, _check_types, encode
 from .keying import Keystream, _seed_bytes
 
@@ -340,7 +342,8 @@ def _place_dummies(words, loc_word, s, k, k_hi, replayed, p) -> np.ndarray:
     draws = np.arange(k_hi)[:, None]
     at = np.arange(0, s.size * width, width) + draws
     to = at + words[loc_word + draws].astype(np.int64) % (n - draws)
-    pool = (start.astype(np.int32)[:, None] + np.arange(width, dtype=np.int32)).ravel()
+    dtype = np.int32 if int(start[-1]) + width < 2**31 else np.int64
+    pool = (start.astype(dtype)[:, None] + np.arange(width, dtype=dtype)).ravel()
     # One gather and one scatter per swap: each row's two entries trade places.
     for dst, src in zip(np.hstack([at, to]), np.hstack([to, at])):
         pool[dst] = pool[src]
@@ -471,8 +474,6 @@ def serialize_frame(frame: ObfuscatedFrame) -> bytes:
     """
     p, s, k = frame.params, frame.s, frame.k
     header = _HEADER.pack(_MAGIC, _VERSION, frame.l_d, s.size)
-    if not s.size:
-        return header + bytes_from_bits(frame.air)
     bits = s * p.symbol_bits
     if p.symbol_bits % 8 == 0:
         # Every unit is whole bytes: pack the units and the tail at once.

@@ -573,6 +573,7 @@ def test_derive_layout_is_the_frame_layout(draw):
     assert xbits.size == data.size
     assert np.array_equal(frame.s, s) and np.array_equal(frame.k, k)
     assert np.array_equal(frame.dummy_locations, locs)
+    assert (s.tolist(), k.tolist(), locs.tolist(), tail) == _draw_by_draw(seed, data.size, p)[:4]
     assert sum(_capacity(u.s, u.k, p) for u in frame.units) + tail == data.size
     assert frame.tail_bits.size == -(-tail // p.symbol_bits) * p.symbol_bits
     assert np.array_equal(recover_bits(ota_bits(frame), frame.l_d, seed, p), data)
