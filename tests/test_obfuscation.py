@@ -516,19 +516,19 @@ class TestSerialization:
             deserialize_frame(bytes(blob), p)
 
 
-    @pytest.mark.parametrize("local,message", [(256, "past its"), (None, "increasing")])
-    def test_bad_location_names_its_unit(self, local, message):
+    @pytest.mark.parametrize("kind,message", [("past", "past its"), ("repeated", "increasing")])
+    def test_bad_location_names_its_unit(self, kind, message):
         p = ObfuscationParams()
         frame = obfuscate(np.ones(5000, dtype=np.uint8), _seed(48), p, MODEL)
+        assert frame.k[2] >= 2
         blob = bytearray(serialize_frame(frame))
-        off = 17
+        first = 17 + 4  # unit 2's first location, after the frame and unit headers
         for s, k in zip(frame.s[:2].tolist(), frame.k[:2].tolist()):
-            off += 4 + 4 * k + s * p.symbol_bits // 8
-        # The first location of unit 2: past its subcarriers, or equal to the second.
-        second = blob[off + 8:off + 12]
-        blob[off + 4:off + 8] = second if local is None else local.to_bytes(4, "big")
-        if local is not None:
-            blob[off + 4:off + 8] = (int(frame.s[2]) * p.n_d).to_bytes(4, "big")
+            first += 4 + 4 * k + s * p.symbol_bits // 8
+        if kind == "past":
+            blob[first:first + 4] = (int(frame.s[2]) * p.n_d).to_bytes(4, "big")
+        else:
+            blob[first:first + 4] = blob[first + 4:first + 8]
         with pytest.raises(FrameFormatError, match=f"unit 2.*{message}"):
             deserialize_frame(bytes(blob), p)
 
@@ -714,7 +714,7 @@ def test_rejected_words_replay_like_single_draws(case, monkeypatch):
     seed = _seed(60)
     clean = derive_layout(seed, l_d, p)
     _, k_of, _, _, first_word = _draw_by_draw(seed, l_d, p)
-    stream_bytes = {}
+    stream_bytes = {}  # l_d is whole bytes, so every word starts on a byte
     for unit, draw, word in patches:
         index = first_word[unit] + (draw if draw >= 0 else 2 + k_of[unit] + draw)
         stream_bytes[l_d // 8 + 4 * index] = word.to_bytes(4, "big")
@@ -728,8 +728,6 @@ def test_rejected_words_replay_like_single_draws(case, monkeypatch):
         monkeypatch.setattr(obfuscation, name, counted)
     xbits, s, k, locs, tail = derive_layout(seed, l_d, p)
     assert (sum(calls.values()) > 0) == replayed
-    monkeypatch.undo()
-    _patch_stream(monkeypatch, seed, b"xor", stream_bytes)
 
     ref_s, ref_k, ref_locs, ref_tail, _ = _draw_by_draw(seed, l_d, p)
     assert np.array_equal(xbits, clean[0])
