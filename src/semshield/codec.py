@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -177,19 +176,3 @@ def make_corpus(
     lengths = rng.integers(min_len, max_len + 1, size=n_sentences)
     return [rng.integers(0, model.vocab_size, size=int(n)) for n in lengths]
 
-
-def save_corpus(corpus: list[TokenSequence], path: str | Path) -> None:
-    """One sentence per line, whitespace-separated decimal token ids."""
-    with open(path, "w", encoding="ascii") as fh:
-        for sent in corpus:
-            fh.write(" ".join(str(int(t)) for t in np.asarray(sent)) + "\n")
-
-
-def load_corpus(path: str | Path) -> list[TokenSequence]:
-    corpus = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                corpus.append(np.array([int(t) for t in line.split()], dtype=np.int64))
-    return corpus

@@ -29,7 +29,6 @@ DEFAULT_KEY_BITS = 128
 CHACHA_BLOCK_BYTES = 64
 _WORD = 1 << 32
 _REFILL_BITS = 32768  # fewest bits one keystream refill generates
-_FIRST_READ_AHEAD = 16  # words; a stream that makes a few draws reads no more
 
 
 def skey_hash(data: bytes, nbits: int) -> BitString:
@@ -87,10 +86,8 @@ class Keystream:
     are stateful and single-owner.
 
     Every read starts at ``position``: ``bits`` returns the next bits and
-    advances past them, and ``draw_uniform`` advances 32 bits per word it
-    draws.  ``draw_uniform`` takes its words from a list read ahead of
-    ``position`` (16 words at first, twice as many on each later read-ahead,
-    up to one refill); ``bits`` drops that list before it reads, so any
+    advances past them.  ``draw_uniform`` reads its 32-bit words through
+    ``bits`` and reads no further than its last accepted word, so any
     interleaving of the two reads the stream in order.
     """
 
@@ -107,8 +104,6 @@ class Keystream:
         # on a cipher block boundary, so the next block counter follows.
         self._base = position - position % (8 * CHACHA_BLOCK_BYTES)
         self._raw = b""
-        self._words = []  # read-ahead words in reverse; the last one starts at position
-        self._ahead = _FIRST_READ_AHEAD
 
     @classmethod
     def from_seed_bits(cls, seed_bits: BitString, label: bytes | str, position: int = 0) -> "Keystream":
@@ -135,30 +130,31 @@ class Keystream:
         """Return the next ``nbits`` of the stream and advance the position."""
         if nbits < 0:
             raise ValueError("nbits must be non-negative")
-        self._words = []
         out = self._peek(nbits)
         self.position += nbits
         return out
 
-    def draw_uniform(self, m: int) -> int:
-        """Unbiased draw from [0, m) by rejection on 32-bit stream words.
+    def draw_uniform(self, m: int, n: int | None = None) -> int | list[int]:
+        """Unbiased draws from [0, m) by rejection on 32-bit stream words.
 
-        Words come from the read-ahead list in stream order; a rejected
-        word is consumed and skipped exactly as if it had been read alone.
+        ``n=None`` returns one draw as an int, an int ``n >= 0`` a list of
+        ``n`` draws.  Each round reads the words still needed and keeps those
+        below the largest multiple of ``m``, in stream order; a rejected
+        word is consumed and skipped.  The position ends right after the
+        last accepted word, where ``n`` single draws would end.
         """
         if not 1 <= m <= _WORD:
             raise ValueError("m must lie in [1, 2^32]")
-        limit = (_WORD // m) * m
-        words = self._words
+        want = 1 if n is None else n
+        limit = _WORD - _WORD % m
+        out = []
         for _ in range(1000):
-            if not words:
-                chunk = self._peek(32 * self._ahead)
-                words = self._words = np.packbits(chunk).view(">u4").tolist()[::-1]
-                self._ahead = min(2 * self._ahead, _REFILL_BITS // 32)
-            word = words.pop()
-            self.position += 32
-            if word < limit:
-                return word % m
+            need = want - len(out)
+            if not need:
+                return out if n is not None else out[0]
+            # int64: for m = 2**32 the limit itself does not fit in uint32.
+            words = np.packbits(self.bits(32 * need)).view(">u4").astype(np.int64)
+            out += (words[words < limit] % m).tolist()
         raise RuntimeError("rejection sampling failed to terminate")
 
 
@@ -177,14 +173,6 @@ class WeightVector:
         for value in (self.w1, self.w2, self.w3, self.w4):
             if not 0 <= value < top:
                 raise ValueError(f"weight {value} outside [0, 2^{self.l_weight})")
-
-    def as_floats(self) -> tuple[float, float, float, float]:
-        scale = 1 << self.l_weight
-        return tuple(w / scale for w in (self.w1, self.w2, self.w3, self.w4))
-
-    @property
-    def raw(self) -> tuple[int, int, int, int]:
-        return (self.w1, self.w2, self.w3, self.w4)
 
 
 def weight_generator(ks, l_weight: int = 16) -> WeightVector:

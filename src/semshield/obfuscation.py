@@ -17,16 +17,15 @@ bits first, then per unit s, k, and the k location draws, in that order,
 ending with the (s, k) draw that stops the unit loop.  Every draw is a
 ``Keystream.draw_uniform`` draw: one 32-bit word, skipped and followed by
 the next when it is at or above the largest multiple of the range.
-``derive_layout`` replays the draws from 32-bit words it reads in chunks:
-one plain-int loop over units resolves (s, k) and finds where each
-unit's location words start.  A unit whose k location words are all at
-most 2**32 - s*n_d rejects none of them.  A rejected (s, k) word, a unit
-with a larger location word and the only unit of a one-unit frame are
-replayed draw by draw over the same words, with ``draw_unit_params`` and
-``dummy_locations``.  The partial Fisher-Yates shuffles (Knuth's
-Algorithm P) of all other units then run at once, one column swap per
-location draw.  ``obfuscate``, ``deobfuscate`` and ``recover_bits`` all
-take their layout from it.
+``derive_layout`` reads the words after the encryption bits in chunks and
+resolves every unit's (s, k) in one plain-int loop.  Where it cannot rule
+out a rejected word (an (s, k) word at or above its limit, or a kept
+unit's location word above 2**32 - s*n_d), it replays the whole frame
+draw by draw with ``draw_unit_params`` and ``dummy_locations``.  Every
+other frame runs the partial Fisher-Yates shuffles (Knuth's Algorithm P)
+of all its units at once, one column swap per location draw.
+``obfuscate``, ``deobfuscate`` and ``recover_bits`` all take their layout
+from it.
 Dummy bits come from a second stream keyed by seed2 (label "dummy"),
 every unit's tokens in unit order; tail padding from a "pad" stream.
 Deviating from this order desynchronizes the two ends.
@@ -71,6 +70,12 @@ class ObfuscationParams:
         # guarantees k < s*n_d for every drawable (s, k)
         if self.k_max >= self.n_d:
             raise ValueError("k_max must be < n_d")
+        # The wire's unit header holds s and k as >u2 and each location as
+        # >u4; s*n_d is also the largest range a location draw takes.
+        if max(self.s_max, self.k_max) > 0xFFFF:
+            raise ValueError("s_max and k_max must be <= 65535, the wire's 16-bit unit header")
+        if self.s_max * self.n_d > _WORD:
+            raise ValueError("s_max*n_d must be <= 2**32, the wire's 32-bit dummy location")
 
     @property
     def symbol_bits(self) -> int:
@@ -207,8 +212,7 @@ def generate_dummy_bits(seed2_stream: Keystream, k: np.ndarray, b: int, model: C
     if b < 1 or np.any(need < 1):
         raise ValueError("k and b must be >= 1")
     n_tokens = -(-need // model.token_bits)
-    draw, vocab = seed2_stream.draw_uniform, model.vocab_size
-    tokens = [draw(vocab) for _ in range(int(n_tokens.sum()))]
+    tokens = seed2_stream.draw_uniform(model.vocab_size, int(n_tokens.sum()))
     return encode(tokens, model)[_runs((np.cumsum(n_tokens) - n_tokens) * model.token_bits, need)]
 
 
@@ -227,40 +231,6 @@ def _expected_tail_bits(remaining: int, p: ObfuscationParams) -> int:
     return -(-remaining // p.symbol_bits) * p.symbol_bits
 
 
-class _WordStream:
-    """The "xor" stream's 32-bit words after the encryption bits, read in chunks.
-
-    ``words`` is the list read so far; ``need`` reads more chunks until it
-    holds ``n`` words.  ``draw_uniform`` draws from word ``pos`` on with
-    the rejection rule of ``Keystream.draw_uniform``, so that
-    ``draw_unit_params`` and ``dummy_locations`` replay a unit draw by draw.
-    """
-
-    def __init__(self, ks: Keystream, first: BitString, more: int):
-        self._ks, self._more = ks, more
-        self.chunks = [np.packbits(first).view(">u4")]
-        self.words = self.chunks[0].tolist()
-        self.pos = 0
-
-    def need(self, n: int) -> None:
-        while len(self.words) < n:
-            self.chunks.append(np.packbits(self._ks.bits(32 * self._more)).view(">u4"))
-            self.words.extend(self.chunks[-1].tolist())
-
-    def draw_uniform(self, m: int) -> int:
-        limit = (_WORD // m) * m
-        for _ in range(1000):
-            self.need(self.pos + 1)
-            word = self.words[self.pos]
-            self.pos += 1
-            if word < limit:
-                return word % m
-        raise RuntimeError("rejection sampling failed to terminate")
-
-    def array(self) -> np.ndarray:
-        return self.chunks[0] if len(self.chunks) == 1 else np.concatenate(self.chunks)
-
-
 def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
     """Replay the "xor" stream for an ``l_d``-bit payload.
 
@@ -277,37 +247,34 @@ def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
     # a quarter as many words again whenever it runs out.
     mean_cap = ((s_max + 1) * n_d - k_max - 1) * b / 2
     chunk = int(l_d / mean_cap * (k_max + 5) / 2) + 2 * (k_max + 2)
+    more = chunk // 4 + k_max + 2
     ks = Keystream.from_seed_bits(seed, "xor")
     first = ks.bits(l_d + 32 * chunk)
-    stream = _WordStream(ks, first[l_d:], chunk // 4 + k_max + 2)
-    words = stream.words
+    chunks = [np.packbits(first[l_d:]).view(">u4")]
+    words = chunks[0].tolist()
 
-    s_of, k_of, loc_word, replayed = [], [], [], {}
+    s_of, k_of, loc_word = [], [], []
     remaining = l_d
     i = 0  # next word, counted from the end of the encryption bits
     while True:
-        stream.need(i + 2 + k_max)
+        while len(words) < i + 2 + k_max:
+            chunks.append(np.packbits(ks.bits(32 * more)).view(">u4"))
+            words += chunks[-1].tolist()
         ws, wk = words[i], words[i + 1]
-        if ws < lim_s and wk < lim_k:
-            s, k = 1 + ws % s_max, 1 + wk % k_max
-            i += 2
-        else:
-            stream.pos = i
-            s, k = draw_unit_params(stream, p)
-            i = stream.pos
-            stream.need(i + k_max)
+        # The stopping draw counts too: a rejected word there moves the stop.
+        if ws >= lim_s or wk >= lim_k:
+            return _replay_frame(seed, l_d, p)
+        s, k = 1 + ws % s_max, 1 + wk % k_max
         cap = (s * n_d - k) * b
         if cap > remaining:
             break
+        # A location word at most 2**32 - s*n_d lies below every limit of
+        # the unit's draws; a larger one may be rejected.
+        if max(words[i + 2:i + 2 + k]) > _WORD - s * n_d:
+            return _replay_frame(seed, l_d, p)
         remaining -= cap
-        if max(words[i:i + k]) <= _WORD - s * n_d:
-            loc_word.append(i)
-            i += k
-        else:
-            stream.pos = i
-            replayed[len(s_of)] = dummy_locations(stream, s, k, n_d)
-            loc_word.append(0)
-            i = stream.pos
+        loc_word.append(i + 2)
+        i += 2 + k
         s_of.append(s)
         k_of.append(k)
 
@@ -315,26 +282,39 @@ def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
     if not s_of:
         return xbits, _NO_UNITS, _NO_UNITS, _NO_UNITS, remaining
     s, k = np.array(s_of), np.array(k_of)
-    if s.size == 1:
-        # One unit does not pay for the batched shuffle: replay it draw by draw.
-        if not replayed:
-            stream.pos = loc_word[0]
-            replayed[0] = dummy_locations(stream, s_of[0], k_of[0], n_d)
-        return xbits, s, k, replayed[0], remaining
-    locs = _place_dummies(stream.array(), np.array(loc_word), s, k, max(k_of), replayed, p)
+    locs = _place_dummies(np.concatenate(chunks), np.array(loc_word), s, k, max(k_of), p)
     return xbits, s, k, locs, remaining
 
 
-def _place_dummies(words, loc_word, s, k, k_hi, replayed, p) -> np.ndarray:
+def _replay_frame(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
+    """``derive_layout`` replayed one ``draw_uniform`` draw at a time, for a
+    frame where a stream word may be rejected."""
+    ks = Keystream.from_seed_bits(seed, "xor")
+    xbits = ks.bits(l_d)
+    s_of, k_of, locs = [], [], []
+    remaining, offset = l_d, 0
+    while True:
+        s, k = draw_unit_params(ks, p)
+        if _capacity(s, k, p) > remaining:
+            break
+        locs += (offset + dummy_locations(ks, s, k, p.n_d)).tolist()
+        s_of.append(s)
+        k_of.append(k)
+        remaining -= _capacity(s, k, p)
+        offset += s * p.n_d
+    return xbits, *(np.array(v, dtype=np.int64) for v in (s_of, k_of, locs)), remaining
+
+
+def _place_dummies(words, loc_word, s, k, k_hi, p) -> np.ndarray:
     """Frame-level dummy indices: every unit's partial Fisher-Yates shuffle at once.
 
     Row u of the pool holds unit u's subcarriers, numbered frame-wide.
     Swap t exchanges each row's entry t with entry t + w % (s*n_d - t), w
     being the unit's t-th location word, ``words[loc_word[u] + t]``.  A
     row's first k entries are then what ``dummy_locations`` picks for its
-    unit; the units in ``replayed`` had a rejected word and take them from
-    it.  Swaps past a unit's k only move entries past its first k, and the
-    words they read exist: the unit loop kept k_max words past every unit.
+    unit.  Swaps past a unit's k only move entries past its first k, and
+    the words they read exist: the unit loop kept k_max words past every
+    unit.
     """
     n = s * p.n_d
     start = np.cumsum(n) - n
@@ -347,12 +327,9 @@ def _place_dummies(words, loc_word, s, k, k_hi, replayed, p) -> np.ndarray:
     # One gather and one scatter per swap: each row's two entries trade places.
     for dst, src in zip(np.hstack([at, to]), np.hstack([to, at])):
         pool[dst] = pool[src]
-    pool = pool.reshape(s.size, width)
-    for u, locs in replayed.items():
-        pool[u, :locs.size] = start[u] + locs
     # Each unit's picks lie in its own subcarrier range, so one sort of the
     # whole frame sorts every unit.
-    locs = pool[:, :k_hi][draws.T < k[:, None]].astype(np.int64)
+    locs = pool.reshape(s.size, width)[:, :k_hi][draws.T < k[:, None]].astype(np.int64)
     locs.sort()
     return locs
 

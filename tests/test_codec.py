@@ -16,10 +16,8 @@ from semshield.codec import (
     bleu_scores,
     decode,
     encode,
-    load_corpus,
     make_corpus,
     quantize_q32,
-    save_corpus,
 )
 
 
@@ -152,17 +150,6 @@ class TestCorpus:
         a = make_corpus(20, model, seed=3)
         b = make_corpus(20, model, seed=3)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_save_load_round_trip(self, tmp_path):
-        model = CodecModel()
-        corpus = make_corpus(10, model, seed=8)
-        path = tmp_path / "corpus.txt"
-        save_corpus(corpus, path)
-        loaded = load_corpus(path)
-        assert len(loaded) == len(corpus)
-        assert all(np.array_equal(x, y) for x, y in zip(corpus, loaded))
-        first_line = path.read_text().splitlines()[0].split()
-        assert all(tok.isdigit() for tok in first_line)
 
     def test_lengths_within_bounds(self):
         corpus = make_corpus(200, CodecModel(), seed=4, min_len=4, max_len=30)

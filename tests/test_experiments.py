@@ -359,7 +359,8 @@ class TestCli:
     # A truthy string used to run the static channel, a non-string path to
     # fail only when the output was written (exit 3), a fractional
     # vocab_size to end in an AttributeError traceback (exit 1), and an
-    # snr_list of "30" to run at 0 and 3 dB, [true, 6] at 1 and 6 dB.
+    # snr_list of "30" to run at 0 and 3 dB, [true, 6] at 1 and 6 dB, and an
+    # s_max of 70000 to write s mod 2**16 into the wire's unit header.
     @pytest.mark.parametrize("entry", [
         '"n_bits": 2000.0', '"n_bits": true', '"guard_band": NaN', '"probe_noise_std": Infinity',
         '"static_channel": "false"', '"static_channel": 0',
@@ -369,6 +370,7 @@ class TestCli:
         '"obfuscation": {"s_max": true}', '"obfuscation": {"s_max": 4.0}',
         '"obfuscation": {"k_max": true}', '"obfuscation": {"n_d": 64.0}',
         '"obfuscation": {"b": 2.0}',
+        '"obfuscation": {"s_max": 70000, "k_max": 1, "n_d": 2, "b": 1}',
         '"snr_list": "30"', '"snr_list": [true, 6]', '"snr_list": {"12": 1}', '"snr_list": ["12"]',
     ])
     def test_bad_field_type_or_value_exits_two(self, tmp_path, capsys, entry):

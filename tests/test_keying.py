@@ -169,6 +169,13 @@ class TestDrawUniform:
         with pytest.raises(ValueError):
             ks.draw_uniform((1 << 32) + 1)
 
+    def test_empty_batch_reads_nothing_and_a_negative_one_raises(self):
+        ks = Keystream(bytes(32), "xor", position=5)
+        assert ks.draw_uniform(10, 0) == []
+        assert ks.position == 5
+        with pytest.raises(ValueError):
+            ks.draw_uniform(10, -1)
+
     def test_residue_frequencies_uniform(self):
         ks = Keystream(bytes(32), "draws")
         counts = np.zeros(10, dtype=np.int64)
@@ -210,6 +217,7 @@ _DRAW_M = st.one_of(st.sampled_from([1, 2, 3, 10, 1 << 31, (1 << 31) + 1, 1 << 3
 _STREAM_OPS = st.lists(st.one_of(
     st.tuples(st.just("bits"), st.one_of(st.integers(0, 70), st.integers(0, 40_000))),
     st.tuples(st.just("draw"), _DRAW_M, st.integers(1, 1200)),
+    st.tuples(st.just("draws"), _DRAW_M, st.integers(0, 1200)),
 ), min_size=1, max_size=10)
 
 
@@ -217,30 +225,42 @@ _STREAM_OPS = st.lists(st.one_of(
 @given(seed=st.binary(min_size=32, max_size=32), label=st.sampled_from(["xor", "dummy", "pad"]),
        position=st.one_of(st.integers(0, 100), st.integers(0, 70_000)), ops=_STREAM_OPS)
 # From an odd offset: 1100 full-range words run past the first 32768-bit
-# refill, then a bit read drops the unread read-ahead words and reads on
-# from position.
+# refill, then a bit read and more draws read on from position.
 @example(seed=bytes(32), label="xor", position=3,
          ops=[("draw", 1 << 32, 1100), ("bits", 5), ("draw", (1 << 31) + 1, 1200),
               ("bits", 40_000), ("draw", 1, 3)])
 # Fresh streams seeked into their first cipher block, by whole bytes and not.
 @example(seed=bytes(32), label="pad", position=8, ops=[("bits", 5), ("draw", 10, 20), ("bits", 9)])
 @example(seed=bytes(32), label="pad", position=19, ops=[("draw", 3, 40), ("bits", 70)])
-# One bit read longer than two refills, from an odd offset, after read-ahead words.
+# One bit read longer than two refills, from an odd offset, after single draws.
 @example(seed=bytes(32), label="dummy", position=77,
          ops=[("draw", 10, 5), ("bits", 70_001), ("draw", 1 << 32, 3)])
 # Empty reads at a seek position, before and between other reads.
 @example(seed=bytes(32), label="xor", position=1001,
          ops=[("bits", 0), ("draw", 7, 2), ("bits", 0), ("bits", 11), ("draw", 7, 2)])
+# Batched draws: the full range, where the limit is 2**32 itself; a range
+# that rejects about half of all words, so one batch takes several rounds;
+# an empty batch, which reads nothing; and a batch after single draws and a
+# bit read that leave the position odd.
+@example(seed=bytes(32), label="xor", position=0, ops=[("draws", 1 << 32, 700), ("draws", 1 << 32, 1)])
+@example(seed=bytes(32), label="dummy", position=5,
+         ops=[("draws", (1 << 31) + 1, 1200), ("bits", 3), ("draws", (1 << 31) + 1, 1)])
+@example(seed=bytes(32), label="pad", position=9, ops=[("draws", 10, 0), ("bits", 1), ("draws", 1, 0)])
+@example(seed=bytes(32), label="xor", position=2,
+         ops=[("draw", 3, 4), ("bits", 13), ("draws", 641, 900), ("draw", 641, 2)])
 def test_interleaved_reads_follow_the_raw_stream(seed, label, position, ops):
     ks = Keystream(seed, label, position=position)
     ref = _RawReader(seed, label, position)
     for op in ops:
         if op[0] == "bits":
             assert np.array_equal(ks.bits(op[1]), ref.bits(op[1]))
-        else:
+        elif op[0] == "draw":
             _, m, count = op
             assert [ks.draw_uniform(m) for _ in range(count)] == \
                 [ref.draw_uniform(m) for _ in range(count)]
+        else:
+            _, m, count = op
+            assert ks.draw_uniform(m, count) == [ref.draw_uniform(m) for _ in range(count)]
         assert ks.position == ref.position
 
 
@@ -260,20 +280,18 @@ class _StubStream:
 class TestWeights:
     def test_all_zero_stream_gives_zero_weights(self):
         w = weight_generator(_StubStream(np.zeros(64, dtype=np.uint8)))
-        assert w.raw == (0, 0, 0, 0)
-        assert w.as_floats() == (0.0, 0.0, 0.0, 0.0)
+        assert (w.w1, w.w2, w.w3, w.w4) == (0, 0, 0, 0)
 
     def test_msb_pattern_is_half(self):
         pattern = np.zeros(64, dtype=np.uint8)
         pattern[0] = 1  # w1 = 0x8000
         w = weight_generator(_StubStream(pattern))
-        assert w.w1 == 0x8000
-        assert w.as_floats()[0] == 0.5
+        assert (w.w1, w.w2, w.w3, w.w4) == (0x8000, 0, 0, 0)
 
     def test_golden_zero_seed_weights(self):
         ks = Keystream.from_seed_bits(np.zeros(128, dtype=np.uint8), "weights")
         w = weight_generator(ks)
-        assert w.raw == (10206, 10967, 10995, 31988)
+        assert (w.w1, w.w2, w.w3, w.w4) == (10206, 10967, 10995, 31988)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

@@ -52,6 +52,16 @@ class TestParams:
         with pytest.raises(ValueError):
             ObfuscationParams(s_max=0)
 
+    def test_params_fit_the_wire_fields(self):
+        # s and k travel as >u2 and each dummy location as >u4.
+        ObfuscationParams(s_max=0xFFFF, k_max=1, n_d=2, b=1)
+        ObfuscationParams(s_max=2, k_max=1, n_d=2**31, b=1)
+        for kwargs in ({"s_max": 0x10000, "k_max": 1, "n_d": 2},
+                       {"s_max": 1, "k_max": 0x10000, "n_d": 0x10001},
+                       {"s_max": 2, "k_max": 1, "n_d": 2**31 + 1}):
+            with pytest.raises(ValueError):
+                ObfuscationParams(**kwargs, b=1)
+
 
 def _data_subcarrier_bits(frame, p):
     """Encrypted bits read off a frame by hand: unit data subcarriers, then tail."""
@@ -445,6 +455,17 @@ class TestSerialization:
             assert np.array_equal(getattr(back, name), getattr(frame, name)), name
         assert np.array_equal(deobfuscate(back, seed, p), data)
 
+    def test_round_trip_at_the_largest_s(self):
+        p = ObfuscationParams(s_max=0xFFFF, k_max=1, n_d=2, b=1)
+        data = np.random.default_rng(19).integers(0, 2, 400_000).astype(np.uint8)
+        seed = _seed(44)
+        frame = obfuscate(data, seed, p, MODEL)
+        assert frame.s.max() > 0x8000
+        back = deserialize_frame(serialize_frame(frame), p)
+        assert np.array_equal(back.s, frame.s) and np.array_equal(back.k, frame.k)
+        assert np.array_equal(back.dummy_locations, frame.dummy_locations)
+        assert np.array_equal(deobfuscate(back, seed, p), data)
+
     def test_bad_magic_rejected(self):
         p = ObfuscationParams()
         frame = obfuscate(np.ones(10, dtype=np.uint8), _seed(42), p, MODEL)
@@ -650,7 +671,8 @@ def test_layout_bytes_pinned(case):
 
 def _draw_by_draw(seed, l_d, p):
     """The layout replayed with draw_unit_params and dummy_locations, one draw
-    at a time, plus the word each unit's draws start at."""
+    at a time, plus the word each unit's draws start at and, last, the word
+    the stopping draw starts at."""
     ks = Keystream.from_seed_bits(seed, "xor")
     ks.bits(l_d)
     s_of, k_of, locs, first_word = [], [], [], []
@@ -659,7 +681,7 @@ def _draw_by_draw(seed, l_d, p):
         word = (ks.position - l_d) // 32
         s, k = draw_unit_params(ks, p)
         if _capacity(s, k, p) > remaining:
-            return s_of, k_of, locs, remaining, first_word
+            return s_of, k_of, locs, remaining, first_word + [word]
         locs += (offset + dummy_locations(ks, s, k, p.n_d)).tolist()
         s_of.append(s)
         k_of.append(k)
@@ -692,8 +714,10 @@ _RAGGED = ObfuscationParams(s_max=3, k_max=5, n_d=7, b=3)
 # [0, 641) rejects, and 2**32 - 641 the largest it keeps.
 _WIDE = ObfuscationParams(s_max=1, k_max=3, n_d=641, b=1)
 
-# (params, l_d, [(unit, draw, word)], whether a unit is replayed draw by
-# draw).  Draw 0 is the unit's s, 1 its k, 2.. its locations, -1 its last.
+# (params, l_d, [(unit, draw, word)], whether the frame is replayed draw by
+# draw).  Draw 0 is the unit's s, 1 its k, 2.. its locations, -1 its last;
+# unit -1 is the stopping (s, k) draw.  A frame where a word may be rejected
+# is replayed whole, one draw at a time.
 REJECTION_CASES = {
     "s_draw": (_RAGGED, 3000, [(4, 0, 0xFFFFFFFF)], True),
     "k_draw": (_RAGGED, 3000, [(1, 1, 0xFFFFFFFF)], True),
@@ -702,6 +726,9 @@ REJECTION_CASES = {
     "two_in_a_row": (_RAGGED, 3000, [(8, 2, 0xFFFFFFFF), (8, 3, 0xFFFFFFFF)], True),
     "several_units": (_RAGGED, 3000, [(2, 1, 0xFFFFFFFF), (6, 2, 0xFFFFFFFF),
                                       (7, -1, 0xFFFFFFFF)], True),
+    # The next words then draw a unit that fits the tail, so the loop goes on.
+    "stopping_s_draw": (_RAGGED, 288, [(-1, 0, 0xFFFFFFFF)], True),
+    "stopping_k_draw": (_RAGGED, 2968, [(-1, 1, 0xFFFFFFFF)], True),
     "smallest_rejected": (_WIDE, 3200, [(2, 2, 2**32 - 640)], True),
     "largest_kept": (_WIDE, 3200, [(2, 2, 2**32 - 641)], False),
     "one_unit_frame": (_WIDE, 640, [(0, 2, 0xFFFFFFFF)], True),
