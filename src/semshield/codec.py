@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
@@ -36,14 +37,15 @@ def quantize_q32(x: float) -> int:
 
 def _check_types(obj, ints=(), reals=(), error=ValueError) -> None:
     """Raise ``error`` unless the ``ints`` fields of ``obj`` are ints and its
-    ``reals`` fields finite ints or floats; a bool is neither."""
+    ``reals`` fields ints or floats of finite float value; a bool is neither."""
     for name in ints:
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, int):
             raise error(f"{name} must be an integer, not {value!r}")
     for name in reals:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        # Also false for NaN, and for an int too large to convert to a float.
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= float_info.max:
             raise error(f"{name} must be a finite number, not {value!r}")
 
 

@@ -55,13 +55,16 @@ class ConfigError(ValueError):
 
 def snr_values(value) -> tuple:
     """An ``snr_list`` as sorted floats.  It must be a list or tuple of real
-    numbers; bools and strings are rejected."""
+    numbers that fit a float; bools and strings are rejected."""
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"snr_list must be a list of numbers, not {value!r}")
     for snr in value:
         if isinstance(snr, bool) or not isinstance(snr, numbers.Real):
             raise ConfigError(f"snr_list entries must be numbers, not {snr!r}")
-    return tuple(sorted(float(snr) for snr in value))
+    try:
+        return tuple(sorted(float(snr) for snr in value))
+    except OverflowError:  # an int too large for a float
+        raise ConfigError("snr_list entries must fit a float") from None
 
 
 @dataclass(frozen=True)

@@ -11,21 +11,16 @@ A frame is its layout as arrays (per-unit ``s`` and ``k``, and one flat
 array of frame-level dummy subcarrier indices) plus one on-air bit array:
 the units laid end to end, ``b`` bits per subcarrier, then the tail.
 
-Stream discipline per frame is fixed and normative, and ``derive_layout``
-is the one place it lives: the "xor" stream yields the l_d encryption
-bits first, then per unit s, k, and the k location draws, in that order,
-ending with the (s, k) draw that stops the unit loop.  Every draw is a
-``Keystream.draw_uniform`` draw: one 32-bit word, skipped and followed by
-the next when it is at or above the largest multiple of the range.
-``derive_layout`` reads the words after the encryption bits in chunks and
-resolves every unit's (s, k) in one plain-int loop.  Where it cannot rule
-out a rejected word (an (s, k) word at or above its limit, or a kept
-unit's location word above 2**32 - s*n_d), it replays the whole frame
-draw by draw with ``draw_unit_params`` and ``dummy_locations``.  Every
-other frame runs the partial Fisher-Yates shuffles (Knuth's Algorithm P)
-of all its units at once, one column swap per location draw.
-``obfuscate``, ``deobfuscate`` and ``recover_bits`` all take their layout
-from it.
+Stream discipline per frame is fixed and normative: the "xor" stream
+yields the l_d encryption bits first, then per unit s, k, and the k
+location draws, in that order, ending with the (s, k) draw that stops the
+unit loop.  Every draw is a ``Keystream.draw_uniform`` draw: one 32-bit
+word, skipped when it is at or above the largest multiple of the range.
+``draw_unit_params`` and ``dummy_locations`` make these draws one at a
+time; ``derive_layout``, the one replay the frame functions use, must
+equal them.  Its one plain-int loop resolves every unit's (s, k), drops
+each rejected word and draws that unit again; then it runs the partial
+Fisher-Yates shuffles (Knuth's Algorithm P) of all units at once.
 Dummy bits come from a second stream keyed by seed2 (label "dummy"),
 every unit's tokens in unit order; tail padding from a "pad" stream.
 Deviating from this order desynchronizes the two ends.
@@ -183,13 +178,15 @@ def derive_seed2(seed: BitString) -> bytes:
 
 
 def draw_unit_params(ks: Keystream, p: ObfuscationParams) -> tuple[int, int]:
+    """One unit's (s, k), one draw each: the draws ``derive_layout`` must equal."""
     s = 1 + ks.draw_uniform(p.s_max)
     k = 1 + ks.draw_uniform(p.k_max)
     return s, k
 
 
 def dummy_locations(ks: Keystream, s: int, k: int, n_d: int) -> np.ndarray:
-    """k distinct dummy indices in [0, s*n_d), one stream draw per pick."""
+    """k distinct dummy indices in [0, s*n_d), one stream draw per pick: the
+    location draws ``derive_layout`` must equal."""
     n = s * n_d
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < s*n_d")
@@ -239,6 +236,8 @@ def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
     subcarrier indices, and the number of encrypted bits left for the
     tail.  The unit loop stops at the first drawn (s, k) whose capacity
     exceeds what is left; that stopping draw is consumed but makes no unit.
+    A rejected word is dropped and its unit drawn again from the same
+    place, as ``draw_unit_params`` and ``dummy_locations`` skip it.
     """
     n_d, b, s_max, k_max = p.n_d, p.b, p.s_max, p.k_max
     lim_s, lim_k = _WORD - _WORD % s_max, _WORD - _WORD % k_max
@@ -253,7 +252,14 @@ def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
     chunks = [np.packbits(first[l_d:]).view(">u4")]
     words = chunks[0].tolist()
 
-    s_of, k_of, loc_word = [], [], []
+    s_of, k_of, loc_word, dropped = [], [], [], []
+
+    def drop(j):
+        # Drops land at non-decreasing places in ``words``, so j plus the
+        # count of earlier drops is the word's index in the stream.
+        dropped.append(j + len(dropped))
+        del words[j]
+
     remaining = l_d
     i = 0  # next word, counted from the end of the encryption bits
     while True:
@@ -263,15 +269,19 @@ def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
         ws, wk = words[i], words[i + 1]
         # The stopping draw counts too: a rejected word there moves the stop.
         if ws >= lim_s or wk >= lim_k:
-            return _replay_frame(seed, l_d, p)
+            drop(i if ws >= lim_s else i + 1)
+            continue
         s, k = 1 + ws % s_max, 1 + wk % k_max
         cap = (s * n_d - k) * b
         if cap > remaining:
             break
         # A location word at most 2**32 - s*n_d lies below every limit of
-        # the unit's draws; a larger one may be rejected.
+        # the unit's draws; only a larger one may be rejected.
         if max(words[i + 2:i + 2 + k]) > _WORD - s * n_d:
-            return _replay_frame(seed, l_d, p)
+            bad = [t for t in range(k) if words[i + 2 + t] >= _WORD - _WORD % (s * n_d - t)]
+            if bad:
+                drop(i + 2 + bad[0])
+                continue
         remaining -= cap
         loc_word.append(i + 2)
         i += 2 + k
@@ -279,30 +289,17 @@ def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
         k_of.append(k)
 
     xbits = first[:l_d]
+    # A frame too short for one unit has no shuffle to run, and
+    # _place_dummies needs at least one unit.
     if not s_of:
         return xbits, _NO_UNITS, _NO_UNITS, _NO_UNITS, remaining
     s, k = np.array(s_of), np.array(k_of)
-    locs = _place_dummies(np.concatenate(chunks), np.array(loc_word), s, k, max(k_of), p)
+    stream = np.concatenate(chunks)
+    # np.delete costs microseconds even with nothing to delete; most frames drop nothing.
+    if dropped:
+        stream = np.delete(stream, dropped)
+    locs = _place_dummies(stream, np.array(loc_word), s, k, max(k_of), p)
     return xbits, s, k, locs, remaining
-
-
-def _replay_frame(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
-    """``derive_layout`` replayed one ``draw_uniform`` draw at a time, for a
-    frame where a stream word may be rejected."""
-    ks = Keystream.from_seed_bits(seed, "xor")
-    xbits = ks.bits(l_d)
-    s_of, k_of, locs = [], [], []
-    remaining, offset = l_d, 0
-    while True:
-        s, k = draw_unit_params(ks, p)
-        if _capacity(s, k, p) > remaining:
-            break
-        locs += (offset + dummy_locations(ks, s, k, p.n_d)).tolist()
-        s_of.append(s)
-        k_of.append(k)
-        remaining -= _capacity(s, k, p)
-        offset += s * p.n_d
-    return xbits, *(np.array(v, dtype=np.int64) for v in (s_of, k_of, locs)), remaining
 
 
 def _place_dummies(words, loc_word, s, k, k_hi, p) -> np.ndarray:
@@ -368,6 +365,8 @@ def obfuscate(data: BitString, seed: BitString, p: ObfuscationParams, model: Cod
     xbits, s, k, locs, tail = derive_layout(seed, data.size, p)
     enc = xor_bits(data, xbits)
     pad = Keystream.from_seed_bits(seed, "pad").bits(_expected_tail_bits(tail, p) - tail)
+    # A tail-only frame, as short sentence frames often are, skips the slot
+    # arrays and the dummy stream, which would nearly double its cost.
     if not s.size:
         return ObfuscatedFrame(data.size, p, s, k, locs, np.concatenate([enc, pad]))
 
@@ -454,6 +453,7 @@ def serialize_frame(frame: ObfuscatedFrame) -> bytes:
     bits = s * p.symbol_bits
     if p.symbol_bits % 8 == 0:
         # Every unit is whole bytes: pack the units and the tail at once.
+        # The padding path below takes 2-5x as long on the default geometry.
         pay = bits // 8
         body = np.packbits(frame.air)
     else:
@@ -520,6 +520,8 @@ def deserialize_frame(buf: bytes, p: ObfuscationParams) -> ObfuscatedFrame:
     body = np.unpackbits(np.concatenate([raw[_runs(locs_at + 4 * k, pay)], raw[off:]]))
     unit_bits = int(bits.sum())
     if p.symbol_bits % 8 == 0:
+        # Whole-byte units have no padding to cut out: one slice instead of
+        # the gather below, which takes 1.3-4x as long on the default geometry.
         air = body[: unit_bits + tail_len]
     else:
         air = body[_runs(np.append(8 * (np.cumsum(pay) - pay), 8 * int(pay.sum())),

@@ -83,7 +83,8 @@ class TestConfig:
             ExperimentConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["guard_band", "probe_noise_std"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, "0.1", True])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "0.1", True,
+                                       pytest.param(10**400, id="401_digits")])
     def test_rejects_non_finite_real_fields(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**{field: value})
@@ -360,7 +361,9 @@ class TestCli:
     # fail only when the output was written (exit 3), a fractional
     # vocab_size to end in an AttributeError traceback (exit 1), and an
     # snr_list of "30" to run at 0 and 3 dB, [true, 6] at 1 and 6 dB, and an
-    # s_max of 70000 to write s mod 2**16 into the wire's unit header.
+    # s_max of 70000 to write s mod 2**16 into the wire's unit header.  A
+    # 401-digit integer, too large for a float, used to end in an
+    # OverflowError traceback (exit 1).
     @pytest.mark.parametrize("entry", [
         '"n_bits": 2000.0', '"n_bits": true', '"guard_band": NaN', '"probe_noise_std": Infinity',
         '"static_channel": "false"', '"static_channel": 0',
@@ -372,6 +375,9 @@ class TestCli:
         '"obfuscation": {"b": 2.0}',
         '"obfuscation": {"s_max": 70000, "k_max": 1, "n_d": 2, "b": 1}',
         '"snr_list": "30"', '"snr_list": [true, 6]', '"snr_list": {"12": 1}', '"snr_list": ["12"]',
+        *(pytest.param(entry % 10**400, id=entry % "<401 digits>") for entry in (
+            '"snr_list": [%s]', '"guard_band": %s', '"probe_noise_std": %s',
+            '"codec": {"deviation_rate": %s}')),
     ])
     def test_bad_field_type_or_value_exits_two(self, tmp_path, capsys, entry):
         cfg_path = tmp_path / "cfg.json"
