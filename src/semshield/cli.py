@@ -11,7 +11,6 @@ from .experiments import (
     ExperimentConfig,
     load_config,
     run_to_file,
-    snr_values,
 )
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,14 +31,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_snr(text: str) -> tuple:
+def _parse_snr(text: str) -> list:
     try:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"bad --snr value {text!r}") from None
     if not values:
         raise ConfigError("--snr must list at least one value")
-    return snr_values(values)
+    return values
 
 
 def main(argv=None) -> int:

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from sys import float_info
 
 import numpy as np
 
 from .bits import BitString
+from .fields import check_fields
 
 TokenSequence = np.ndarray
 
@@ -35,22 +35,18 @@ def quantize_q32(x: float) -> int:
     return min(int(math.floor(x * Q32_ONE + 0.5)), Q32_MAX)
 
 
-def _check_types(obj, ints=(), reals=(), error=ValueError) -> None:
-    """Raise ``error`` unless the ``ints`` fields of ``obj`` are ints and its
-    ``reals`` fields ints or floats of finite float value; a bool is neither."""
-    for name in ints:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise error(f"{name} must be an integer, not {value!r}")
-    for name in reals:
-        value = getattr(obj, name)
-        # Also false for NaN, and for an int too large to convert to a float.
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= float_info.max:
-            raise error(f"{name} must be a finite number, not {value!r}")
-
-
 class InvalidTokenError(ValueError):
     """A token id is outside the codec vocabulary."""
+
+
+_CODEC_RULES = {
+    # generate_dummy_bits draws decoy tokens with Keystream.draw_uniform,
+    # whose range is at most 2**32.
+    "vocab_size": (int, 2, 2**32),
+    "token_bits": (int, 1, None),
+    "deviation_rate": (float, 0, 1),
+    "codec_seed": (int, None, None),
+}
 
 
 @dataclass(frozen=True)
@@ -67,16 +63,12 @@ class CodecModel:
     codec_seed: int = 0
 
     def __post_init__(self):
-        _check_types(self, ints=("vocab_size", "codec_seed"), reals=("deviation_rate",))
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must be at least 2")
-        if not 0.0 <= self.deviation_rate <= 1.0:
-            raise ValueError("deviation_rate must lie in [0, 1]")
-        min_bits = max(1, (self.vocab_size - 1).bit_length())
-        if self.token_bits is None:
-            object.__setattr__(self, "token_bits", min_bits)
-        _check_types(self, ints=("token_bits",))
-        if self.token_bits < min_bits:
+        # token_bits defaults to the fewest bits that hold every id below
+        # vocab_size; a vocab_size that is no integer fails the table instead.
+        if self.token_bits is None and isinstance(self.vocab_size, int):
+            object.__setattr__(self, "token_bits", (self.vocab_size - 1).bit_length())
+        check_fields(self, _CODEC_RULES)
+        if self.token_bits < (self.vocab_size - 1).bit_length():
             raise ValueError(f"token_bits={self.token_bits} cannot hold ids below {self.vocab_size}")
 
 

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .bits import BitString, hex_from_bits, xor_bits
-from .codec import CodecModel, _check_types, bleu_scores, decode, encode, make_corpus
+from .codec import CodecModel, bleu_scores, decode, encode, make_corpus
+from .fields import check_fields
 from .keying import (
     InsufficientEntropyError,
     KeyMaterial,
@@ -45,8 +46,6 @@ from .ofdm import (
 from . import security
 
 DEFAULT_SNR_GRID = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0)
-_INT_FIELDS = ("n_bits", "n_sentences", "n_unit", "l_weight", "l_skey", "l_seedkey",
-               "n_probes", "probe_coherence", "channel_taps", "master_seed")
 
 
 class ConfigError(ValueError):
@@ -91,33 +90,12 @@ class ExperimentConfig:
     probe_noise_std: float = 0.0
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
-        _check_types(self, ints=_INT_FIELDS, reals=("guard_band", "probe_noise_std"), error=ConfigError)
-        if not isinstance(self.static_channel, bool):
-            raise ConfigError(f"static_channel must be true or false, not {self.static_channel!r}")
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ConfigError(f"output_path must be a string, not {self.output_path!r}")
-        if not isinstance(self.obfuscation, ObfuscationParams):
-            raise ConfigError(f"obfuscation must be ObfuscationParams, not {self.obfuscation!r}")
-        if not isinstance(self.codec, CodecModel):
-            raise ConfigError(f"codec must be CodecModel, not {self.codec!r}")
+        check_fields(self, _CONFIG_RULES, error=ConfigError)
         object.__setattr__(self, "snr_list", snr_values(self.snr_list))
         if SCENARIOS[self.scenario].needs_snr and not self.snr_list:
             raise ConfigError("snr_list must be non-empty for channel scenarios")
-        if self.n_bits < 1 or self.n_sentences < 1:
-            raise ConfigError("workload sizes must be >= 1")
-        if self.key_refresh not in ("per_frame", "per_point"):
-            raise ConfigError("key_refresh must be per_frame or per_point")
-        for name in ("n_unit", "l_weight", "l_skey", "l_seedkey", "n_probes", "probe_coherence"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.l_skey > 256 or self.l_seedkey > 256:
-            raise ConfigError("key lengths above 256 bits are not supported")
         if self.l_skey % 8 or self.l_seedkey % 8:
             raise ConfigError("key lengths must be whole bytes (multiples of 8 bits)")
-        if self.guard_band < 0 or self.probe_noise_std < 0:
-            raise ConfigError("guard_band and probe_noise_std must be >= 0")
         try:
             for snr in self.snr_list or (math.inf,):
                 self.channel(snr, channel_seed=0)
@@ -134,14 +112,11 @@ class ExperimentConfig:
             raise ConfigError("config root must be a JSON object")
         data = dict(raw)
         try:
-            if "obfuscation" in data:
-                data["obfuscation"] = ObfuscationParams(**data["obfuscation"])
-            if "codec" in data:
-                data["codec"] = CodecModel(**data["codec"])
+            for name, section in (("obfuscation", ObfuscationParams), ("codec", CodecModel)):
+                if name in data:
+                    data[name] = section(**data[name])
             return cls(**data)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:  # a ConfigError comes out with its message
             raise ConfigError(str(exc)) from None
 
 
@@ -151,7 +126,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, bytes that are not UTF-8, an int past the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return ExperimentConfig.from_dict(raw)
 
@@ -444,6 +419,22 @@ SCENARIOS = {
     "keygen_demo": Scenario("json", False, lambda cfg: _json_text(run_keygen_demo(cfg))),
     "search_space": Scenario("json", False, lambda cfg: _json_text(run_search_space(cfg))),
     "dispersion": Scenario("json", False, lambda cfg: _json_text(run_dispersion(cfg))),
+}
+
+# ExperimentConfig's per-field rules (fields.check_fields), after SCENARIOS,
+# whose names are the scenarios it takes.  snr_values checks snr_list, and
+# ChannelModel checks channel_kind and the bounds of channel_taps.
+_CONFIG_RULES = {
+    "scenario": (tuple(SCENARIOS), None, None),
+    "key_refresh": (("per_frame", "per_point"), None, None),
+    "obfuscation": (ObfuscationParams, None, None),
+    "codec": (CodecModel, None, None),
+    "static_channel": (bool, None, None),
+    "output_path": ((str, type(None)), None, None),
+    **dict.fromkeys(("n_bits", "n_sentences", "n_unit", "l_weight", "n_probes", "probe_coherence"), (int, 1, None)),
+    **dict.fromkeys(("l_skey", "l_seedkey"), (int, 1, 256)),
+    **dict.fromkeys(("channel_taps", "master_seed"), (int, None, None)),
+    **dict.fromkeys(("guard_band", "probe_noise_std"), (float, 0, None)),
 }
 
 

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitString, xor_bits
-from .codec import CodecModel, _check_types, encode
+from .codec import CodecModel, encode
+from .fields import check_fields
 from .keying import Keystream, _seed_bytes
 
 _WORD = 1 << 32
@@ -50,6 +51,11 @@ class FrameFormatError(ValueError):
     """A wire frame is truncated, malformed or outside the parameters' range."""
 
 
+# The wire's unit header holds s and k as >u2.
+_PARAMS_RULES = {**dict.fromkeys(("s_max", "k_max"), (int, 1, 0xFFFF)),
+                 **dict.fromkeys(("n_d", "b"), (int, 1, None))}
+
+
 @dataclass(frozen=True)
 class ObfuscationParams:
     s_max: int = 4
@@ -58,17 +64,12 @@ class ObfuscationParams:
     b: int = 4
 
     def __post_init__(self):
-        _check_types(self, ints=("s_max", "k_max", "n_d", "b"))
-        for name in ("s_max", "k_max", "n_d", "b"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_fields(self, _PARAMS_RULES)
         # guarantees k < s*n_d for every drawable (s, k)
         if self.k_max >= self.n_d:
             raise ValueError("k_max must be < n_d")
-        # The wire's unit header holds s and k as >u2 and each location as
-        # >u4; s*n_d is also the largest range a location draw takes.
-        if max(self.s_max, self.k_max) > 0xFFFF:
-            raise ValueError("s_max and k_max must be <= 65535, the wire's 16-bit unit header")
+        # The wire holds each location as >u4, and s*n_d is also the
+        # largest range a location draw takes.
         if self.s_max * self.n_d > _WORD:
             raise ValueError("s_max*n_d must be <= 2**32, the wire's 32-bit dummy location")
 

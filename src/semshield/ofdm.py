@@ -22,7 +22,6 @@ BITS_PER_SYMBOL = 4
 _SCALE = 1.0 / math.sqrt(10.0)
 # Gray map per axis: 2-bit value b_hi b_lo indexes the level.
 _LEVEL_BY_VALUE = np.array([-3.0, -1.0, 3.0, 1.0])  # 00, 01, 10, 11
-_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
 _BITS_BY_LEVEL_IDX = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
 
 KIND_AWGN = "awgn"
@@ -43,7 +42,7 @@ def qam16_map(bits: BitString) -> np.ndarray:
 
 
 def _axis_decide(x: np.ndarray) -> np.ndarray:
-    """Nearest of the four Gray levels, returned as an index into _LEVELS."""
+    """Index 0-3 of the nearest of the four levels -3, -1, 1, 3 (times _SCALE)."""
     idx = np.floor((x / _SCALE + 4.0) / 2.0)
     return np.clip(idx, 0, 3).astype(np.int64)
 

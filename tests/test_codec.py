@@ -19,6 +19,8 @@ from semshield.codec import (
     make_corpus,
     quantize_q32,
 )
+from semshield.keying import Keystream
+from semshield.obfuscation import generate_dummy_bits
 
 
 class TestQuantizeQ32:
@@ -52,6 +54,14 @@ class TestModel:
     def test_deviation_rate_range(self):
         with pytest.raises(ValueError):
             CodecModel(deviation_rate=1.5)
+
+    def test_vocab_size_at_most_two_to_the_32(self):
+        # Decoy tokens are drawn with Keystream.draw_uniform, whose range is at most 2**32.
+        model = CodecModel(vocab_size=2**32)
+        assert model.token_bits == 32
+        assert generate_dummy_bits(Keystream(bytes(32), "dummy"), np.array([3]), 4, model).size == 12
+        with pytest.raises(ValueError, match="vocab_size"):
+            CodecModel(vocab_size=2**32 + 1)
 
 
 class TestEncodeDecode:

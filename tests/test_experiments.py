@@ -1,11 +1,15 @@
+import dataclasses
 import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semshield.cli import main
+from semshield.codec import CodecModel
 from semshield.experiments import (
     DEFAULT_SNR_GRID,
     SCENARIOS,
@@ -135,6 +139,59 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.scenario == "search_space"
         assert cfg.n_unit == 4
+
+
+# JSON-shaped values as Python's json module reads them: NaN and Infinity
+# included, integers of any length (401 digits is too large for a float), and
+# strings some fields accept.  A fixed alphabet spares hypothesis building its
+# Unicode table, about 3 s per session.
+_TEXT = st.text("az_.0 \x00\u00e9\U0001f600", max_size=6)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 300), st.integers(), st.integers(min_value=2**64),
+    st.integers(max_value=-2**64), st.just(10**400), st.floats(), _TEXT,
+    st.sampled_from([*SCENARIOS, "per_frame", "per_point", "awgn", "rayleigh_multipath"]),
+)
+_NESTED = st.lists(_JSON_SCALARS, max_size=3) | st.dictionaries(_TEXT, _JSON_SCALARS, max_size=3)
+_JSON = _JSON_SCALARS | _NESTED | st.lists(_NESTED, max_size=2)
+
+
+def _fields_of(cls, **strategies):
+    """Some of ``cls``'s fields, each a JSON value unless ``strategies`` names it."""
+    optional = {f.name: strategies.get(f.name, _JSON) for f in dataclasses.fields(cls)}
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+def _section(cls):
+    """A nested section: a dict of ``cls``'s own fields, or as often any JSON value."""
+    return st.booleans().flatmap(lambda own: _fields_of(cls) if own else _JSON)
+
+
+@settings(max_examples=120, deadline=None)
+@given(raw=_fields_of(ExperimentConfig, obfuscation=_section(ObfuscationParams), codec=_section(CodecModel)))
+@example(raw={"n_bits": 10**400, "guard_band": 10**400})
+@example(raw={"scenario": [], "key_refresh": {}})
+@example(raw={"obfuscation": [], "codec": "x"})
+@example(raw={"obfuscation": {"s_max": math.nan}, "codec": {"vocab_size": 2**33}})
+@example(raw={"codec": {"vocab_size": 2**32, "token_bits": None}})
+def test_from_dict_returns_a_config_or_raises_config_error(raw):
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+
+
+@settings(max_examples=120, deadline=None)
+@given(fields=_fields_of(ExperimentConfig))
+@example(fields={"scenario": []})
+@example(fields={"scenario": {}})
+@example(fields={"key_refresh": []})
+@example(fields={"output_path": {}, "static_channel": None})
+def test_constructor_raises_only_config_error(fields):
+    try:
+        ExperimentConfig(**fields)
+    except ConfigError:
+        pass
 
 
 class TestDerivation:
@@ -342,6 +399,13 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_undecodable_config_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"output_path": "\xff.json"}')
+        rc = main(["search_space", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_ragged_key_length_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"scenario": "keygen_demo", "l_skey": 100}),
@@ -363,7 +427,9 @@ class TestCli:
     # snr_list of "30" to run at 0 and 3 dB, [true, 6] at 1 and 6 dB, and an
     # s_max of 70000 to write s mod 2**16 into the wire's unit header.  A
     # 401-digit integer, too large for a float, used to end in an
-    # OverflowError traceback (exit 1).
+    # OverflowError traceback (exit 1), and a 5000-digit one, past the digit
+    # limit of Python's int parsing, in a ValueError traceback (exit 1).  A
+    # vocab_size of 2**33 used to fail when the decoy tokens were drawn (exit 3).
     @pytest.mark.parametrize("entry", [
         '"n_bits": 2000.0', '"n_bits": true', '"guard_band": NaN', '"probe_noise_std": Infinity',
         '"static_channel": "false"', '"static_channel": 0',
@@ -378,6 +444,8 @@ class TestCli:
         *(pytest.param(entry % 10**400, id=entry % "<401 digits>") for entry in (
             '"snr_list": [%s]', '"guard_band": %s', '"probe_noise_std": %s',
             '"codec": {"deviation_rate": %s}')),
+        pytest.param('"n_bits": %s' % ("1" * 5000), id='"n_bits": <5000 digits>'),
+        '"n_bits": 2000, "codec": {"vocab_size": 8589934592}',
     ])
     def test_bad_field_type_or_value_exits_two(self, tmp_path, capsys, entry):
         cfg_path = tmp_path / "cfg.json"
