@@ -502,6 +502,28 @@ def test_bleu_compare_output_pinned(key_refresh, probe_noise_std):
     assert digest == BLEU_COMPARE_SHA256[key_refresh, probe_noise_std]
 
 
+# SHA-256 of render_output for small bleu_compare configs over the two fading
+# channels, one per key refresh policy.  Every frame has its own channel
+# response here, so these check that each frame is equalized by its own taps;
+# recorded while each frame still ran its own modulate/demodulate pass.
+BLEU_COMPARE_FADING_SHA256 = {
+    ("rayleigh_flat", "per_frame"): "ad571f3a8b07bfbad03f55e8f50ca8ff835d3334ade9dc70cc9e11d56e2bcf22",
+    ("rayleigh_flat", "per_point"): "cb3bd4f1fc401333f9914fee3eac46c605d95a82bcdc3cbfecfa5584c03a3eac",
+    ("rayleigh_multipath", "per_frame"):
+        "2599b2a748b37d0c7808630dffb5b55022e235bd0a68f9b4e100218a335c4534",
+    ("rayleigh_multipath", "per_point"):
+        "1cc01458cdb74a5ad736fb3df77c61a71f0a99d720a4c7df69cd761a16ec1735",
+}
+
+
+@pytest.mark.parametrize("channel_kind,key_refresh", sorted(BLEU_COMPARE_FADING_SHA256))
+def test_bleu_compare_fading_output_pinned(channel_kind, key_refresh):
+    cfg = _fast_cfg(scenario="bleu_compare", snr_list=(6.0, 40.0), n_sentences=8,
+                    channel_kind=channel_kind, key_refresh=key_refresh)
+    digest = hashlib.sha256(render_output(cfg).encode("ascii")).hexdigest()
+    assert digest == BLEU_COMPARE_FADING_SHA256[channel_kind, key_refresh]
+
+
 # SHA-256 of render_output for small constellation and ber_sweep configs over
 # an AWGN and a multipath channel; recorded before the two scenarios were
 # made to share one transmit/receive chain, and unchanged by it.
