@@ -19,7 +19,7 @@ import numpy as np
 
 from .bits import BitString, hex_from_bits, xor_bits
 from .codec import CodecModel, bleu_scores, decode, encode, make_corpus
-from .fields import check_fields
+from .fields import check_fields, describe
 from .keying import (
     InsufficientEntropyError,
     KeyMaterial,
@@ -33,6 +33,7 @@ from .keying import (
 from .obfuscation import ObfuscationParams, obfuscate, ota_bits, recover_bits
 from .ofdm import (
     BITS_PER_SYMBOL,
+    CP_LEN,
     KIND_RAYLEIGH_MULTIPATH,
     N_FFT,
     ChannelModel,
@@ -56,10 +57,10 @@ def snr_values(value) -> tuple:
     """An ``snr_list`` as sorted floats.  It must be a list or tuple of real
     numbers that fit a float; bools and strings are rejected."""
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"snr_list must be a list of numbers, not {value!r}")
+        raise ConfigError(f"snr_list must be a list of numbers, not {describe(value)}")
     for snr in value:
         if isinstance(snr, bool) or not isinstance(snr, numbers.Real):
-            raise ConfigError(f"snr_list entries must be numbers, not {snr!r}")
+            raise ConfigError(f"snr_list entries must be numbers, not {describe(snr)}")
     try:
         return tuple(sorted(float(snr) for snr in value))
     except OverflowError:  # an int too large for a float
@@ -128,6 +129,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {exc}") from None
     except ValueError as exc:  # JSONDecodeError, bytes that are not UTF-8, an int past the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError("config is nested too deeply to parse") from None
     return ExperimentConfig.from_dict(raw)
 
 
@@ -151,31 +154,44 @@ def derive_int(master_seed: int, *parts) -> int:
 # --- shared chain pieces ------------------------------------------------------
 
 
+def _n_symbols(nbits: int) -> int:
+    """OFDM symbols that carry ``nbits`` bits, the last one padded."""
+    return -(-nbits // (N_FFT * BITS_PER_SYMBOL))
+
+
 def _pad_to_grid(bits: BitString, pad_rng: np.random.Generator) -> np.ndarray:
     """Extend a bit string with random filler so it fills whole OFDM symbols."""
-    grid = N_FFT * BITS_PER_SYMBOL
-    total = -(-bits.size // grid) * grid
+    total = _n_symbols(bits.size) * N_FFT * BITS_PER_SYMBOL
     if total == bits.size:
         return bits
     filler = pad_rng.integers(0, 2, total - bits.size).astype(np.uint8)
     return np.concatenate([bits, filler])
 
 
-def _transmit(bits: BitString, pad_rng: np.random.Generator) -> np.ndarray:
-    return ofdm_modulate(qam16_map(_pad_to_grid(bits, pad_rng)))
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenate, without copying a lone part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _equalize(tx: np.ndarray, ch: ChannelModel) -> np.ndarray:
-    """Pass a transmitted waveform through the channel; return equalized symbols."""
-    return ofdm_demodulate_equalize(apply_channel(tx, ch), ch)
+def _transmit(frames: list[BitString], pad_rngs: list[np.random.Generator]) -> np.ndarray:
+    """Pad each frame with filler from its own RNG; map and modulate them back to back."""
+    return ofdm_modulate(qam16_map(_join([_pad_to_grid(b, r) for b, r in zip(frames, pad_rngs)])))
 
 
-def _receive(tx: np.ndarray, ch: ChannelModel, nbits: int) -> BitString:
-    return qam16_demap(_equalize(tx, ch))[:nbits]
+def _equalize(tx: np.ndarray, channels: list[ChannelModel], sizes: list[int]) -> np.ndarray:
+    """Pass each frame of ``sizes[i]`` bits in ``tx`` through its own channel;
+    return the equalized symbols of all frames."""
+    n_symbols = [_n_symbols(n) for n in sizes]
+    edges = np.cumsum(n_symbols)[:-1] * (N_FFT + CP_LEN)
+    rx = _join([apply_channel(part, ch) for part, ch in zip(np.split(tx, edges), channels)])
+    return ofdm_demodulate_equalize(rx, channels, n_symbols)
 
 
-def _run_chain(bits: BitString, ch: ChannelModel, pad_rng: np.random.Generator) -> BitString:
-    return _receive(_transmit(bits, pad_rng), ch, bits.size)
+def _receive(tx: np.ndarray, channels: list[ChannelModel], sizes: list[int]) -> list[BitString]:
+    """The received bits of each frame in ``tx``, as ``_equalize`` sees them."""
+    bits = qam16_demap(_equalize(tx, channels, sizes))
+    starts = np.cumsum([0] + [_n_symbols(n) for n in sizes]) * N_FFT * BITS_PER_SYMBOL
+    return [bits[start:start + n] for start, n in zip(starts, sizes)]
 
 
 def _corpus_bits(cfg: ExperimentConfig, n_bits: int, rng: np.random.Generator) -> BitString:
@@ -239,16 +255,16 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[dict]:
         km, _ = _derive_key_material(cfg, *scope)
         frame = obfuscate(data, km.seed_key, p, cfg.codec)
         ota = ota_bits(frame)
-        tx = _transmit(ota, derive_rng(cfg.master_seed, *scope, "pad"))
+        tx = _transmit([ota], [derive_rng(cfg.master_seed, *scope, "pad")])
 
         ch_legit = cfg.channel(snr, derive_int(cfg.master_seed, *scope, "ch-legit"))
-        rx_legit = _receive(tx, ch_legit, ota.size)
+        [rx_legit] = _receive(tx, [ch_legit], [ota.size])
         ber_legit = measure_ber(data, recover_bits(rx_legit, frame.l_d, km.seed_key, p))
 
         # Eavesdropper: own independent channel, correct demodulation,
         # uniformly random wrong seed.
         ch_eve = cfg.channel(snr, derive_int(cfg.master_seed, *scope, "ch-eve"))
-        rx_eve = _receive(tx, ch_eve, ota.size)
+        [rx_eve] = _receive(tx, [ch_eve], [ota.size])
         wrong_seed = derive_rng(cfg.master_seed, *scope, "eve-seed").integers(
             0, 2, cfg.l_seedkey).astype(np.uint8)
         if np.array_equal(wrong_seed, km.seed_key):
@@ -256,8 +272,9 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[dict]:
         ber_eve = measure_ber(data, recover_bits(rx_eve, frame.l_d, wrong_seed, p))
 
         ch_plain = cfg.channel(snr, derive_int(cfg.master_seed, *scope, "ch-plain"))
-        ber_plain = measure_ber(
-            data, _run_chain(data, ch_plain, derive_rng(cfg.master_seed, *scope, "pad-plain")))
+        tx_plain = _transmit([data], [derive_rng(cfg.master_seed, *scope, "pad-plain")])
+        [rx_plain] = _receive(tx_plain, [ch_plain], [data.size])
+        ber_plain = measure_ber(data, rx_plain)
 
         rows.append({
             "snr_db": snr,
@@ -270,34 +287,41 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_bleu_compare(cfg: ExperimentConfig) -> list[dict]:
-    """Corpus-mean n-gram scores with and without the encryption chain."""
+    """Corpus-mean n-gram scores with and without the encryption chain.
+
+    Each SNR point sends all its frames, encrypted and plain, through one
+    modulate/demodulate pass; every frame keeps its own key, pad filler,
+    channel realization and noise.
+    """
     corpus = make_corpus(cfg.n_sentences, cfg.codec, derive_int(cfg.master_seed, "bleu", "corpus"))
     p = cfg.obfuscation
+    n = len(corpus)
     means = {}
     for i, snr in enumerate(cfg.snr_list):
         scope = ("bleu_compare", i)
-        sums_enc = np.zeros(4)
-        sums_plain = np.zeros(4)
         if cfg.key_refresh == "per_point":
             km, _ = _derive_key_material(cfg, *scope)
+        plain, frames, keys = [], [], []
         for j, sentence in enumerate(corpus):
             if cfg.key_refresh == "per_frame":
                 km, _ = _derive_key_material(cfg, *scope, j)
-            bits = encode(sentence, cfg.codec)
+            plain.append(encode(sentence, cfg.codec))
+            frames.append(obfuscate(plain[-1], km.seed_key, p, cfg.codec))
+            keys.append(km.seed_key)
+        # The n encrypted frames, then the n plain ones.
+        sent = [ota_bits(frame) for frame in frames] + plain
+        roles = [(j, role) for role in ("", "-plain") for j in range(n)]
+        tx = _transmit(sent, [derive_rng(cfg.master_seed, *scope, j, "pad" + r) for j, r in roles])
+        channels = [cfg.channel(snr, derive_int(cfg.master_seed, *scope, j, "ch" + r)) for j, r in roles]
+        rx = _receive(tx, channels, [bits.size for bits in sent])
 
-            frame = obfuscate(bits, km.seed_key, p, cfg.codec)
-            ota = ota_bits(frame)
-            ch = cfg.channel(snr, derive_int(cfg.master_seed, *scope, j, "ch"))
-            rx = _run_chain(ota, ch, derive_rng(cfg.master_seed, *scope, j, "pad"))
-            recovered = recover_bits(rx, frame.l_d, km.seed_key, p)
-            hyp_enc = decode(recovered, cfg.codec, noise_seed=j)
-            sums_enc += bleu_scores(sentence, hyp_enc).as_floats()
-
-            ch_plain = cfg.channel(snr, derive_int(cfg.master_seed, *scope, j, "ch-plain"))
-            rx_plain = _run_chain(bits, ch_plain, derive_rng(cfg.master_seed, *scope, j, "pad-plain"))
-            hyp_plain = decode(rx_plain, cfg.codec, noise_seed=j)
-            sums_plain += bleu_scores(sentence, hyp_plain).as_floats()
-        means[snr] = (sums_enc / len(corpus), sums_plain / len(corpus))
+        sums_enc = np.zeros(4)
+        sums_plain = np.zeros(4)
+        for j, sentence in enumerate(corpus):
+            recovered = recover_bits(rx[j], frames[j].l_d, keys[j], p)
+            sums_enc += bleu_scores(sentence, decode(recovered, cfg.codec, noise_seed=j)).as_floats()
+            sums_plain += bleu_scores(sentence, decode(rx[n + j], cfg.codec, noise_seed=j)).as_floats()
+        means[snr] = (sums_enc / n, sums_plain / n)
     rows = []
     for gram in range(1, 5):
         for snr in cfg.snr_list:
@@ -316,9 +340,9 @@ def emit_constellation(cfg: ExperimentConfig) -> np.ndarray:
     snr = cfg.snr_list[0]
     scope = ("constellation", 0)
     bits = _corpus_bits(cfg, cfg.n_bits, derive_rng(cfg.master_seed, *scope, "data"))
-    tx = _transmit(bits, derive_rng(cfg.master_seed, *scope, "pad"))
+    tx = _transmit([bits], [derive_rng(cfg.master_seed, *scope, "pad")])
     ch = cfg.channel(snr, derive_int(cfg.master_seed, *scope, "ch"))
-    return _equalize(tx, ch)
+    return _equalize(tx, [ch], [bits.size])
 
 
 def run_keygen_demo(cfg: ExperimentConfig) -> dict:

@@ -8,6 +8,17 @@ bool), a class or tuple of classes, or a tuple of the allowed strings.
 from sys import float_info
 
 
+def describe(value) -> str:
+    """``repr(value)`` for an error message, or the value's type where repr
+    fails: for an int past Python's digit limit for ``str``, a container
+    nested past the recursion limit, or a container holding either."""
+    try:
+        return repr(value)
+    except (ValueError, RecursionError):
+        size = f" with {value.bit_length()} bits" if isinstance(value, int) else ""
+        return f"an object of type {type(value).__name__}{size}, too large to print"
+
+
 def check_fields(obj, rules: dict, error=ValueError) -> None:
     """Raise ``error``, naming the field, at the first field of ``obj`` that breaks its rule."""
     for name, (kind, low, high) in rules.items():
@@ -25,7 +36,7 @@ def check_fields(obj, rules: dict, error=ValueError) -> None:
             classes = kind if isinstance(kind, tuple) else (kind,)
             ok, want = isinstance(value, classes), " or ".join(c.__name__ for c in classes)
         if not ok:
-            raise error(f"{name} must be {want}, not {value!r}")
+            raise error(f"{name} must be {want}, not {describe(value)}")
         if low is not None and value < low:
             raise error(f"{name} must be >= {low}")
         if high is not None and value > high:

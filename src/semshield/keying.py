@@ -28,7 +28,10 @@ from .codec import BleuScores
 DEFAULT_KEY_BITS = 128
 CHACHA_BLOCK_BYTES = 64
 _WORD = 1 << 32
-_REFILL_BITS = 32768  # fewest bits one keystream refill generates
+# Largest step a keystream grows by: the first generation covers the first
+# request in whole cipher blocks, and each later one is at least twice the
+# one before, up to this many bits.
+_REFILL_BITS = 32768
 
 
 def skey_hash(data: bytes, nbits: int) -> BitString:
@@ -104,6 +107,7 @@ class Keystream:
         # on a cipher block boundary, so the next block counter follows.
         self._base = position - position % (8 * CHACHA_BLOCK_BYTES)
         self._raw = b""
+        self._grow = 0  # fewest bits the next generation makes
 
     @classmethod
     def from_seed_bits(cls, seed_bits: BitString, label: bytes | str, position: int = 0) -> "Keystream":
@@ -115,8 +119,9 @@ class Keystream:
         stop = start + nbits
         if stop > 8 * len(self._raw):
             counter = (self._base // 8 + len(self._raw)) // CHACHA_BLOCK_BYTES
-            n_blocks = -(-max(stop - 8 * len(self._raw), _REFILL_BITS) // (8 * CHACHA_BLOCK_BYTES))
+            n_blocks = -(-max(stop - 8 * len(self._raw), self._grow) // (8 * CHACHA_BLOCK_BYTES))
             fresh = chacha20_stream(self.seed, self._nonce, counter, n_blocks * CHACHA_BLOCK_BYTES)
+            self._grow = min(2 * 8 * len(fresh), _REFILL_BITS)
             # A fresh stream seeked into a block holds fewer bytes than it skips.
             drop = min(start // 8, len(self._raw))
             self._raw = self._raw[drop:] + fresh
@@ -177,8 +182,9 @@ class WeightVector:
 
 def weight_generator(ks, l_weight: int = 16) -> WeightVector:
     """Draw four weights from the stream, ``l_weight`` bits each, in order w1..w4."""
-    raw = [int_from_bits(ks.bits(l_weight)) for _ in range(4)]
-    return WeightVector(*raw, l_weight=l_weight)
+    raw = int_from_bits(ks.bits(4 * l_weight))
+    mask = (1 << l_weight) - 1
+    return WeightVector(*((raw >> (l_weight * i)) & mask for i in (3, 2, 1, 0)), l_weight=l_weight)
 
 
 def generated_bleu(scores: BleuScores, w: WeightVector) -> int:

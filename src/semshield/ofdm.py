@@ -23,6 +23,9 @@ _SCALE = 1.0 / math.sqrt(10.0)
 # Gray map per axis: 2-bit value b_hi b_lo indexes the level.
 _LEVEL_BY_VALUE = np.array([-3.0, -1.0, 3.0, 1.0])  # 00, 01, 10, 11
 _BITS_BY_LEVEL_IDX = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
+# The four bits of the point with I level index i and Q level index q, at row 4*i + q.
+_BITS_BY_POINT_IDX = np.concatenate(
+    [np.repeat(_BITS_BY_LEVEL_IDX, 4, axis=0), np.tile(_BITS_BY_LEVEL_IDX, (4, 1))], axis=1)
 
 KIND_AWGN = "awgn"
 KIND_RAYLEIGH_FLAT = "rayleigh_flat"
@@ -42,9 +45,13 @@ def qam16_map(bits: BitString) -> np.ndarray:
 
 
 def _axis_decide(x: np.ndarray) -> np.ndarray:
-    """Index 0-3 of the nearest of the four levels -3, -1, 1, 3 (times _SCALE)."""
-    idx = np.floor((x / _SCALE + 4.0) / 2.0)
-    return np.clip(idx, 0, 3).astype(np.int64)
+    """Index 0-3 of the nearest of the four levels -3, -1, 1, 3 (times _SCALE).
+
+    With ``z = (x/_SCALE + 4)/2`` the index is ``clip(floor(z), 0, 3)``,
+    counted here as how many of 1, 2, 3 the value ``z`` reaches.
+    """
+    z = (x / _SCALE + 4.0) / 2.0
+    return (z >= 1.0).view(np.uint8) + (z >= 2.0).view(np.uint8) + (z >= 3.0).view(np.uint8)
 
 
 def qam16_demap(symbols: np.ndarray) -> BitString:
@@ -55,12 +62,7 @@ def qam16_demap(symbols: np.ndarray) -> BitString:
     symbols = np.asarray(symbols, dtype=np.complex128)
     if not np.isfinite(symbols).all():
         raise ValueError("symbols must be finite")
-    i_idx = _axis_decide(symbols.real)
-    q_idx = _axis_decide(symbols.imag)
-    out = np.empty((symbols.size, 4), dtype=np.uint8)
-    out[:, :2] = _BITS_BY_LEVEL_IDX[i_idx]
-    out[:, 2:] = _BITS_BY_LEVEL_IDX[q_idx]
-    return out.ravel()
+    return _BITS_BY_POINT_IDX[4 * _axis_decide(symbols.real) + _axis_decide(symbols.imag)].ravel()
 
 
 def ofdm_modulate(symbols: np.ndarray) -> np.ndarray:
@@ -127,17 +129,27 @@ def apply_channel(samples: np.ndarray, ch: ChannelModel) -> np.ndarray:
     return out + noise * math.sqrt(noise_var / 2.0)
 
 
-def ofdm_demodulate_equalize(samples: np.ndarray, ch: ChannelModel) -> np.ndarray:
-    """Strip CP, unitary FFT, divide by the genie channel response per bin."""
+def ofdm_demodulate_equalize(samples: np.ndarray, ch, n_symbols=None) -> np.ndarray:
+    """Strip CP, unitary FFT, divide by the genie channel response per bin.
+
+    ``ch`` is one ChannelModel for every OFDM symbol, or a sequence of them
+    where ``ch[i]`` covers the next ``n_symbols[i]`` symbols: frames sent
+    back to back, each through its own channel.
+    """
     samples = np.asarray(samples, dtype=np.complex128)
     sym_len = N_FFT + CP_LEN
     if samples.size % sym_len:
         raise ValueError(f"sample count must be divisible by {sym_len}")
-    blocks = samples.reshape(-1, sym_len)[:, CP_LEN:]
-    freq = np.fft.fft(blocks, norm="ortho", axis=1)
-    h = realize_taps(ch)
-    response = np.fft.fft(h, n=N_FFT)
-    return (freq / response).ravel()
+    freq = np.fft.fft(samples.reshape(-1, sym_len)[:, CP_LEN:], norm="ortho", axis=1)
+    if n_symbols is None:
+        ch, n_symbols = (ch,), (len(freq),)
+    if sum(n_symbols) != len(freq) or len(n_symbols) != len(ch):
+        raise ValueError("the channels' symbol counts must add up to the symbols received")
+    start = 0
+    for c, n in zip(ch, n_symbols):
+        freq[start:start + n] /= np.fft.fft(realize_taps(c), n=N_FFT)
+        start += n
+    return freq.ravel()
 
 
 def measure_ber(tx: BitString, rx: BitString) -> float:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -90,6 +91,19 @@ class TestConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf, "0.1", True,
                                        pytest.param(10**400, id="401_digits")])
     def test_rejects_non_finite_real_fields(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**{field: value})
+
+    # repr fails for an int past Python's 4300-digit limit for str and for a
+    # list nested past the recursion limit; naming such a value in the message
+    # used to raise a plain ValueError (or RecursionError), not ConfigError.
+    @pytest.mark.parametrize("field", ["guard_band", "scenario", "output_path", "snr_list"])
+    @pytest.mark.parametrize("value", [
+        pytest.param(10**5000, id="5001_digits"),
+        pytest.param([[10**5000]], id="5001_digits_in_a_list"),
+        pytest.param(functools.reduce(lambda inner, _: [inner], range(10_000), []), id="10000_deep"),
+    ])
+    def test_rejects_values_repr_cannot_print(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**{field: value})
 
@@ -452,6 +466,19 @@ class TestCli:
         cfg_path.write_text('{"scenario": "ber_sweep", %s}' % entry, encoding="utf-8")
         rc = main(["ber_sweep", "--config", str(cfg_path), "--snr", "30",
                    "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    # JSON nested past the recursion limit, at the root (100,000 arrays) and
+    # in a field, used to end in a RecursionError traceback (exit 1).
+    @pytest.mark.parametrize("text", [
+        pytest.param("[" * 100_000 + "]" * 100_000, id="root"),
+        pytest.param('{"output_path": %s}' % ("[" * 5000 + "]" * 5000), id="field"),
+    ])
+    def test_config_nested_too_deeply_exits_two(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_text(text, encoding="utf-8")
+        rc = main(["ber_sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 

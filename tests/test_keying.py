@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from semshield.bits import bits_from_bytes, bytes_from_bits, hex_from_bits, int_from_bits, xor_bits
 from semshield.codec import BleuScores, quantize_q32
+from semshield import keying
 from semshield.keying import (
+    _REFILL_BITS,
     ChannelTrace,
     InsufficientEntropyError,
     KeyMaterial,
@@ -186,6 +188,36 @@ class TestDrawUniform:
         assert np.all(np.abs(counts - n / 10) <= 3 * sigma)
 
 
+class TestKeystreamGeneration:
+    """How much cipher output a stream generates, counted at chacha20_stream."""
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        sizes = []
+
+        def counting(*args):
+            out = chacha20_stream(*args)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(keying, "chacha20_stream", counting)
+        return sizes
+
+    def test_short_read_generates_one_block(self, generated):
+        Keystream(bytes(32), "weights").bits(64)
+        assert generated == [64]
+
+    def test_long_stream_read_in_small_pieces(self, generated):
+        # 1 Mbit in 1000-bit reads: generations double from one block up to
+        # the largest refill, so they make at most about six extra calls.
+        ks = Keystream(bytes(32), "xor", position=3)
+        reads = [ks.bits(1000) for _ in range(1049)]
+        total = 1000 * len(reads)
+        assert len(generated) <= -(-total // _REFILL_BITS) + 6
+        assert total <= 8 * sum(generated) < total + _REFILL_BITS + 512
+        assert np.array_equal(np.concatenate(reads), Keystream(bytes(32), "xor", position=3).bits(total))
+
+
 class _RawReader:
     """Reference reader: bits and rejection draws taken straight from cipher bytes."""
 
@@ -224,11 +256,18 @@ _STREAM_OPS = st.lists(st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(seed=st.binary(min_size=32, max_size=32), label=st.sampled_from(["xor", "dummy", "pad"]),
        position=st.one_of(st.integers(0, 100), st.integers(0, 70_000)), ops=_STREAM_OPS)
-# From an odd offset: 1100 full-range words run past the first 32768-bit
+# From an odd offset: 1100 full-range words run past the largest, 32768-bit
 # refill, then a bit read and more draws read on from position.
 @example(seed=bytes(32), label="xor", position=3,
          ops=[("draw", 1 << 32, 1100), ("bits", 5), ("draw", (1 << 31) + 1, 1200),
               ("bits", 40_000), ("draw", 1, 3)])
+# From seeked odd positions, reads that cross the first growth steps: the
+# first generation is one block, and each later one doubles.
+@example(seed=bytes(32), label="xor", position=517,
+         ops=[("bits", 3), ("bits", 600), ("draw", 1 << 32, 40), ("bits", 2100),
+              ("draws", 641, 300), ("bits", 9000)])
+@example(seed=bytes(32), label="pad", position=1031,
+         ops=[("bits", 63)] * 9 + [("draw", 5, 30), ("bits", 1500), ("draws", 3, 100)])
 # Fresh streams seeked into their first cipher block, by whole bytes and not.
 @example(seed=bytes(32), label="pad", position=8, ops=[("bits", 5), ("draw", 10, 20), ("bits", 9)])
 @example(seed=bytes(32), label="pad", position=19, ops=[("draw", 3, 40), ("bits", 70)])

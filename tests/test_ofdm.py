@@ -66,6 +66,23 @@ class TestQam16Demap:
         assert np.array_equal(qam16_demap(far),
                               np.array([1, 0, 1, 0, 0, 0, 0, 0], dtype=np.uint8))
 
+    def test_matches_the_per_axis_rule(self):
+        # The table demap against the per-axis decision it replaced: each axis
+        # by clip(floor((x/SCALE + 4)/2), 0, 3), then two bits per axis.
+        def axis(x):
+            return np.clip(np.floor((x / SCALE + 4.0) / 2.0), 0, 3).astype(np.int64)
+
+        gray = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
+        edges = SCALE * np.array([0.0, 2.0, -2.0, 4.0, -4.0, 1e9, -1e9])
+        axis_values = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+        rng = np.random.default_rng(6)
+        syms = np.concatenate([
+            (axis_values[:, None] + 1j * axis_values[None, :]).ravel(),
+            2.0 * (rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000)),
+        ])
+        expected = np.concatenate([gray[axis(syms.real)], gray[axis(syms.imag)]], axis=1).ravel()
+        assert np.array_equal(qam16_demap(syms), expected)
+
     @pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf),
                                      complex(-math.inf, 1)])
     def test_rejects_non_finite_symbols(self, bad):
@@ -166,6 +183,23 @@ class TestDemodulate:
         ch = ChannelModel(kind="rayleigh_multipath", taps=6, channel_seed=14)
         rx = ofdm_demodulate_equalize(apply_channel(ofdm_modulate(syms), ch), ch)
         assert np.array_equal(qam16_demap(rx), bits)
+
+    def test_frames_back_to_back_match_one_call_each(self):
+        # Frames sent back to back, each through its own channel, equalize to
+        # exactly what one call per frame gives.
+        chs = [ChannelModel(kind="rayleigh_multipath", snr_db=9.0, taps=taps, channel_seed=seed)
+               for taps, seed in ((3, 17), (16, 18), (1, 19))]
+        n_symbols = [2, 5, 1]
+        rx = [apply_channel(ofdm_modulate(qam16_map(_bits(N_FFT * 4 * n, 20 + n))), ch)
+              for n, ch in zip(n_symbols, chs)]
+        one_by_one = np.concatenate([ofdm_demodulate_equalize(r, ch) for r, ch in zip(rx, chs)])
+        assert np.array_equal(ofdm_demodulate_equalize(np.concatenate(rx), chs, n_symbols), one_by_one)
+
+    @pytest.mark.parametrize("n_symbols", [[2, 2], [1, 1, 1], [3]])
+    def test_rejects_symbol_counts_that_do_not_fit(self, n_symbols):
+        rx = ofdm_modulate(qam16_map(_bits(N_FFT * 4 * 3, 21)))
+        with pytest.raises(ValueError, match="symbol counts"):
+            ofdm_demodulate_equalize(rx, [ChannelModel(kind="awgn")] * 2, n_symbols)
 
     def test_flat_fade_high_snr_symbol_errors_rare(self):
         n_sym = 156 * N_FFT  # 9984 symbols
