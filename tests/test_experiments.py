@@ -551,6 +551,30 @@ def test_bleu_compare_fading_output_pinned(channel_kind, key_refresh):
     assert digest == BLEU_COMPARE_FADING_SHA256[channel_kind, key_refresh]
 
 
+# SHA-256 of render_output for small configs whose n-gram scoring and key
+# ceremony take paths the default config does not: a vocabulary of 2**32 token
+# ids, a static channel (every frame takes the zero-PLK fallback), and the
+# dispersion corpus.  Recorded while each sentence was still scored alone.
+SCORING_OUTPUT_SHA256 = {
+    "vocab_2**32": "498538ec2b7c97e9be3de0095d3d28c23cb6180a2dee39927eaf426700ba6e12",
+    "static_channel": "34878b8d5288ee5d8b39cd21c47d0eefdcd249e749431da810f5239a4bb59227",
+    "dispersion": "56d80f8aedbc8ace86bae821fafc195dbdda904f5585c9cbf4d551f4d29c4af3",
+}
+_SCORING_CONFIGS = {
+    "vocab_2**32": dict(scenario="bleu_compare", snr_list=(6.0, 40.0), n_sentences=8,
+                        codec=CodecModel(vocab_size=2**32)),
+    "static_channel": dict(scenario="bleu_compare", snr_list=(6.0, 40.0), n_sentences=8,
+                           static_channel=True, key_refresh="per_frame"),
+    "dispersion": dict(scenario="dispersion", n_sentences=100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCORING_OUTPUT_SHA256))
+def test_scoring_output_pinned(name):
+    digest = hashlib.sha256(render_output(_fast_cfg(**_SCORING_CONFIGS[name])).encode("ascii")).hexdigest()
+    assert digest == SCORING_OUTPUT_SHA256[name]
+
+
 # SHA-256 of render_output for small constellation and ber_sweep configs over
 # an AWGN and a multipath channel; recorded before the two scenarios were
 # made to share one transmit/receive chain, and unchanged by it.
