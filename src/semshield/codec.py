@@ -6,12 +6,13 @@ probability ``deviation_rate``, a controllable stand-in for the
 prediction deviations of a learned encoder/decoder pair.  Sentence
 similarity is measured by clipped n-gram precision scores (orders 1-4)
 with a brevity penalty, quantized to 32 fractional bits so downstream
-key derivation is bit-exact.
+key derivation is bit-exact.  ``bleu_scores_many`` is the one scorer: it
+counts the n-grams of many (reference, hypothesis) pairs in one pass of
+array operations, and ``bleu_scores`` is its one-pair form.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,37 +124,58 @@ class BleuScores:
         return tuple(v / Q32_ONE for v in (self.s1, self.s2, self.s3, self.s4))
 
 
-def _ngrams(tokens: list, n: int) -> Counter:
-    return Counter(zip(*(tokens[i:] for i in range(n))))
-
-
-def _clipped_precision(hypothesis: list, reference: list, n: int) -> float:
-    counts = _ngrams(hypothesis, n)
-    if not counts:
-        return 0.0
-    ref_counts = _ngrams(reference, n)
-    clipped = sum(min(c, ref_counts[g]) for g, c in counts.items())
-    return clipped / (len(hypothesis) - n + 1)
-
-
-def bleu_scores(reference: TokenSequence, hypothesis: TokenSequence) -> BleuScores:
-    """Score ``hypothesis`` against a single ``reference`` for orders 1-4.
+def bleu_scores_many(pairs) -> list[BleuScores]:
+    """Score each (reference, hypothesis) pair for orders 1-4; the one scorer.
 
     Each order's score is the clipped n-gram precision times the brevity
     penalty BP = 1 if len(hyp) >= len(ref) else exp(1 - r/c).  An order
     with no hypothesis n-grams, or zero precision, scores 0.
+
+    All pairs are counted together.  Every n-gram gets a dense id that is
+    unique within its pair: the order-1 id ranks (pair, token rank), the
+    order-n id ranks (order-(n-1) id, next token rank).  Ids stay below the
+    square of the token count, so int64 holds them for any call under
+    about 3e9 tokens.  Counting the ids on each side, clipping and summing
+    per pair gives every clipped count at once.
     """
-    ref = list(np.asarray(reference).tolist())
-    hyp = list(np.asarray(hypothesis).tolist())
-    if not ref or not hyp:
+    seqs = [np.asarray(s).ravel() for pair in pairs for s in pair]  # ref 0, hyp 0, ref 1, ...
+    if not seqs:
+        return []
+    lengths = np.array([s.size for s in seqs])
+    if not lengths.all():
         raise ValueError("sequences must be non-empty")
-    c, r = len(hyp), len(ref)
-    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
-    raw = []
+    n_pairs = lengths.size // 2
+    seq = np.repeat(np.arange(lengths.size), lengths)
+    stop = np.repeat(np.cumsum(lengths), lengths)  # end of each token's sequence
+    vocab, tok = np.unique(np.concatenate(seqs), return_inverse=True)
+    pos = np.arange(seq.size)  # where the n-grams of the current order start
+    ids = seq // 2 * vocab.size + tok
+    clipped = np.zeros((n_pairs, 4), dtype=np.int64)
     for n in range(1, 5):
-        p = _clipped_precision(hyp, ref, n)
-        raw.append(quantize_q32(bp * p) if p > 0.0 else 0)
-    return BleuScores(*raw)
+        if n > 1:
+            more = pos + n - 1 < stop[pos]
+            pos = pos[more]
+            ids = ids[more] * vocab.size + tok[pos + n - 1]
+        uniq, ids = np.unique(ids, return_inverse=True)
+        is_hyp = (seq[pos] & 1).astype(bool)
+        ref = np.bincount(ids[~is_hyp], minlength=uniq.size)
+        hyp = np.bincount(ids[is_hyp], minlength=uniq.size)
+        owner = np.empty(uniq.size, dtype=np.int64)
+        owner[ids] = seq[pos] // 2
+        clipped[:, n - 1] = np.bincount(owner, weights=np.minimum(ref, hyp), minlength=n_pairs)
+
+    out = []
+    for (r, c), counts in zip(lengths.reshape(-1, 2).tolist(), clipped.tolist()):
+        bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+        # A non-zero clipped count means the hypothesis has n-grams of order n.
+        out.append(BleuScores(*(quantize_q32(bp * (m / (c - n + 1))) if m else 0
+                                for n, m in enumerate(counts, 1))))
+    return out
+
+
+def bleu_scores(reference: TokenSequence, hypothesis: TokenSequence) -> BleuScores:
+    """Score ``hypothesis`` against a single ``reference``; see ``bleu_scores_many``."""
+    return bleu_scores_many([(reference, hypothesis)])[0]
 
 
 def make_corpus(

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .bits import BitString, hex_from_bits, xor_bits
-from .codec import CodecModel, bleu_scores, decode, encode, make_corpus
+from .codec import CodecModel, bleu_scores_many, decode, encode, make_corpus
 from .fields import check_fields, describe
 from .keying import (
     InsufficientEntropyError,
@@ -47,6 +47,7 @@ from .ofdm import (
 from . import security
 
 DEFAULT_SNR_GRID = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0)
+MAX_PROBE_NOISE_STD = 1e6
 
 
 class ConfigError(ValueError):
@@ -97,6 +98,8 @@ class ExperimentConfig:
             raise ConfigError("snr_list must be non-empty for channel scenarios")
         if self.l_skey % 8 or self.l_seedkey % 8:
             raise ConfigError("key lengths must be whole bytes (multiples of 8 bits)")
+        if self.scenario == "dispersion" and self.n_sentences < security.MIN_DISPERSION_SENTENCES:
+            raise ConfigError(f"dispersion needs n_sentences >= {security.MIN_DISPERSION_SENTENCES}")
         try:
             for snr in self.snr_list or (math.inf,):
                 self.channel(snr, channel_seed=0)
@@ -201,44 +204,51 @@ def _corpus_bits(cfg: ExperimentConfig, n_bits: int, rng: np.random.Generator) -
     return encode(tokens, cfg.codec)[:n_bits]
 
 
-def _derive_key_material(cfg: ExperimentConfig, *scope) -> tuple[KeyMaterial, dict]:
-    """Run the whole keying ceremony for one frame scope.
+def _derive_key_materials(cfg: ExperimentConfig, scopes: list[tuple]) -> list[tuple[KeyMaterial, dict]]:
+    """Run the whole keying ceremony for each frame scope.
 
     PLK from a channel trace (constant when static_channel), SKey from
     the n-gram scores of one reference sentence against its decoded
-    version, weights drawn from a PLK-seeded stream.
+    version, weights drawn from a PLK-seeded stream.  Every scope keeps
+    its own trace, noise, sentence and decode streams; the sentences of
+    all scopes are scored in one call.
     """
-    if cfg.static_channel:
-        trace = constant_trace(cfg.n_probes, 1.0, cfg.probe_noise_std)
-    else:
-        trace = rayleigh_trace(
-            cfg.n_probes,
-            derive_int(cfg.master_seed, *scope, "trace"),
-            cfg.probe_coherence,
-            cfg.probe_noise_std,
-        )
-    try:
-        plk, entropy = simulate_plk(
-            trace, cfg.l_seedkey, cfg.guard_band,
-            noise_seed=derive_int(cfg.master_seed, *scope, "probe-noise"),
-        )
-        insufficient = False
-    except InsufficientEntropyError as exc:
-        plk = np.zeros(cfg.l_seedkey, dtype=np.uint8)
-        entropy = exc.entropy_estimate
-        insufficient = True
+    plks, infos, pairs = [], [], []
+    for scope in scopes:
+        if cfg.static_channel:
+            trace = constant_trace(cfg.n_probes, 1.0, cfg.probe_noise_std)
+        else:
+            trace = rayleigh_trace(
+                cfg.n_probes,
+                derive_int(cfg.master_seed, *scope, "trace"),
+                cfg.probe_coherence,
+                cfg.probe_noise_std,
+            )
+        try:
+            plk, entropy = simulate_plk(
+                trace, cfg.l_seedkey, cfg.guard_band,
+                noise_seed=derive_int(cfg.master_seed, *scope, "probe-noise"),
+            )
+            insufficient = False
+        except InsufficientEntropyError as exc:
+            plk = np.zeros(cfg.l_seedkey, dtype=np.uint8)
+            entropy = exc.entropy_estimate
+            insufficient = True
+        plks.append(plk)
+        infos.append({"plk_entropy_estimate": entropy, "insufficient_entropy": insufficient})
 
-    sentence = make_corpus(1, cfg.codec, derive_int(cfg.master_seed, *scope, "sentence"))[0]
-    decoded = decode(
-        encode(sentence, cfg.codec), cfg.codec,
-        noise_seed=derive_int(cfg.master_seed, *scope, "decode"),
-    )
-    scores = bleu_scores(sentence, decoded)
-    weights = weight_generator(Keystream.from_seed_bits(plk, "weights"), cfg.l_weight)
-    skey = generate_skey(scores, weights, cfg.l_skey)
-    km = KeyMaterial(plk, skey)
-    info = {"plk_entropy_estimate": entropy, "insufficient_entropy": insufficient}
-    return km, info
+        sentence = make_corpus(1, cfg.codec, derive_int(cfg.master_seed, *scope, "sentence"))[0]
+        decoded = decode(
+            encode(sentence, cfg.codec), cfg.codec,
+            noise_seed=derive_int(cfg.master_seed, *scope, "decode"),
+        )
+        pairs.append((sentence, decoded))
+
+    out = []
+    for plk, info, scores in zip(plks, infos, bleu_scores_many(pairs)):
+        weights = weight_generator(Keystream.from_seed_bits(plk, "weights"), cfg.l_weight)
+        out.append((KeyMaterial(plk, generate_skey(scores, weights, cfg.l_skey)), info))
+    return out
 
 
 # --- scenarios ----------------------------------------------------------------
@@ -252,7 +262,7 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[dict]:
         scope = ("ber_sweep", i)
         data = _corpus_bits(cfg, cfg.n_bits, derive_rng(cfg.master_seed, *scope, "data"))
 
-        km, _ = _derive_key_material(cfg, *scope)
+        [(km, _)] = _derive_key_materials(cfg, [scope])
         frame = obfuscate(data, km.seed_key, p, cfg.codec)
         ota = ota_bits(frame)
         tx = _transmit([ota], [derive_rng(cfg.master_seed, *scope, "pad")])
@@ -300,14 +310,11 @@ def run_bleu_compare(cfg: ExperimentConfig) -> list[dict]:
     for i, snr in enumerate(cfg.snr_list):
         scope = ("bleu_compare", i)
         if cfg.key_refresh == "per_point":
-            km, _ = _derive_key_material(cfg, *scope)
-        plain, frames, keys = [], [], []
-        for j, sentence in enumerate(corpus):
-            if cfg.key_refresh == "per_frame":
-                km, _ = _derive_key_material(cfg, *scope, j)
-            plain.append(encode(sentence, cfg.codec))
-            frames.append(obfuscate(plain[-1], km.seed_key, p, cfg.codec))
-            keys.append(km.seed_key)
+            keys = [km.seed_key for km, _ in _derive_key_materials(cfg, [scope])] * n
+        else:
+            keys = [km.seed_key for km, _ in _derive_key_materials(cfg, [(*scope, j) for j in range(n)])]
+        plain = [encode(sentence, cfg.codec) for sentence in corpus]
+        frames = [obfuscate(bits, key, p, cfg.codec) for bits, key in zip(plain, keys)]
         # The n encrypted frames, then the n plain ones.
         sent = [ota_bits(frame) for frame in frames] + plain
         roles = [(j, role) for role in ("", "-plain") for j in range(n)]
@@ -315,12 +322,15 @@ def run_bleu_compare(cfg: ExperimentConfig) -> list[dict]:
         channels = [cfg.channel(snr, derive_int(cfg.master_seed, *scope, j, "ch" + r)) for j, r in roles]
         rx = _receive(tx, channels, [bits.size for bits in sent])
 
+        received = [recover_bits(rx[j], frames[j].l_d, keys[j], p) for j in range(n)] + rx[n:]
+        scores = bleu_scores_many(
+            (corpus[k % n], decode(bits, cfg.codec, noise_seed=k % n)) for k, bits in enumerate(received))
+        # Summed frame by frame, in corpus order, as the means are defined.
         sums_enc = np.zeros(4)
         sums_plain = np.zeros(4)
-        for j, sentence in enumerate(corpus):
-            recovered = recover_bits(rx[j], frames[j].l_d, keys[j], p)
-            sums_enc += bleu_scores(sentence, decode(recovered, cfg.codec, noise_seed=j)).as_floats()
-            sums_plain += bleu_scores(sentence, decode(rx[n + j], cfg.codec, noise_seed=j)).as_floats()
+        for j in range(n):
+            sums_enc += scores[j].as_floats()
+            sums_plain += scores[n + j].as_floats()
         means[snr] = (sums_enc / n, sums_plain / n)
     rows = []
     for gram in range(1, 5):
@@ -347,7 +357,7 @@ def emit_constellation(cfg: ExperimentConfig) -> np.ndarray:
 
 def run_keygen_demo(cfg: ExperimentConfig) -> dict:
     """One full key ceremony plus the SKey transport round trip."""
-    km, info = _derive_key_material(cfg, "keygen", 0)
+    [(km, info)] = _derive_key_materials(cfg, [("keygen", 0)])
     transport = xor_bits(km.skey, Keystream.from_seed_bits(km.plk, "skey-transport").bits(cfg.l_skey))
     skey_rx = xor_bits(transport, Keystream.from_seed_bits(km.plk, "skey-transport").bits(cfg.l_skey))
     seed_rx = KeyMaterial(km.plk, skey_rx).seed_key
@@ -458,7 +468,10 @@ _CONFIG_RULES = {
     **dict.fromkeys(("n_bits", "n_sentences", "n_unit", "l_weight", "n_probes", "probe_coherence"), (int, 1, None)),
     **dict.fromkeys(("l_skey", "l_seedkey"), (int, 1, 256)),
     **dict.fromkeys(("channel_taps", "master_seed"), (int, None, None)),
-    **dict.fromkeys(("guard_band", "probe_noise_std"), (float, 0, None)),
+    "guard_band": (float, 0, None),
+    # Far above the unit-power gains it blurs, and small enough that the
+    # std of the noisy probes stays finite.
+    "probe_noise_std": (float, 0, MAX_PROBE_NOISE_STD),
 }
 
 

@@ -8,15 +8,21 @@ bool), a class or tuple of classes, or a tuple of the allowed strings.
 from sys import float_info
 
 
+# Longest repr an error message quotes before cutting it short.
+DESCRIBE_MAX_CHARS = 200
+
+
 def describe(value) -> str:
-    """``repr(value)`` for an error message, or the value's type where repr
-    fails: for an int past Python's digit limit for ``str``, a container
-    nested past the recursion limit, or a container holding either."""
+    """``repr(value)`` for an error message, cut to ``DESCRIBE_MAX_CHARS``
+    plus "...", or the value's type where repr fails: for an int past
+    Python's digit limit for ``str``, a container nested past the recursion
+    limit, or a container holding either."""
     try:
-        return repr(value)
+        text = repr(value)
     except (ValueError, RecursionError):
         size = f" with {value.bit_length()} bits" if isinstance(value, int) else ""
         return f"an object of type {type(value).__name__}{size}, too large to print"
+    return text if len(text) <= DESCRIBE_MAX_CHARS else text[:DESCRIBE_MAX_CHARS] + "..."
 
 
 def check_fields(obj, rules: dict, error=ValueError) -> None:

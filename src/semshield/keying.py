@@ -255,7 +255,7 @@ class ChannelTrace:
             raise ValueError("probe_noise_std must be finite and >= 0")
 
     def probes(self) -> np.ndarray:
-        return np.repeat(self.samples, self.coherence)
+        return self.samples if self.coherence == 1 else np.repeat(self.samples, self.coherence)
 
 
 def rayleigh_trace(n_probes: int, seed: int, coherence: int = 1, probe_noise_std: float = 0.0) -> ChannelTrace:
@@ -288,10 +288,20 @@ def quantize_samples(samples: np.ndarray, guard_band: float) -> tuple[BitString,
 
     Emits 1 above median + guard_band*std, 0 below median - guard_band*std,
     and discards everything in between.  Returns (bits, kept_indices).
+    Raises ValueError when the samples' std is not finite.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    median = float(np.median(samples))
-    std = float(np.std(samples))
+    # The median as np.median takes it: the middle value, or the mean of the two.
+    half = samples.size // 2
+    if samples.size % 2:
+        median = float(np.partition(samples, half)[half])
+    else:
+        middle = np.partition(samples, (half - 1, half))[half - 1:half + 1]
+        median = float((middle[0] + middle[1]) / 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(np.std(samples))
+    if not math.isfinite(std):
+        raise ValueError(f"samples have a non-finite std ({std})")
     hi = median + guard_band * std
     lo = median - guard_band * std
     ones = samples > hi
@@ -357,27 +367,25 @@ def simulate_plk(
 
     bits_a, kept_a = quantize_samples(obs_a, guard_band)
     if obs_b is obs_a:
-        bits_b, kept_b = bits_a, kept_a
+        # Both parties hold the same bits, so every block's parities agree.
+        agreed = bits_a[: 8 * (bits_a.size // 8)]
     else:
         bits_b, kept_b = quantize_samples(obs_b, guard_band)
-    # Keep the bits at indices both parties kept, in index order.
-    in_a = np.zeros(probes.size, dtype=bool)
-    in_b = np.zeros(probes.size, dtype=bool)
-    in_a[kept_a] = True
-    in_b[kept_b] = True
-    a = bits_a[in_b[kept_a]]
-    b = bits_b[in_a[kept_b]]
+        # Keep the bits at indices both parties kept, in index order.
+        in_a = np.zeros(probes.size, dtype=bool)
+        in_b = np.zeros(probes.size, dtype=bool)
+        in_a[kept_a] = True
+        in_b[kept_b] = True
+        a = bits_a[in_b[kept_a]]
+        b = bits_b[in_a[kept_b]]
 
-    # Parity reconciliation: compare 8-bit block parities, discard
-    # disagreeing blocks and the ragged tail.
-    n_blocks = a.size // 8
-    if n_blocks:
+        # Parity reconciliation: compare 8-bit block parities, discard
+        # disagreeing blocks and the ragged tail.
+        n_blocks = a.size // 8
         blk_a = a[: n_blocks * 8].reshape(n_blocks, 8)
         blk_b = b[: n_blocks * 8].reshape(n_blocks, 8)
         keep = (blk_a.sum(axis=1) & 1) == (blk_b.sum(axis=1) & 1)
         agreed = blk_a[keep].ravel()
-    else:
-        agreed = np.zeros(0, dtype=np.uint8)
 
     entropy = empirical_bit_entropy(agreed)
     if agreed.size < 8:

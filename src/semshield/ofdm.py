@@ -31,6 +31,9 @@ KIND_AWGN = "awgn"
 KIND_RAYLEIGH_FLAT = "rayleigh_flat"
 KIND_RAYLEIGH_MULTIPATH = "rayleigh_multipath"
 _KINDS = (KIND_AWGN, KIND_RAYLEIGH_FLAT, KIND_RAYLEIGH_MULTIPATH)
+# Largest finite |snr_db|: 10 ** (snr_db / 10) and the noise variance it
+# divides stay finite and non-zero.
+MAX_SNR_DB = 300.0
 
 
 def qam16_map(bits: BitString) -> np.ndarray:
@@ -80,7 +83,8 @@ def ofdm_modulate(symbols: np.ndarray) -> np.ndarray:
 class ChannelModel:
     """Block-fading channel configuration; taps are drawn per realization.
 
-    ``snr_db`` is a finite number or +inf, which turns the noise off.
+    ``snr_db`` lies in [-MAX_SNR_DB, MAX_SNR_DB] or is +inf, which turns
+    the noise off.
     """
 
     kind: str = KIND_AWGN
@@ -91,8 +95,8 @@ class ChannelModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise ValueError(f"snr_db must be finite or +inf, not {self.snr_db}")
+        if not (abs(self.snr_db) <= MAX_SNR_DB or self.snr_db == math.inf):
+            raise ValueError(f"snr_db must lie in [-{MAX_SNR_DB}, {MAX_SNR_DB}] or be +inf, not {self.snr_db}")
         if not 1 <= self.taps <= CP_LEN:
             raise ValueError(f"taps must lie in [1, {CP_LEN}]")
         if self.kind != KIND_RAYLEIGH_MULTIPATH and self.taps != 1:

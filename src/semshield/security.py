@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .codec import Q32_ONE, CodecModel, bleu_scores, decode, encode
+from .codec import Q32_ONE, CodecModel, bleu_scores_many, decode, encode
 from .keying import Keystream, generated_bleu, weight_generator
 
 
@@ -157,6 +157,8 @@ def analyze(
 # --- score dispersion -------------------------------------------------------
 
 N_HISTOGRAM_BINS = 64
+# Fewest sentences a dispersion report is drawn from.
+MIN_DISPERSION_SENTENCES = 100
 
 
 def score_histogram(values) -> np.ndarray:
@@ -182,12 +184,11 @@ def bleu_dispersion_report(corpus, model: CodecModel, ks: Keystream) -> dict:
     scored against itself, and combined with a fresh weight draw.
     """
     corpus = list(corpus)
-    if len(corpus) < 100:
-        raise ValueError("need at least 100 sentences")
+    if len(corpus) < MIN_DISPERSION_SENTENCES:
+        raise ValueError(f"need at least {MIN_DISPERSION_SENTENCES} sentences")
     raw = {"s1": [], "s2": [], "s3": [], "s4": [], "weighted_sum": []}
-    for i, sentence in enumerate(corpus):
-        decoded = decode(encode(sentence, model), model, noise_seed=i)
-        scores = bleu_scores(sentence, decoded)
+    pairs = [(sentence, decode(encode(sentence, model), model, noise_seed=i)) for i, sentence in enumerate(corpus)]
+    for scores in bleu_scores_many(pairs):
         w = weight_generator(ks)
         raw["s1"].append(scores.s1)
         raw["s2"].append(scores.s2)

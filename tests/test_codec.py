@@ -14,6 +14,7 @@ from semshield.codec import (
     CodecModel,
     InvalidTokenError,
     bleu_scores,
+    bleu_scores_many,
     decode,
     encode,
     make_corpus,
@@ -193,6 +194,27 @@ _SMALL_VOCAB_SENTENCE = st.lists(st.integers(0, 3), min_size=1, max_size=40)
 def test_bleu_scores_match_reference(reference, hypothesis):
     assert bleu_scores(np.array(reference), np.array(hypothesis)) == \
         _bleu_reference(reference, hypothesis)
+
+
+# Tokens from {0..3}, so n-grams repeat within and across pairs, or from the
+# top of a 2**32 vocabulary, where n-gram ids grow largest; lengths from 1 to
+# 40, so some hypotheses are shorter than the order.
+_WIDE_SENTENCE = st.lists(st.one_of(st.integers(0, 3), st.integers(2**32 - 4, 2**32 - 1)),
+                          min_size=1, max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(_SMALL_VOCAB_SENTENCE | _WIDE_SENTENCE, _WIDE_SENTENCE), max_size=30))
+def test_bleu_scores_many_match_reference(pairs):
+    assert bleu_scores_many([(np.array(r), np.array(h)) for r, h in pairs]) == \
+        [_bleu_reference(r, h) for r, h in pairs]
+
+
+def test_bleu_scores_many_empty_input():
+    assert bleu_scores_many([]) == []
+    for pairs in ([([], [1])], [([1, 2], [1]), ([3], [])]):
+        with pytest.raises(ValueError, match="non-empty"):
+            bleu_scores_many(pairs)
 
 
 # SHA-256 over the raw scores of 200 decoded sentences of a 16-token

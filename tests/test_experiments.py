@@ -28,6 +28,7 @@ from semshield.experiments import (
     run_search_space,
     run_to_file,
 )
+from semshield.fields import DESCRIBE_MAX_CHARS
 from semshield.obfuscation import ObfuscationParams
 from semshield.ofdm import qam16_map
 
@@ -106,6 +107,21 @@ class TestConfig:
     def test_rejects_values_repr_cannot_print(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig(**{field: value})
+
+    # A 100,000-character scenario used to give a 100,109-character message.
+    @pytest.mark.parametrize("field,value", [
+        ("scenario", "x" * 100_000),
+        ("output_path", functools.reduce(lambda inner, _: [inner], range(500), [])),
+    ])
+    def test_error_messages_cut_long_values(self, field, value):
+        with pytest.raises(ConfigError, match=field) as exc:
+            ExperimentConfig(**{field: value})
+        assert str(exc.value).endswith(", not " + repr(value)[:DESCRIBE_MAX_CHARS] + "...")
+
+    def test_rejects_short_dispersion_corpus(self):
+        # It used to pass the config check and fail at run time (exit 3).
+        with pytest.raises(ConfigError, match="n_sentences"):
+            ExperimentConfig(scenario="dispersion", n_sentences=99)
 
     @pytest.mark.parametrize("field,value", [
         ("obfuscation", {"s_max": 2}), ("obfuscation", None),
@@ -434,6 +450,21 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    # 1e308 dB used to overflow 10 ** (snr_db / 10) and -1e308 dB to divide
+    # by zero, both at run time (exit 3).
+    @pytest.mark.parametrize("snr", ["1e308", "-1e308"])
+    def test_snr_past_bound_exits_two(self, tmp_path, capsys, snr):
+        rc = main(["ber_sweep", f"--snr={snr}", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "snr_db" in capsys.readouterr().err
+
+    def test_short_dispersion_corpus_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_sentences": 99}), encoding="utf-8")
+        rc = main(["dispersion", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
     # JSON as Python's json module reads it: NaN and Infinity are accepted literals.
     # A truthy string used to run the static channel, a non-string path to
     # fail only when the output was written (exit 3), a fractional
@@ -443,7 +474,8 @@ class TestCli:
     # 401-digit integer, too large for a float, used to end in an
     # OverflowError traceback (exit 1), and a 5000-digit one, past the digit
     # limit of Python's int parsing, in a ValueError traceback (exit 1).  A
-    # vocab_size of 2**33 used to fail when the decoy tokens were drawn (exit 3).
+    # vocab_size of 2**33 used to fail when the decoy tokens were drawn (exit 3),
+    # and a probe_noise_std of 1e300 to overflow np.std and run with a zero PLK.
     @pytest.mark.parametrize("entry", [
         '"n_bits": 2000.0', '"n_bits": true', '"guard_band": NaN', '"probe_noise_std": Infinity',
         '"static_channel": "false"', '"static_channel": 0',
@@ -460,6 +492,7 @@ class TestCli:
             '"codec": {"deviation_rate": %s}')),
         pytest.param('"n_bits": %s' % ("1" * 5000), id='"n_bits": <5000 digits>'),
         '"n_bits": 2000, "codec": {"vocab_size": 8589934592}',
+        '"probe_noise_std": 1e300',
     ])
     def test_bad_field_type_or_value_exits_two(self, tmp_path, capsys, entry):
         cfg_path = tmp_path / "cfg.json"

@@ -456,6 +456,14 @@ class TestPlkSimulation:
         with pytest.raises(ValueError, match="finite"):
             rayleigh_trace(64, seed=0, probe_noise_std=bad)
 
+    def test_non_finite_std_raises(self):
+        # Probe noise of std 1e300 used to overflow np.std with a RuntimeWarning
+        # and leave a silent all-zero PLK.
+        with pytest.raises(ValueError, match="std"):
+            quantize_samples(np.array([1e300, -1e300, 1e300]), 0.2)
+        with pytest.raises(ValueError, match="std"):
+            simulate_plk(rayleigh_trace(64, seed=0, probe_noise_std=1e300), 128, 0.2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_plk(rayleigh_trace(100, seed=0), 0, 0.1)

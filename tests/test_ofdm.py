@@ -6,6 +6,7 @@ import pytest
 from semshield.ofdm import (
     BITS_PER_SYMBOL,
     CP_LEN,
+    MAX_SNR_DB,
     N_FFT,
     ChannelModel,
     apply_channel,
@@ -134,6 +135,18 @@ class TestChannelModel:
         # -inf dB is all noise; it used to pass the noise-off test in apply_channel.
         with pytest.raises(ValueError, match="snr_db"):
             ChannelModel(snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", [1e308, -1e308, MAX_SNR_DB + 1, -MAX_SNR_DB - 1])
+    def test_rejects_snr_past_bound(self, snr_db):
+        # 1e308 dB used to overflow 10 ** (snr_db / 10) in apply_channel, and
+        # -1e308 dB to underflow it to 0 and divide by zero.
+        with pytest.raises(ValueError, match="snr_db"):
+            ChannelModel(snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", [MAX_SNR_DB, -MAX_SNR_DB])
+    def test_snr_at_bound_gives_finite_samples(self, snr_db):
+        y = apply_channel(np.ones(64, dtype=np.complex128), ChannelModel(snr_db=snr_db, channel_seed=1))
+        assert np.isfinite(y).all()
 
     def test_realized_tap_power_is_unity(self):
         for seed in range(50):
