@@ -145,11 +145,11 @@ def bleu_scores_many(pairs) -> list[BleuScores]:
     if not lengths.all():
         raise ValueError("sequences must be non-empty")
     n_pairs = lengths.size // 2
-    seq = np.repeat(np.arange(lengths.size), lengths)
+    pair, is_hyp = np.divmod(np.repeat(np.arange(lengths.size), lengths), 2)  # per token
     stop = np.repeat(np.cumsum(lengths), lengths)  # end of each token's sequence
     vocab, tok = np.unique(np.concatenate(seqs), return_inverse=True)
-    pos = np.arange(seq.size)  # where the n-grams of the current order start
-    ids = seq // 2 * vocab.size + tok
+    pos = np.arange(tok.size)  # where the n-grams of the current order start
+    ids = pair * vocab.size + tok
     clipped = np.zeros((n_pairs, 4), dtype=np.int64)
     for n in range(1, 5):
         if n > 1:
@@ -157,11 +157,11 @@ def bleu_scores_many(pairs) -> list[BleuScores]:
             pos = pos[more]
             ids = ids[more] * vocab.size + tok[pos + n - 1]
         uniq, ids = np.unique(ids, return_inverse=True)
-        is_hyp = (seq[pos] & 1).astype(bool)
-        ref = np.bincount(ids[~is_hyp], minlength=uniq.size)
-        hyp = np.bincount(ids[is_hyp], minlength=uniq.size)
+        hyp_side = is_hyp[pos] == 1
+        ref = np.bincount(ids[~hyp_side], minlength=uniq.size)
+        hyp = np.bincount(ids[hyp_side], minlength=uniq.size)
         owner = np.empty(uniq.size, dtype=np.int64)
-        owner[ids] = seq[pos] // 2
+        owner[ids] = pair[pos]
         clipped[:, n - 1] = np.bincount(owner, weights=np.minimum(ref, hyp), minlength=n_pairs)
 
     out = []

@@ -47,7 +47,6 @@ from .ofdm import (
 from . import security
 
 DEFAULT_SNR_GRID = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0)
-MAX_PROBE_NOISE_STD = 1e6
 
 
 class ConfigError(ValueError):
@@ -471,7 +470,7 @@ _CONFIG_RULES = {
     "guard_band": (float, 0, None),
     # Far above the unit-power gains it blurs, and small enough that the
     # std of the noisy probes stays finite.
-    "probe_noise_std": (float, 0, MAX_PROBE_NOISE_STD),
+    "probe_noise_std": (float, 0, 1e6),
 }
 
 
