@@ -65,6 +65,9 @@ def main(argv=None) -> int:
     out_path = args.out or cfg.output_path or f"{args.scenario}.{SCENARIOS[args.scenario].ext}"
     try:
         written = run_to_file(cfg, out_path)
+    except ConfigError as exc:  # found by the run, such as a search space too large to write
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 3
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

@@ -377,10 +377,13 @@ def run_keygen_demo(cfg: ExperimentConfig) -> dict:
 
 def run_search_space(cfg: ExperimentConfig) -> dict:
     p = cfg.obfuscation
-    report = security.analyze(
-        s_max=p.s_max, k_max=p.k_max, n_d=p.n_d, n_unit=cfg.n_unit,
-        l_weight=cfg.l_weight, l_skey=cfg.l_skey, l_seedkey=cfg.l_seedkey,
-    )
+    try:
+        report = security.analyze(
+            s_max=p.s_max, k_max=p.k_max, n_d=p.n_d, n_unit=cfg.n_unit,
+            l_weight=cfg.l_weight, l_skey=cfg.l_skey, l_seedkey=cfg.l_seedkey,
+        )
+    except ValueError as exc:  # a count too large to write
+        raise ConfigError(str(exc)) from None
     report["scenario"] = "search_space"
     report["ours_exceeds_baseline"] = int(report["eq11"]["exact"]) > int(report["eq9"]["exact"])
     return report

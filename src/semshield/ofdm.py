@@ -22,10 +22,8 @@ BITS_PER_SYMBOL = 4
 _SCALE = 1.0 / math.sqrt(10.0)
 # Gray map per axis: 2-bit value b_hi b_lo indexes the level.
 _LEVEL_BY_VALUE = np.array([-3.0, -1.0, 3.0, 1.0])  # 00, 01, 10, 11
-_BITS_BY_LEVEL_IDX = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
-# The four bits of the point with I level index i and Q level index q, at row 4*i + q.
-_BITS_BY_POINT_IDX = np.concatenate(
-    [np.repeat(_BITS_BY_LEVEL_IDX, 4, axis=0), np.tile(_BITS_BY_LEVEL_IDX, (4, 1))], axis=1)
+# The point of the four bits b0 b1 b2 b3, at index 8*b0 + 4*b1 + 2*b2 + b3.
+_POINTS = _SCALE * (np.repeat(_LEVEL_BY_VALUE, 4) + 1j * np.tile(_LEVEL_BY_VALUE, 4))
 
 KIND_AWGN = "awgn"
 KIND_RAYLEIGH_FLAT = "rayleigh_flat"
@@ -42,30 +40,28 @@ def qam16_map(bits: BitString) -> np.ndarray:
     if bits.size % 4:
         raise ValueError("bit count must be divisible by 4")
     quads = bits.reshape(-1, 4)
-    i_val = (quads[:, 0] << 1) | quads[:, 1]
-    q_val = (quads[:, 2] << 1) | quads[:, 3]
-    return _SCALE * (_LEVEL_BY_VALUE[i_val] + 1j * _LEVEL_BY_VALUE[q_val])
-
-
-def _axis_decide(x: np.ndarray) -> np.ndarray:
-    """Index 0-3 of the nearest of the four levels -3, -1, 1, 3 (times _SCALE).
-
-    With ``z = (x/_SCALE + 4)/2`` the index is ``clip(floor(z), 0, 3)``,
-    counted here as how many of 1, 2, 3 the value ``z`` reaches.
-    """
-    z = (x / _SCALE + 4.0) / 2.0
-    return (z >= 1.0).view(np.uint8) + (z >= 2.0).view(np.uint8) + (z >= 3.0).view(np.uint8)
+    return _POINTS[8 * quads[:, 0] + 4 * quads[:, 1] + 2 * quads[:, 2] + quads[:, 3]]
 
 
 def qam16_demap(symbols: np.ndarray) -> BitString:
     """Hard-decision inverse of qam16_map (nearest constellation point).
 
-    Raises ValueError for NaN or infinite symbols, which have no nearest point.
+    Per axis, with ``z = (x/_SCALE + 4)/2`` the nearest of the levels -3, -1,
+    1, 3 (times _SCALE) has index ``clip(floor(z), 0, 3)``; its Gray bits are
+    ``z >= 2`` and ``1 <= z < 3``.  Raises ValueError for NaN or infinite
+    symbols, which have no nearest point.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
     if not np.isfinite(symbols).all():
         raise ValueError("symbols must be finite")
-    return _BITS_BY_POINT_IDX[4 * _axis_decide(symbols.real) + _axis_decide(symbols.imag)].ravel()
+    bits = np.empty((symbols.size, 4), dtype=np.uint8)
+    for col, x in ((0, symbols.real), (2, symbols.imag)):
+        z = x / _SCALE
+        z += 4.0
+        z /= 2.0
+        np.greater_equal(z, 2.0, out=bits[:, col])
+        np.logical_and(z >= 1.0, z < 3.0, out=bits[:, col + 1])
+    return bits.ravel()
 
 
 def ofdm_modulate(symbols: np.ndarray) -> np.ndarray:
@@ -119,18 +115,26 @@ def apply_channel(samples: np.ndarray, ch: ChannelModel) -> np.ndarray:
     """Convolve with the realized taps and add seeded complex AWGN.
 
     Noise variance per sample is Es/SNR_lin with Es the mean energy of
-    the input samples; snr_db = +inf disables noise.
+    the input samples; snr_db = +inf disables noise.  The real parts of
+    the noise are drawn first, then the imaginary parts, each added into
+    the output in place; the input is never written.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     h = realize_taps(ch)
     out = np.convolve(samples, h)[: samples.size] if h.size > 1 or h[0] != 1.0 else samples.copy()
     if ch.snr_db == math.inf:
         return out
-    es = float(np.mean(np.abs(samples) ** 2))
-    noise_var = es / (10.0 ** (ch.snr_db / 10.0))
+    # One float buffer holds |samples|**2 for Es, then each half of the noise.
+    buf = np.abs(samples)
+    buf *= buf
+    noise_var = float(np.mean(buf)) / (10.0 ** (ch.snr_db / 10.0))
+    std = math.sqrt(noise_var / 2.0)
     rng = np.random.default_rng([ch.channel_seed & 0xFFFFFFFFFFFFFFFF, 0x6E])
-    noise = rng.standard_normal(samples.size) + 1j * rng.standard_normal(samples.size)
-    return out + noise * math.sqrt(noise_var / 2.0)
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=buf)
+        buf *= std
+        part += buf
+    return out
 
 
 def ofdm_demodulate_equalize(samples: np.ndarray, ch, n_symbols=None) -> np.ndarray:

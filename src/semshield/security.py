@@ -18,6 +18,16 @@ from .codec import Q32_ONE, CodecModel, bleu_scores_many, decode, encode
 from .keying import Keystream, generated_bleu, weight_generator
 
 
+# The most decimal digits an exact count may have: the report writes each
+# count with str(), which refuses longer ints (CPython's default
+# int_max_str_digits).  2**_MAX_COUNT_BITS is the first power of two past
+# the largest count.
+_MAX_COUNT_DIGITS = 4300
+_COUNT_LIMIT = 10 ** _MAX_COUNT_DIGITS
+_MAX_COUNT_BITS = _COUNT_LIMIT.bit_length()
+_TOO_LARGE = f"has more than {_MAX_COUNT_DIGITS} decimal digits"
+
+
 @dataclass(frozen=True)
 class SearchSpaceReport:
     formula_id: str
@@ -32,7 +42,16 @@ class SearchSpaceReport:
 def _report(formula_id: str, exact: int, **inputs) -> SearchSpaceReport:
     if exact < 1:
         raise ValueError("search space must be >= 1")
+    if exact >= _COUNT_LIMIT:
+        raise ValueError(f"search space {formula_id} {_TOO_LARGE}")
     return SearchSpaceReport(formula_id, exact, math.log2(exact), inputs)
+
+
+def _power(formula_id: str, base: int, exp: int) -> int:
+    """``base ** exp``, refused before it is built when it is too large to report."""
+    if (base.bit_length() - 1) * exp >= _MAX_COUNT_BITS:
+        raise ValueError(f"search space {formula_id} {_TOO_LARGE}")
+    return base ** exp
 
 
 def ss_dummy_location(s: int, k: int, n_d: int) -> SearchSpaceReport:
@@ -60,13 +79,13 @@ def ss_data(s_max: int, k_max: int, n_d: int, n_unit: int) -> SearchSpaceReport:
     if n_unit < 1:
         raise ValueError("n_unit must be >= 1")
     base = ss_dummy_location_dynamic(s_max, k_max, n_d).exact
-    return _report("eq5", base ** n_unit, s_max=s_max, k_max=k_max, n_d=n_d, n_unit=n_unit)
+    return _report("eq5", _power("eq5", base, n_unit), s_max=s_max, k_max=k_max, n_d=n_d, n_unit=n_unit)
 
 
 def ss_weight(l_weight: int) -> SearchSpaceReport:
     if l_weight < 1:
         raise ValueError("l_weight must be >= 1")
-    return _report("eq6", (1 << l_weight) ** 4, l_weight=l_weight)
+    return _report("eq6", _power("eq6", 2, 4 * l_weight), l_weight=l_weight)
 
 
 def ss_skey(l_skey: int) -> SearchSpaceReport:
@@ -93,7 +112,7 @@ def ss_seedkey_dynamic(s_max: int, k_max: int, n_unit: int, l: int) -> SearchSpa
     if s_max < 1 or k_max < 1 or n_unit < 1 or l < 0:
         raise ValueError("need s_max, k_max, n_unit >= 1 and l >= 0")
     return _report(
-        "eq10", (s_max * k_max) ** n_unit * (1 << l),
+        "eq10", _power("eq10", s_max * k_max, n_unit) * (1 << l),
         s_max=s_max, k_max=k_max, n_unit=n_unit, l=l,
     )
 

@@ -361,6 +361,19 @@ class TestSearchSpaceScenario:
         assert parsed["eq11"]["exact"] == str(
             int(parsed["eq5"]["exact"]) * int(parsed["eq10"]["exact"]))
 
+    @pytest.mark.parametrize("largest", [dict(n_unit=223), dict(l_weight=3571)])
+    def test_largest_writable_counts_still_run(self, largest):
+        # One more unit (or weight bit) and the count passes 4300 digits.
+        report = json.loads(render_output(ExperimentConfig(scenario="search_space", **largest)))
+        assert max(len(r["exact"]) for k, r in report.items() if k.startswith("eq")) <= 4300
+
+    @pytest.mark.parametrize("too_large", [dict(n_unit=224), dict(n_unit=10**9), dict(l_weight=3572),
+                                           dict(l_weight=10**12)])
+    def test_count_past_4300_digits_is_a_config_error(self, too_large):
+        # The huge ones are refused before the power is built.
+        with pytest.raises(ConfigError, match="more than 4300 decimal digits"):
+            run_search_space(ExperimentConfig(scenario="search_space", **too_large))
+
 
 class TestDispersionScenario:
     def test_report_shape(self):
@@ -428,6 +441,14 @@ class TestCli:
         rc = main(["search_space", "--config", str(cfg_path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_search_space_too_large_to_write_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "search_space", "n_unit": 400}), encoding="utf-8")
+        rc = main(["search_space", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "config error: search space eq5 has more than 4300 decimal digits" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_undecodable_config_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -609,13 +630,19 @@ def test_scoring_output_pinned(name):
 
 
 # SHA-256 of render_output for small constellation and ber_sweep configs over
-# an AWGN and a multipath channel; recorded before the two scenarios were
-# made to share one transmit/receive chain, and unchanged by it.
+# each channel kind.  The AWGN and multipath digests were recorded before the
+# two scenarios were made to share one transmit/receive chain, the flat-fading
+# ones before the map, the demap and the channel noise were rewritten to build
+# fewer full-size temporaries; each change left them as they were.
 CHAIN_OUTPUT_SHA256 = {
     ("constellation", "awgn"): "50e66788984c925ca5f9131647cf910ddb536555136c7087b434e1d6280602a4",
+    ("constellation", "rayleigh_flat"):
+        "d13264399ad24e76c630a4a9e70696f24972bf1b0cbbb0e35d63b52d25432f98",
     ("constellation", "rayleigh_multipath"):
         "9fc0e00d58ac69a3fe905f659ee2bc190130cefe8b02644381d198fa97139b4c",
     ("ber_sweep", "awgn"): "9f2fcc6f444d1972ab3b8596727ddde7b8e7ea432c0313ca9111e471bbf13e40",
+    ("ber_sweep", "rayleigh_flat"):
+        "d1af06e3a94f3ac5bbd428be5a50d77e5589cfb949d0c6ab9b9e978c1c5bf517",
     ("ber_sweep", "rayleigh_multipath"):
         "b98876ce5286cca4e1d83be7bdff6a7d0cb1490d0b54a90cfde3f70635aae695",
 }

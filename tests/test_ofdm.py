@@ -26,6 +26,91 @@ def _bits(n, seed):
     return np.random.default_rng(seed).integers(0, 2, n).astype(np.uint8)
 
 
+# Reference formulas for the map, the modulator and the channel, each written
+# the plain way with full-size temporaries; the production functions must give
+# the same bytes.
+_GRAY_LEVELS = np.array([-3.0, -1.0, 3.0, 1.0])  # axis value 2*b_hi + b_lo -> level
+
+
+def _ref_map(bits):
+    quads = np.asarray(bits, dtype=np.uint8).reshape(-1, 4)
+    i_val = (quads[:, 0] << 1) | quads[:, 1]
+    q_val = (quads[:, 2] << 1) | quads[:, 3]
+    return SCALE * (_GRAY_LEVELS[i_val] + 1j * _GRAY_LEVELS[q_val])
+
+
+def _ref_modulate(symbols):
+    time = np.fft.ifft(np.asarray(symbols).reshape(-1, N_FFT), norm="ortho", axis=1)
+    return np.concatenate([time[:, -CP_LEN:], time], axis=1).ravel()
+
+
+def _ref_channel(samples, ch):
+    h = realize_taps(ch)
+    out = np.convolve(samples, h)[: samples.size] if h.size > 1 or h[0] != 1.0 else samples.copy()
+    if ch.snr_db == math.inf:
+        return out
+    noise_var = float(np.mean(np.abs(samples) ** 2)) / (10.0 ** (ch.snr_db / 10.0))
+    rng = np.random.default_rng([ch.channel_seed & 0xFFFFFFFFFFFFFFFF, 0x6E])
+    a = rng.standard_normal(samples.size)
+    b = rng.standard_normal(samples.size)
+    return out + (a + 1j * b) * math.sqrt(noise_var / 2.0)
+
+
+_ALL_NIBBLES = np.array([(v >> (3 - j)) & 1 for v in range(16) for j in range(4)], dtype=np.uint8)
+_CHANNELS = [
+    ChannelModel(kind=kind, snr_db=snr_db, taps=taps, channel_seed=seed)
+    for kind, taps in (("awgn", 1), ("rayleigh_flat", 1), ("rayleigh_multipath", 3))
+    for snr_db in (7.5, MAX_SNR_DB, -MAX_SNR_DB, math.inf)
+    for seed in (0, 2**64 + 5)
+]
+
+
+class TestSameBytesAsReference:
+    @pytest.mark.parametrize("bits", [_ALL_NIBBLES, _bits(100_000, 30), np.zeros(0, dtype=np.uint8)],
+                             ids=["all_nibbles", "random", "empty"])
+    def test_map(self, bits):
+        assert qam16_map(bits).tobytes() == _ref_map(bits).tobytes()
+
+    @pytest.mark.parametrize("n_blocks", [1, 3, 400])
+    def test_modulate(self, n_blocks):
+        syms = _ref_map(_bits(n_blocks * N_FFT * 4, 31 + n_blocks))
+        assert ofdm_modulate(syms).tobytes() == _ref_modulate(syms).tobytes()
+
+    @pytest.mark.parametrize("ch", _CHANNELS, ids=lambda ch: f"{ch.kind}-{ch.snr_db}-{ch.channel_seed}")
+    def test_channel(self, ch):
+        x = _ref_modulate(_ref_map(_bits(25 * N_FFT * 4, 32)))
+        assert apply_channel(x, ch).tobytes() == _ref_channel(x, ch).tobytes()
+
+    def test_channel_on_a_strided_view(self):
+        # A frame split out of a longer transmission is a view of it.
+        x = _ref_modulate(_ref_map(_bits(8 * N_FFT * 4, 33)))
+        view = x[::2]
+        ch = ChannelModel(kind="rayleigh_multipath", snr_db=4.0, taps=5, channel_seed=34)
+        assert apply_channel(view, ch).tobytes() == _ref_channel(view, ch).tobytes()
+
+
+class TestInputsUnchanged:
+    @pytest.mark.parametrize("ch", _CHANNELS, ids=lambda ch: f"{ch.kind}-{ch.snr_db}-{ch.channel_seed}")
+    def test_apply_channel(self, ch):
+        tx = _ref_modulate(_ref_map(_bits(4 * N_FFT * 4, 35)))
+        before = tx.copy()
+        # both a whole array and the views np.split hands out
+        for part in (tx, *np.split(tx, [2 * (N_FFT + CP_LEN)])):
+            out = apply_channel(part, ch)
+            assert not np.shares_memory(out, tx)
+        assert tx.tobytes() == before.tobytes()
+
+    def test_map_modulate_demap(self):
+        bits = _bits(4 * N_FFT * 4, 36)
+        bits_before = bits.copy()
+        syms = qam16_map(bits)
+        syms_before = syms.copy()
+        ofdm_modulate(syms)
+        qam16_demap(syms)
+        assert bits.tobytes() == bits_before.tobytes()
+        assert syms.tobytes() == syms_before.tobytes()
+
+
 class TestQam16Map:
     def test_corner_points(self):
         # first two bits set I, last two set Q
@@ -68,8 +153,8 @@ class TestQam16Demap:
                               np.array([1, 0, 1, 0, 0, 0, 0, 0], dtype=np.uint8))
 
     def test_matches_the_per_axis_rule(self):
-        # The table demap against the per-axis decision it replaced: each axis
-        # by clip(floor((x/SCALE + 4)/2), 0, 3), then two bits per axis.
+        # The demap against the per-axis decision: each axis by
+        # clip(floor((x/SCALE + 4)/2), 0, 3), then the two Gray bits of that level.
         def axis(x):
             return np.clip(np.floor((x / SCALE + 4.0) / 2.0), 0, 3).astype(np.int64)
 
