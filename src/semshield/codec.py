@@ -89,19 +89,24 @@ def decode(bits: BitString, model: CodecModel, noise_seed: int) -> TokenSequence
     ``deviation_rate`` by a uniformly random *different* token.  The draw
     sequence is fixed by (codec_seed, noise_seed) and token position, so
     identical inputs always decode identically.
+
+    Bits are decoded along the last axis: a stack of equal-length rows,
+    shape ``(rows, n_bits)``, gives ``(rows, n_tokens)`` tokens, and every
+    row is decoded with the one draw sequence, exactly as if alone.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size % model.token_bits:
-        raise ValueError(f"bit length {bits.size} not divisible by token_bits={model.token_bits}")
-    fields = bits.reshape(-1, model.token_bits).astype(np.int64)
+    bits = np.atleast_1d(np.asarray(bits, dtype=np.uint8))
+    if bits.shape[-1] % model.token_bits:
+        raise ValueError(f"bit length {bits.shape[-1]} not divisible by token_bits={model.token_bits}")
+    fields = bits.reshape(*bits.shape[:-1], -1, model.token_bits).astype(np.int64)
     weights = 1 << np.arange(model.token_bits - 1, -1, -1, dtype=np.int64)
     tokens = fields @ weights
     if model.deviation_rate == 0.0 or tokens.size == 0:
         return tokens
     rng = np.random.default_rng([model.codec_seed & 0xFFFFFFFFFFFFFFFF, noise_seed & 0xFFFFFFFFFFFFFFFF])
-    substitute = rng.random(tokens.size) < model.deviation_rate
+    n_tokens = tokens.shape[-1]
+    substitute = rng.random(n_tokens) < model.deviation_rate
     # Uniform over the vocab minus the original token.
-    draws = rng.integers(0, model.vocab_size - 1, size=tokens.size)
+    draws = rng.integers(0, model.vocab_size - 1, size=n_tokens)
     replacements = draws + (draws >= tokens)
     return np.where(substitute, replacements, tokens)
 

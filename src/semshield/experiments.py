@@ -161,12 +161,16 @@ def _n_symbols(nbits: int) -> int:
     return -(-nbits // (N_FFT * BITS_PER_SYMBOL))
 
 
-def _pad_to_grid(bits: BitString, pad_rng: np.random.Generator) -> np.ndarray:
-    """Extend a bit string with random filler so it fills whole OFDM symbols."""
+def _pad_to_grid(bits: BitString, master_seed: int, pad_scope: tuple) -> np.ndarray:
+    """Extend a bit string with random filler so it fills whole OFDM symbols.
+
+    The filler is drawn from the substream of ``pad_scope``, which is built
+    only when filler is needed.
+    """
     total = _n_symbols(bits.size) * N_FFT * BITS_PER_SYMBOL
     if total == bits.size:
         return bits
-    filler = pad_rng.integers(0, 2, total - bits.size).astype(np.uint8)
+    filler = derive_rng(master_seed, *pad_scope).integers(0, 2, total - bits.size).astype(np.uint8)
     return np.concatenate([bits, filler])
 
 
@@ -175,9 +179,10 @@ def _join(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _transmit(frames: list[BitString], pad_rngs: list[np.random.Generator]) -> np.ndarray:
-    """Pad each frame with filler from its own RNG; map and modulate them back to back."""
-    return ofdm_modulate(qam16_map(_join([_pad_to_grid(b, r) for b, r in zip(frames, pad_rngs)])))
+def _transmit(master_seed: int, frames: list[BitString], pad_scopes: list[tuple]) -> np.ndarray:
+    """Pad each frame with filler from its own substream; map and modulate them back to back."""
+    padded = [_pad_to_grid(bits, master_seed, scope) for bits, scope in zip(frames, pad_scopes)]
+    return ofdm_modulate(qam16_map(_join(padded)))
 
 
 def _equalize(tx: np.ndarray, channels: list[ChannelModel], sizes: list[int]) -> np.ndarray:
@@ -264,7 +269,7 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[dict]:
         [(km, _)] = _derive_key_materials(cfg, [scope])
         frame = obfuscate(data, km.seed_key, p, cfg.codec)
         ota = ota_bits(frame)
-        tx = _transmit([ota], [derive_rng(cfg.master_seed, *scope, "pad")])
+        tx = _transmit(cfg.master_seed, [ota], [(*scope, "pad")])
 
         ch_legit = cfg.channel(snr, derive_int(cfg.master_seed, *scope, "ch-legit"))
         [rx_legit] = _receive(tx, [ch_legit], [ota.size])
@@ -281,7 +286,7 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[dict]:
         ber_eve = measure_ber(data, recover_bits(rx_eve, frame.l_d, wrong_seed, p))
 
         ch_plain = cfg.channel(snr, derive_int(cfg.master_seed, *scope, "ch-plain"))
-        tx_plain = _transmit([data], [derive_rng(cfg.master_seed, *scope, "pad-plain")])
+        tx_plain = _transmit(cfg.master_seed, [data], [(*scope, "pad-plain")])
         [rx_plain] = _receive(tx_plain, [ch_plain], [data.size])
         ber_plain = measure_ber(data, rx_plain)
 
@@ -317,19 +322,24 @@ def run_bleu_compare(cfg: ExperimentConfig) -> list[dict]:
         # The n encrypted frames, then the n plain ones.
         sent = [ota_bits(frame) for frame in frames] + plain
         roles = [(j, role) for role in ("", "-plain") for j in range(n)]
-        tx = _transmit(sent, [derive_rng(cfg.master_seed, *scope, j, "pad" + r) for j, r in roles])
+        tx = _transmit(cfg.master_seed, sent, [(*scope, j, "pad" + r) for j, r in roles])
         channels = [cfg.channel(snr, derive_int(cfg.master_seed, *scope, j, "ch" + r)) for j, r in roles]
         rx = _receive(tx, channels, [bits.size for bits in sent])
 
-        received = [recover_bits(rx[j], frames[j].l_d, keys[j], p) for j in range(n)] + rx[n:]
-        scores = bleu_scores_many(
-            (corpus[k % n], decode(bits, cfg.codec, noise_seed=k % n)) for k, bits in enumerate(received))
+        # Both copies of sentence j share its substitution draws, so they are
+        # decoded as one stack and scored as the pairs (enc j, plain j).
+        decoded = [
+            decode(np.stack([recover_bits(rx[j], frames[j].l_d, keys[j], p), rx[n + j]]),
+                   cfg.codec, noise_seed=j)
+            for j in range(n)
+        ]
+        scores = bleu_scores_many((corpus[j], hyp) for j in range(n) for hyp in decoded[j])
         # Summed frame by frame, in corpus order, as the means are defined.
         sums_enc = np.zeros(4)
         sums_plain = np.zeros(4)
         for j in range(n):
-            sums_enc += scores[j].as_floats()
-            sums_plain += scores[n + j].as_floats()
+            sums_enc += scores[2 * j].as_floats()
+            sums_plain += scores[2 * j + 1].as_floats()
         means[snr] = (sums_enc / n, sums_plain / n)
     rows = []
     for gram in range(1, 5):
@@ -349,7 +359,7 @@ def emit_constellation(cfg: ExperimentConfig) -> np.ndarray:
     snr = cfg.snr_list[0]
     scope = ("constellation", 0)
     bits = _corpus_bits(cfg, cfg.n_bits, derive_rng(cfg.master_seed, *scope, "data"))
-    tx = _transmit([bits], [derive_rng(cfg.master_seed, *scope, "pad")])
+    tx = _transmit(cfg.master_seed, [bits], [(*scope, "pad")])
     ch = cfg.channel(snr, derive_int(cfg.master_seed, *scope, "ch"))
     return _equalize(tx, [ch], [bits.size])
 

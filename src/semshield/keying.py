@@ -291,13 +291,14 @@ def quantize_samples(samples: np.ndarray, guard_band: float) -> tuple[BitString,
     Raises ValueError when the samples' std is not finite.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    # The median as np.median takes it: the middle value, or the mean of the two.
+    # The median as np.median takes it: the middle value, or the mean of the
+    # two.  The lower of the two is the largest value left of the pivot.
     half = samples.size // 2
+    part = np.partition(samples, half)
     if samples.size % 2:
-        median = float(np.partition(samples, half)[half])
+        median = float(part[half])
     else:
-        middle = np.partition(samples, (half - 1, half))[half - 1:half + 1]
-        median = float((middle[0] + middle[1]) / 2)
+        median = float((part[:half].max() + part[half]) / 2)
     with np.errstate(over="ignore", invalid="ignore"):
         std = float(np.std(samples))
     if not math.isfinite(std):

@@ -153,9 +153,14 @@ def ofdm_demodulate_equalize(samples: np.ndarray, ch, n_symbols=None) -> np.ndar
         ch, n_symbols = (ch,), (len(freq),)
     if sum(n_symbols) != len(freq) or len(n_symbols) != len(ch):
         raise ValueError("the channels' symbol counts must add up to the symbols received")
+    # Every channel's zero-padded taps in one array, for one FFT.
+    responses = np.zeros((len(ch), N_FFT), dtype=np.complex128)
+    for row, c in zip(responses, ch):
+        taps = realize_taps(c)
+        row[:taps.size] = taps
     start = 0
-    for c, n in zip(ch, n_symbols):
-        freq[start:start + n] /= np.fft.fft(realize_taps(c), n=N_FFT)
+    for response, n in zip(np.fft.fft(responses, axis=1), n_symbols):
+        freq[start:start + n] /= response
         start += n
     return freq.ravel()
 

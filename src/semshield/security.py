@@ -62,15 +62,23 @@ def ss_dummy_location(s: int, k: int, n_d: int) -> SearchSpaceReport:
 
 
 def ss_dummy_location_dynamic(s_max: int, k_max: int, n_d: int) -> SearchSpaceReport:
-    """Placements summed over every drawable (s, k) pair."""
+    """Placements summed over every drawable (s, k) pair: C(s*n_d, k) for
+    1 <= s <= s_max and 1 <= k <= k_max with k < s*n_d.
+
+    Each C(N, k) comes from C(N, k-1) by the running product, and the sum is
+    refused as soon as it is too large to report.
+    """
     if s_max < 1 or k_max < 1 or n_d < 1:
         raise ValueError("parameters must be >= 1")
-    total = sum(
-        math.comb(s * n_d, k)
-        for s in range(1, s_max + 1)
-        for k in range(1, k_max + 1)
-        if k < s * n_d
-    )
+    total = 0
+    for s in range(1, s_max + 1):
+        n = s * n_d
+        comb = 1  # C(n, 0)
+        for k in range(1, min(k_max, n - 1) + 1):
+            comb = comb * (n - k + 1) // k
+            total += comb
+            if total >= _COUNT_LIMIT:
+                raise ValueError(f"search space eq4 {_TOO_LARGE}")
     return _report("eq4", total, s_max=s_max, k_max=k_max, n_d=n_d)
 
 

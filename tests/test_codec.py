@@ -111,6 +111,27 @@ class TestEncodeDecode:
         c = decode(bits, model, noise_seed=10)
         assert not np.array_equal(a, c)
 
+    def test_ragged_rows_rejected(self):
+        model = CodecModel(vocab_size=16)
+        with pytest.raises(ValueError):
+            decode([[0] * 8, [0] * 4], model, noise_seed=0)
+        with pytest.raises(ValueError, match="not divisible"):
+            decode(np.zeros((2, 6), dtype=np.uint8), model, noise_seed=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), deviation_rate=st.sampled_from([0.0, 0.1, 1.0]),
+       vocab_size=st.sampled_from([2, 2**32]), noise_seed=st.integers(0, 2**64 - 1))
+def test_decode_stack_matches_each_row_alone(data, deviation_rate, vocab_size, noise_seed):
+    model = CodecModel(vocab_size=vocab_size, deviation_rate=deviation_rate)
+    n = data.draw(st.integers(0, 30))
+    sentence = st.lists(st.integers(0, vocab_size - 1), min_size=n, max_size=n)
+    rows = [encode(data.draw(sentence), model) for _ in range(2)]
+    stacked = decode(np.stack(rows), model, noise_seed)
+    assert stacked.shape == (2, n)
+    for got, bits in zip(stacked, rows):
+        assert np.array_equal(got, decode(bits, model, noise_seed))
+
 
 class TestBleuScores:
     def test_identity_sentence(self):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semshield import experiments
 from semshield.cli import main
-from semshield.codec import CodecModel
+from semshield.codec import CodecModel, encode, make_corpus
 from semshield.experiments import (
     DEFAULT_SNR_GRID,
     SCENARIOS,
@@ -30,7 +31,7 @@ from semshield.experiments import (
 )
 from semshield.fields import DESCRIBE_MAX_CHARS
 from semshield.obfuscation import ObfuscationParams
-from semshield.ofdm import qam16_map
+from semshield.ofdm import BITS_PER_SYMBOL, N_FFT, qam16_map
 
 
 def _fast_cfg(**kw):
@@ -224,6 +225,58 @@ def test_constructor_raises_only_config_error(fields):
         pass
 
 
+# Small configs of each scenario, sized so that a run takes milliseconds.
+# Fields stay mostly in range, so most configs run; a few SNRs lie past the
+# bound, and search_space may ask for a count too large to write.
+def _small_run(scenario):
+    return st.fixed_dictionaries(
+        {
+            "scenario": st.just(scenario),
+            "snr_list": st.lists(st.floats(-310, 310) | st.just(math.inf), min_size=1, max_size=2),
+            "n_bits": st.integers(1, 2000),
+            "n_sentences": st.integers(100, 101) if scenario == "dispersion" else st.integers(1, 8),
+        },
+        optional={
+            "obfuscation": st.fixed_dictionaries({}, optional={
+                "s_max": st.integers(1, 4), "k_max": st.integers(1, 8),
+                "n_d": st.integers(9, 64), "b": st.integers(1, 8)}),
+            "codec": st.fixed_dictionaries({}, optional={
+                "vocab_size": st.sampled_from([2, 3, 16, 4096, 2**32]),
+                "token_bits": st.integers(32, 40),
+                "deviation_rate": st.floats(0, 1),
+                "codec_seed": st.integers()}),
+            "channel_kind": st.sampled_from(["awgn", "rayleigh_flat", "rayleigh_multipath"]),
+            "channel_taps": st.integers(1, 16),
+            "master_seed": st.integers(),
+            "static_channel": st.booleans(),
+            "key_refresh": st.sampled_from(["per_frame", "per_point"]),
+            "n_unit": st.integers(1, 300),
+            "l_weight": st.integers(1, 64),
+            "l_skey": st.sampled_from([8, 128, 256]),
+            "l_seedkey": st.sampled_from([8, 128, 256]),
+            "guard_band": st.floats(0, 3),
+            "n_probes": st.integers(1, 600),
+            "probe_coherence": st.integers(1, 20),
+            "probe_noise_std": st.floats(0, 2),
+        },
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=st.sampled_from(sorted(SCENARIOS)).flatmap(_small_run))
+def test_every_accepted_config_runs(raw):
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return
+    try:
+        text = render_output(cfg)
+    except ConfigError:  # a search space too large to write
+        assert cfg.scenario == "search_space"
+        return
+    assert text
+
+
 class TestDerivation:
     def test_digest_deterministic_and_scoped(self):
         assert derive_digest(0, "a", 1) == derive_digest(0, "a", 1)
@@ -284,6 +337,26 @@ class TestBleuCompare:
         rows = run_bleu_compare(cfg)
         assert [(r["gram"], r["snr_db"]) for r in rows] == \
             [(g, s) for g in (1, 2, 3, 4) for s in (0.0, 12.0)]
+
+    # At 16 bits per token a 16-token sentence fills one OFDM symbol, so some
+    # plain frames need no filler either.
+    @pytest.mark.parametrize("codec", [CodecModel(), CodecModel(vocab_size=2**16)])
+    def test_pad_generators_built_only_for_filler(self, monkeypatch, codec):
+        pad_scopes = []
+        real = experiments.derive_rng
+
+        def counting(master_seed, *parts):
+            if str(parts[-1]).startswith("pad"):
+                pad_scopes.append(parts)
+            return real(master_seed, *parts)
+
+        monkeypatch.setattr(experiments, "derive_rng", counting)
+        cfg = _fast_cfg(scenario="bleu_compare", snr_list=(6.0, 40.0), n_sentences=30, codec=codec)
+        run_bleu_compare(cfg)
+        corpus = make_corpus(cfg.n_sentences, codec, derive_int(cfg.master_seed, "bleu", "corpus"))
+        short = sum(encode(s, codec).size % (N_FFT * BITS_PER_SYMBOL) != 0 for s in corpus)
+        # Encrypted frames fill whole symbols at the default geometry and build none.
+        assert [scope[-1] for scope in pad_scopes] == ["pad-plain"] * (len(cfg.snr_list) * short)
 
 
 class TestConstellation:

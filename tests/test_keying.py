@@ -559,6 +559,12 @@ _PLK_SAMPLES = st.lists(
        noise_std=st.one_of(st.sampled_from([0.0, 0.05, 0.5]), st.floats(0.0, 2.0)),
        guard_band=st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 2.0)),
        target_bits=st.integers(1, 600), noise_seed=st.integers(0, (1 << 64) - 1))
+# A full-size trace of distinct values: with no guard band every bit depends on
+# which value the even-length median takes as the lower middle.  After
+# np.partition at the upper middle of this trace, the value just left of the
+# pivot is not the lower middle.
+@example(samples=np.random.default_rng(98).rayleigh(size=4096).tolist(), coherence=1,
+         noise_std=0.0, guard_band=0.0, target_bits=128, noise_seed=0)
 def test_simulate_plk_matches_reference(samples, coherence, noise_std, guard_band,
                                         target_bits, noise_seed):
     trace = ChannelTrace(np.array(samples), coherence=coherence, probe_noise_std=noise_std)

@@ -46,6 +46,24 @@ class TestPerUnitCounts:
         # sum over s in 1..2, k in 1..2 of C(4s, k)
         assert ss_dummy_location_dynamic(2, 2, 4).exact == 46
 
+    def test_dynamic_equals_binomial_sum(self):
+        # k_max reaches past s*n_d for the small units, where k < s*n_d drops terms.
+        for s_max in (1, 2, 3):
+            for k_max in (1, 2, 5, 9):
+                for n_d in (1, 2, 3, 8):
+                    total = sum(math.comb(s * n_d, k) for s in range(1, s_max + 1)
+                                for k in range(1, k_max + 1) if k < s * n_d)
+                    if total:
+                        assert ss_dummy_location_dynamic(s_max, k_max, n_d).exact == total
+                    else:
+                        with pytest.raises(ValueError, match=">= 1"):
+                            ss_dummy_location_dynamic(s_max, k_max, n_d)
+
+    def test_dynamic_past_4300_digits_refused(self):
+        # The running sum passes 10**4300 at k = 1,286, long before k = 2**19.
+        with pytest.raises(ValueError, match="eq4 has more than 4300 decimal digits"):
+            ss_dummy_location_dynamic(1, 2**19, 2**20)
+
     def test_dynamic_monotone_in_bounds(self):
         base = ss_dummy_location_dynamic(2, 3, 16).exact
         assert ss_dummy_location_dynamic(3, 3, 16).exact > base
