@@ -752,3 +752,30 @@ def test_short_symbol_output_pinned(scenario):
                         obfuscation=ObfuscationParams(n_d=32))
     digest = hashlib.sha256(render_output(cfg).encode("ascii")).hexdigest()
     assert digest == PAD_OUTPUT_SHA256[scenario]
+
+
+# SHA-256 of render_output for the search_space and keygen_demo scenarios:
+# search_space at its defaults and at (s_max, k_max, n_d, n_unit) =
+# (400, 200, 256, 1), keygen_demo at its defaults, over a static channel and
+# with noisy probes.  Recorded before the search-space report built each
+# formula once.
+REPORT_OUTPUT_SHA256 = {
+    ("search_space", "defaults"): "825a6ba5424a5463b49cb49c9468837158ea938503ceb1ae53a9701f98463682",
+    ("search_space", "400,200,256,1"): "de0a5dabed11b500db5ed7951f2b08201bce96baf42a1561b471f6b54759fc36",
+    ("keygen_demo", "defaults"): "8cb89380203add3a5917f40b751018d7eb112fb38928cf97378fb5b25280e38f",
+    ("keygen_demo", "static_channel"): "448e01bbbfdd2cf84d39963ee6c523ccd809e649e9f155d015b5c7b42f9d67df",
+    ("keygen_demo", "probe_noise_std=0.3"): "1aaad084a0f14edeecdd6019ee2471b307b0f91cb8724cb4a754dbdb08888d12",
+}
+_REPORT_CONFIGS = {
+    "defaults": {},
+    "400,200,256,1": dict(obfuscation=ObfuscationParams(s_max=400, k_max=200, n_d=256), n_unit=1),
+    "static_channel": dict(static_channel=True),
+    "probe_noise_std=0.3": dict(probe_noise_std=0.3),
+}
+
+
+@pytest.mark.parametrize("scenario,name", sorted(REPORT_OUTPUT_SHA256))
+def test_report_output_pinned(scenario, name):
+    cfg = ExperimentConfig(scenario=scenario, **_REPORT_CONFIGS[name])
+    digest = hashlib.sha256(render_output(cfg).encode("ascii")).hexdigest()
+    assert digest == REPORT_OUTPUT_SHA256[scenario, name]
