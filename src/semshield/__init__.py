@@ -1,101 +1,18 @@
-"""Semantic-key encryption and subcarrier obfuscation over a simulated OFDM link."""
+"""Semantic-key encryption and subcarrier obfuscation over a simulated OFDM link.
 
-from .bits import (
-    bits_from_bytes,
-    bytes_from_bits,
-    hex_from_bits,
-    int_from_bits,
-    xor_bits,
-)
-from .codec import (
-    BleuScores,
-    CodecModel,
-    InvalidTokenError,
-    bleu_scores,
-    bleu_scores_many,
-    decode,
-    encode,
-    make_corpus,
-    quantize_q32,
-)
+The root holds the quick-start names of README.md; everything else is
+imported from its module.
+"""
+
+from .codec import CodecModel
 from .keying import (
-    ChannelTrace,
-    InsufficientEntropyError,
     KeyMaterial,
     Keystream,
-    WeightVector,
-    chacha20_stream,
-    constant_trace,
-    empirical_bit_entropy,
-    expand_seed,
     generate_skey,
-    generated_bleu,
-    label_nonce,
-    quantize_samples,
     rayleigh_trace,
     simulate_plk,
-    skey_hash,
     weight_generator,
 )
-from .obfuscation import (
-    DataUnit,
-    DesyncError,
-    FrameFormatError,
-    ObfuscatedFrame,
-    ObfuscationParams,
-    deobfuscate,
-    derive_layout,
-    derive_seed2,
-    deserialize_frame,
-    draw_unit_params,
-    dummy_locations,
-    generate_dummy_bits,
-    obfuscate,
-    ota_bits,
-    recover_bits,
-    serialize_frame,
-)
-from .ofdm import (
-    BITS_PER_SYMBOL,
-    CP_LEN,
-    N_FFT,
-    ChannelModel,
-    apply_channel,
-    ber_16qam_awgn_theory,
-    measure_ber,
-    ofdm_demodulate_equalize,
-    ofdm_modulate,
-    qam16_demap,
-    qam16_map,
-    realize_taps,
-)
-from .security import (
-    analyze,
-    bleu_dispersion_report,
-    brute_force_placements,
-    histogram_entropy,
-    score_histogram,
-    ss_data,
-    ss_dummy_location,
-    ss_dummy_location_dynamic,
-    ss_seedkey,
-    ss_seedkey_baseline,
-    ss_seedkey_dynamic,
-    ss_skey,
-    ss_total,
-    ss_weight,
-)
-from .experiments import (
-    ConfigError,
-    ExperimentConfig,
-    load_config,
-    render_output,
-    run_ber_sweep,
-    run_bleu_compare,
-    run_dispersion,
-    run_keygen_demo,
-    run_search_space,
-    run_to_file,
-)
+from .obfuscation import ObfuscationParams, obfuscate, ota_bits, recover_bits
 
 __version__ = "0.1.0"

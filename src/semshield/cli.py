@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 
 from .experiments import (
+    KEY_REFRESH,
     SCENARIOS,
     ConfigError,
     ExperimentConfig,
@@ -26,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--snr", metavar="a,b,c", help="override snr_list (comma-separated dB)")
     parser.add_argument("--static-channel", action="store_true",
                         help="use a constant channel trace for key generation")
-    parser.add_argument("--key-refresh", choices=("per_frame", "per_point"),
+    parser.add_argument("--key-refresh", choices=KEY_REFRESH,
                         help="how often the key ceremony reruns")
     return parser
 
@@ -44,28 +45,21 @@ def _parse_snr(text: str) -> list:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            cfg = load_config(args.config)
-            if cfg.scenario != args.scenario:
-                cfg = replace(cfg, scenario=args.scenario)
-        else:
-            cfg = ExperimentConfig(scenario=args.scenario)
+        # All overrides in one replace, so only the combined config is checked.
+        overrides = {"scenario": args.scenario}
         if args.seed is not None:
-            cfg = replace(cfg, master_seed=args.seed)
+            overrides["master_seed"] = args.seed
         if args.snr is not None:
-            cfg = replace(cfg, snr_list=_parse_snr(args.snr))
+            overrides["snr_list"] = _parse_snr(args.snr)
         if args.static_channel:
-            cfg = replace(cfg, static_channel=True)
+            overrides["static_channel"] = True
         if args.key_refresh:
-            cfg = replace(cfg, key_refresh=args.key_refresh)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    out_path = args.out or cfg.output_path or f"{args.scenario}.{SCENARIOS[args.scenario].ext}"
-    try:
+            overrides["key_refresh"] = args.key_refresh
+        cfg = replace(load_config(args.config), **overrides) if args.config else ExperimentConfig(**overrides)
+        out_path = args.out or cfg.output_path or f"{args.scenario}.{SCENARIOS[args.scenario].ext}"
+        # A run finds config errors too, such as a search space too large to write.
         written = run_to_file(cfg, out_path)
-    except ConfigError as exc:  # found by the run, such as a search space too large to write
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 3
@@ -73,7 +67,6 @@ def main(argv=None) -> int:
         return 3
     print(written)
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -47,6 +47,8 @@ from .ofdm import (
 from . import security
 
 DEFAULT_SNR_GRID = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0)
+# How often the key ceremony reruns: once per frame or once per SNR point.
+KEY_REFRESH = ("per_frame", "per_point")
 
 
 class ConfigError(ValueError):
@@ -472,7 +474,7 @@ SCENARIOS = {
 # ChannelModel checks channel_kind and the bounds of channel_taps.
 _CONFIG_RULES = {
     "scenario": (tuple(SCENARIOS), None, None),
-    "key_refresh": (("per_frame", "per_point"), None, None),
+    "key_refresh": (KEY_REFRESH, None, None),
     "obfuscation": (ObfuscationParams, None, None),
     "codec": (CodecModel, None, None),
     "static_channel": (bool, None, None),

@@ -86,7 +86,7 @@ class Keystream:
 
     The stream is a pure function of (seed, label, position); bits are
     served most-significant-first within each keystream byte.  Instances
-    are stateful and single-owner.
+    are stateful and single-owner, and every stream starts at position 0.
 
     Every read starts at ``position``: ``bits`` returns the next bits and
     advances past them.  ``draw_uniform`` reads its 32-bit words through
@@ -94,24 +94,23 @@ class Keystream:
     interleaving of the two reads the stream in order.
     """
 
-    def __init__(self, seed: bytes, label: bytes | str, position: int = 0, nonce: bytes | None = None):
+    def __init__(self, seed: bytes, label: bytes | str, nonce: bytes | None = None):
         if len(seed) != 32:
             raise ValueError("seed must be 32 bytes; use Keystream.from_seed_bits for bit strings")
         if isinstance(label, str):
             label = label.encode("utf-8")
         self.seed = seed
-        self.label = label
-        self.position = position
+        self.position = 0
         self._nonce = nonce if nonce is not None else label_nonce(label)
         # Generated keystream bytes, from bit offset _base; they always end
         # on a cipher block boundary, so the next block counter follows.
-        self._base = position - position % (8 * CHACHA_BLOCK_BYTES)
+        self._base = 0
         self._raw = b""
         self._grow = 0  # fewest bits the next generation makes
 
     @classmethod
-    def from_seed_bits(cls, seed_bits: BitString, label: bytes | str, position: int = 0) -> "Keystream":
-        return cls(expand_seed(seed_bits), label, position)
+    def from_seed_bits(cls, seed_bits: BitString, label: bytes | str) -> "Keystream":
+        return cls(expand_seed(seed_bits), label)
 
     def _peek(self, nbits: int) -> BitString:
         """The ``nbits`` bits from ``position`` on, without consuming them."""
@@ -122,8 +121,7 @@ class Keystream:
             n_blocks = -(-max(stop - 8 * len(self._raw), self._grow) // (8 * CHACHA_BLOCK_BYTES))
             fresh = chacha20_stream(self.seed, self._nonce, counter, n_blocks * CHACHA_BLOCK_BYTES)
             self._grow = min(2 * 8 * len(fresh), _REFILL_BITS)
-            # A fresh stream seeked into a block holds fewer bytes than it skips.
-            drop = min(start // 8, len(self._raw))
+            drop = start // 8
             self._raw = self._raw[drop:] + fresh
             self._base += 8 * drop
             start -= 8 * drop

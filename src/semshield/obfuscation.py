@@ -96,6 +96,8 @@ class DataUnit:
     ``dummy_locations`` are the unit's own subcarrier indices, and
     ``payload_bits`` is its full on-air content, s*n_d*b bits with dummy
     and data subcarriers interleaved (b bits per subcarrier, MSB first).
+    Only ``ObfuscatedFrame.units`` builds units, from a frame whose layout
+    ``obfuscate`` or ``deserialize_frame`` has already checked.
     """
 
     s: int
@@ -103,24 +105,6 @@ class DataUnit:
     dummy_locations: np.ndarray
     payload_bits: BitString
     params: ObfuscationParams
-
-    def __post_init__(self):
-        p = self.params
-        locs = np.asarray(self.dummy_locations, dtype=np.int64)
-        object.__setattr__(self, "dummy_locations", locs)
-        object.__setattr__(self, "payload_bits", np.asarray(self.payload_bits, dtype=np.uint8))
-        if not (1 <= self.s <= p.s_max and 1 <= self.k <= p.k_max):
-            raise ValueError(f"params ({self.s},{self.k}) outside [1,{p.s_max}] x [1,{p.k_max}]")
-        if locs.shape != (self.k,):
-            raise ValueError("locations must be a flat list of k entries")
-        # k is at most k_max, so Python ints check faster than numpy calls
-        ints = locs.tolist()
-        if ints[0] < 0 or any(a >= b for a, b in zip(ints, ints[1:])):
-            raise ValueError("locations must be strictly increasing and non-negative")
-        if ints[-1] >= self.s * p.n_d:
-            raise ValueError(f"dummy location {ints[-1]} past the unit's {self.s * p.n_d} subcarriers")
-        if self.payload_bits.shape != (self.s * p.symbol_bits,):
-            raise ValueError(f"payload must be {self.s * p.symbol_bits} bits, not {self.payload_bits.size}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,10 +144,10 @@ class ObfuscatedFrame:
 
     @property
     def units(self) -> tuple:
-        """Every unit, its payload a view into ``air``."""
+        """Every unit: its locations a slice of one int64 array, its payload a view into ``air``."""
         p = self.params
         n = self.s * p.n_d
-        local = (self.dummy_locations - np.repeat(np.cumsum(n) - n, self.k)).tolist()
+        local = self.dummy_locations - np.repeat(np.cumsum(n) - n, self.k)
         units, loc, bit = [], 0, 0
         for s, k in zip(self.s.tolist(), self.k.tolist()):
             nbits = s * p.symbol_bits

@@ -82,12 +82,15 @@ def ss_dummy_location_dynamic(s_max: int, k_max: int, n_d: int) -> SearchSpaceRe
     return _report("eq4", total, s_max=s_max, k_max=k_max, n_d=n_d)
 
 
-def ss_data(s_max: int, k_max: int, n_d: int, n_unit: int) -> SearchSpaceReport:
-    """Per-unit placement count raised to the number of units."""
+def _data(eq4: SearchSpaceReport, n_unit: int) -> SearchSpaceReport:
     if n_unit < 1:
         raise ValueError("n_unit must be >= 1")
-    base = ss_dummy_location_dynamic(s_max, k_max, n_d).exact
-    return _report("eq5", _power("eq5", base, n_unit), s_max=s_max, k_max=k_max, n_d=n_d, n_unit=n_unit)
+    return _report("eq5", _power("eq5", eq4.exact, n_unit), **eq4.inputs, n_unit=n_unit)
+
+
+def ss_data(s_max: int, k_max: int, n_d: int, n_unit: int) -> SearchSpaceReport:
+    """Per-unit placement count raised to the number of units."""
+    return _data(ss_dummy_location_dynamic(s_max, k_max, n_d), n_unit)
 
 
 def ss_weight(l_weight: int) -> SearchSpaceReport:
@@ -125,14 +128,13 @@ def ss_seedkey_dynamic(s_max: int, k_max: int, n_unit: int, l: int) -> SearchSpa
     )
 
 
+def _total(eq5: SearchSpaceReport, eq10: SearchSpaceReport) -> SearchSpaceReport:
+    return _report("eq11", eq5.exact * eq10.exact, **eq5.inputs, l=eq10.inputs["l"])
+
+
 def ss_total(s_max: int, k_max: int, n_d: int, n_unit: int, l: int) -> SearchSpaceReport:
     """Placement search space times the dynamic seed-key search space."""
-    data = ss_data(s_max, k_max, n_d, n_unit).exact
-    dyn = ss_seedkey_dynamic(s_max, k_max, n_unit, l).exact
-    return _report(
-        "eq11", data * dyn,
-        s_max=s_max, k_max=k_max, n_d=n_d, n_unit=n_unit, l=l,
-    )
+    return _total(ss_data(s_max, k_max, n_d, n_unit), ss_seedkey_dynamic(s_max, k_max, n_unit, l))
 
 
 _ENUM_BOUND = 24
@@ -166,18 +168,21 @@ def analyze(
     l_skey: int = 128,
     l_seedkey: int = 128,
 ) -> dict:
-    """All search-space figures for one parameter set, keyed by formula id."""
-    reports = [
-        ss_dummy_location(s_max, k_max, n_d),
-        ss_dummy_location_dynamic(s_max, k_max, n_d),
-        ss_data(s_max, k_max, n_d, n_unit),
+    """All search-space figures for one parameter set, keyed by formula id.
+
+    Each formula is built once: eq5 from eq4, and eq11 from eq5 and eq10.
+    """
+    eq3 = ss_dummy_location(s_max, k_max, n_d)
+    eq4 = ss_dummy_location_dynamic(s_max, k_max, n_d)
+    eq5 = _data(eq4, n_unit)
+    eq6_to_9 = [
         ss_weight(l_weight),
         ss_skey(l_skey),
         ss_seedkey(l_seedkey),
         ss_seedkey_baseline(s_max, k_max, l_seedkey),
-        ss_seedkey_dynamic(s_max, k_max, n_unit, l_seedkey),
-        ss_total(s_max, k_max, n_d, n_unit, l_seedkey),
     ]
+    eq10 = ss_seedkey_dynamic(s_max, k_max, n_unit, l_seedkey)
+    reports = [eq3, eq4, eq5, *eq6_to_9, eq10, _total(eq5, eq10)]
     return {r.formula_id: r.to_json_dict() for r in reports}
 
 

@@ -627,6 +627,17 @@ class TestCli:
         assert rc == 3
         assert "runtime error" in capsys.readouterr().err
 
+    def test_overrides_are_checked_together(self, tmp_path):
+        # An empty snr_list is valid for search_space; the ber_sweep that the
+        # scenario argument and --snr make of it together is valid too.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "search_space", "snr_list": [], "n_bits": 2000}),
+                            encoding="utf-8")
+        out = tmp_path / "ber.csv"
+        rc = main(["ber_sweep", "--config", str(cfg_path), "--snr", "30", "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().splitlines()[1].startswith("30.00000000,")
+
     def test_scenario_argument_wins_over_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"scenario": "ber_sweep"}),

@@ -92,9 +92,10 @@ class TestKeystream:
         chunks = np.concatenate([a.bits(7), a.bits(500), a.bits(93)])
         assert np.array_equal(chunks, b.bits(600))
 
-    def test_position_seek_matches_block_counter(self):
-        # starting 512 bits in = starting at the second cipher block
-        ks = Keystream(bytes(32), "xor", position=512)
+    def test_bits_after_the_first_block_are_cipher_block_1(self):
+        # reading on from 512 bits in = reading the second cipher block
+        ks = Keystream(bytes(32), "xor")
+        ks.bits(512)
         nonce = label_nonce(b"xor")
         expected = chacha20_stream(bytes(32), nonce, 1, 64)
         assert bytes_from_bits(ks.bits(512)) == expected
@@ -142,8 +143,10 @@ class TestKeystream:
             assert bytes_from_bits(ks.bits(512)).hex() == stream_hex, label
 
     def test_mutating_returned_bits_leaves_the_stream_alone(self):
-        ks = Keystream(bytes(32), "xor", position=3)
-        twin = Keystream(bytes(32), "xor", position=3)
+        ks = Keystream(bytes(32), "xor")
+        twin = Keystream(bytes(32), "xor")
+        ks.bits(3)
+        twin.bits(3)
         for n in (13, 600, 40_000):
             out = ks.bits(n)
             expected = twin.bits(n)
@@ -172,7 +175,8 @@ class TestDrawUniform:
             ks.draw_uniform((1 << 32) + 1)
 
     def test_empty_batch_reads_nothing_and_a_negative_one_raises(self):
-        ks = Keystream(bytes(32), "xor", position=5)
+        ks = Keystream(bytes(32), "xor")
+        ks.bits(5)
         assert ks.draw_uniform(10, 0) == []
         assert ks.position == 5
         with pytest.raises(ValueError):
@@ -210,27 +214,29 @@ class TestKeystreamGeneration:
     def test_long_stream_read_in_small_pieces(self, generated):
         # 1 Mbit in 1000-bit reads: generations double from one block up to
         # the largest refill, so they make at most about six extra calls.
-        ks = Keystream(bytes(32), "xor", position=3)
+        ks = Keystream(bytes(32), "xor")
+        ks.bits(3)
         reads = [ks.bits(1000) for _ in range(1049)]
         total = 1000 * len(reads)
         assert len(generated) <= -(-total // _REFILL_BITS) + 6
         assert total <= 8 * sum(generated) < total + _REFILL_BITS + 512
-        assert np.array_equal(np.concatenate(reads), Keystream(bytes(32), "xor", position=3).bits(total))
+        ref = Keystream(bytes(32), "xor")
+        ref.bits(3)
+        assert np.array_equal(np.concatenate(reads), ref.bits(total))
 
 
 class _RawReader:
     """Reference reader: bits and rejection draws taken straight from cipher bytes."""
 
-    def __init__(self, seed: bytes, label: str, position: int):
+    def __init__(self, seed: bytes, label: str):
         self._seed, self._nonce = seed, label_nonce(label.encode())
-        self._block = position // 512  # first cipher block the reader needs
         self._bits = np.zeros(0, dtype=np.uint8)
-        self.position = position
+        self.position = 0
 
     def bits(self, n):
-        start = self.position - 512 * self._block
+        start = self.position
         if start + n > self._bits.size:
-            raw = chacha20_stream(self._seed, self._nonce, self._block, (start + n) // 4 + 64)
+            raw = chacha20_stream(self._seed, self._nonce, 0, (start + n) // 4 + 64)
             self._bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
         self.position += n
         return self._bits[start:start + n]
@@ -261,20 +267,20 @@ _STREAM_OPS = st.lists(st.one_of(
 @example(seed=bytes(32), label="xor", position=3,
          ops=[("draw", 1 << 32, 1100), ("bits", 5), ("draw", (1 << 31) + 1, 1200),
               ("bits", 40_000), ("draw", 1, 3)])
-# From seeked odd positions, reads that cross the first growth steps: the
+# From odd positions, reads that cross the first growth steps: the
 # first generation is one block, and each later one doubles.
 @example(seed=bytes(32), label="xor", position=517,
          ops=[("bits", 3), ("bits", 600), ("draw", 1 << 32, 40), ("bits", 2100),
               ("draws", 641, 300), ("bits", 9000)])
 @example(seed=bytes(32), label="pad", position=1031,
          ops=[("bits", 63)] * 9 + [("draw", 5, 30), ("bits", 1500), ("draws", 3, 100)])
-# Fresh streams seeked into their first cipher block, by whole bytes and not.
+# Reads on from inside the first cipher block, by whole bytes and not.
 @example(seed=bytes(32), label="pad", position=8, ops=[("bits", 5), ("draw", 10, 20), ("bits", 9)])
 @example(seed=bytes(32), label="pad", position=19, ops=[("draw", 3, 40), ("bits", 70)])
 # One bit read longer than two refills, from an odd offset, after single draws.
 @example(seed=bytes(32), label="dummy", position=77,
          ops=[("draw", 10, 5), ("bits", 70_001), ("draw", 1 << 32, 3)])
-# Empty reads at a seek position, before and between other reads.
+# Empty reads at an odd position, before and between other reads.
 @example(seed=bytes(32), label="xor", position=1001,
          ops=[("bits", 0), ("draw", 7, 2), ("bits", 0), ("bits", 11), ("draw", 7, 2)])
 # Batched draws: the full range, where the limit is 2**32 itself; a range
@@ -288,8 +294,11 @@ _STREAM_OPS = st.lists(st.one_of(
 @example(seed=bytes(32), label="xor", position=2,
          ops=[("draw", 3, 4), ("bits", 13), ("draws", 641, 900), ("draw", 641, 2)])
 def test_interleaved_reads_follow_the_raw_stream(seed, label, position, ops):
-    ks = Keystream(seed, label, position=position)
-    ref = _RawReader(seed, label, position)
+    # Each stream reads and discards its first ``position`` bits.
+    ks = Keystream(seed, label)
+    ref = _RawReader(seed, label)
+    ks.bits(position)
+    ref.bits(position)
     for op in ops:
         if op[0] == "bits":
             assert np.array_equal(ks.bits(op[1]), ref.bits(op[1]))

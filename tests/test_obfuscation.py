@@ -12,7 +12,6 @@ from semshield.bits import bytes_from_bits
 from semshield.codec import CodecModel, decode, encode
 from semshield.keying import Keystream, expand_seed, label_nonce
 from semshield.obfuscation import (
-    DataUnit,
     DesyncError,
     FrameFormatError,
     ObfuscatedFrame,
@@ -291,18 +290,6 @@ class TestFrame:
         air = ota_bits(frame)
         air ^= 1
         assert np.array_equal(ota_bits(frame) ^ 1, air)
-
-    def test_data_unit_checks_its_params(self):
-        p = ObfuscationParams(s_max=2, k_max=3, n_d=8, b=2)
-        DataUnit(1, 1, [7], np.zeros(16, dtype=np.uint8), p)
-        with pytest.raises(ValueError, match="past"):
-            DataUnit(1, 1, [500], np.zeros(16, dtype=np.uint8), p)
-        with pytest.raises(ValueError, match="payload"):
-            DataUnit(1, 1, [5], np.zeros(3, dtype=np.uint8), p)
-        with pytest.raises(ValueError, match="increasing"):
-            DataUnit(1, 2, [5, 5], np.zeros(16, dtype=np.uint8), p)
-        with pytest.raises(ValueError, match="outside"):
-            DataUnit(3, 1, [5], np.zeros(48, dtype=np.uint8), p)
 
 
 class TestDeobfuscate:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semshield.codec import Q32_MAX, CodecModel, bleu_scores, make_corpus
+from semshield import security
 from semshield.keying import Keystream
 from semshield.security import (
     N_HISTOGRAM_BINS,
@@ -168,6 +169,21 @@ class TestAnalyze:
         assert report["eq4"]["exact"] == "46"
         # eq11 = eq5 * eq10 = 46 * ((2*2)^1 * 2^1)
         assert report["eq11"]["exact"] == str(46 * 8)
+
+    def test_eq4_is_built_once(self, monkeypatch):
+        # eq5 is built from eq4, and eq11 from the eq5 and eq10 already built.
+        expected = {"eq5": ss_data(4, 10, 64, 16).to_json_dict(),
+                    "eq11": ss_total(4, 10, 64, 16, 128).to_json_dict()}
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return ss_dummy_location_dynamic(*args)
+
+        monkeypatch.setattr(security, "ss_dummy_location_dynamic", counting)
+        report = analyze()
+        assert calls == [(4, 10, 64)]
+        assert {key: report[key] for key in expected} == expected
 
 
 class TestDispersion:
