@@ -6,13 +6,16 @@ import sys
 from dataclasses import replace
 
 from .experiments import (
+    _CONFIG_RULES,
     KEY_REFRESH,
     SCENARIOS,
     ConfigError,
     ExperimentConfig,
-    load_config,
+    _read_json,
     run_to_file,
+    snr_values,
 )
+from .fields import check_fields
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -45,7 +48,6 @@ def _parse_snr(text: str) -> list:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # All overrides in one replace, so only the combined config is checked.
         overrides = {"scenario": args.scenario}
         if args.seed is not None:
             overrides["master_seed"] = args.seed
@@ -55,7 +57,16 @@ def main(argv=None) -> int:
             overrides["static_channel"] = True
         if args.key_refresh:
             overrides["key_refresh"] = args.key_refresh
-        cfg = replace(load_config(args.config), **overrides) if args.config else ExperimentConfig(**overrides)
+        raw = _read_json(args.config) if args.config else {}
+        # The combined config is checked once, so the rules that depend on the
+        # scenario see the values that run.  A file value that a flag replaces
+        # must still pass its own rule: an snr_list its type and dB range, in
+        # the combined config, and any other field its _CONFIG_RULES row.
+        cfg = ExperimentConfig.from_dict({**raw, **overrides} if isinstance(raw, dict) else raw)
+        replaced = {name: raw[name] for name in overrides if name in raw}
+        if "snr_list" in replaced:
+            replace(cfg, snr_list=snr_values(replaced.pop("snr_list")) or cfg.snr_list)
+        check_fields(argparse.Namespace(**replaced), {name: _CONFIG_RULES[name] for name in replaced}, ConfigError)
         out_path = args.out or cfg.output_path or f"{args.scenario}.{SCENARIOS[args.scenario].ext}"
         # A run finds config errors too, such as a search space too large to write.
         written = run_to_file(cfg, out_path)

@@ -125,17 +125,20 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def _read_json(path: str | Path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except ValueError as exc:  # JSONDecodeError, bytes that are not UTF-8, an int past the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError("config is nested too deeply to parse") from None
-    return ExperimentConfig.from_dict(raw)
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(_read_json(path))
 
 
 # --- deterministic substreams ------------------------------------------------
@@ -307,19 +310,21 @@ def run_bleu_compare(cfg: ExperimentConfig) -> list[dict]:
 
     Each SNR point sends all its frames, encrypted and plain, through one
     modulate/demodulate pass; every frame keeps its own key, pad filler,
-    channel realization and noise.
+    channel realization and noise.  A point is known by its index, so a
+    repeated SNR gets its own rows, in ``snr_list`` order within each gram.
     """
     corpus = make_corpus(cfg.n_sentences, cfg.codec, derive_int(cfg.master_seed, "bleu", "corpus"))
     p = cfg.obfuscation
     n = len(corpus)
-    means = {}
+    # Encoded once for every point: obfuscate, _transmit and decode only read these.
+    plain = [encode(sentence, cfg.codec) for sentence in corpus]
+    means = []
     for i, snr in enumerate(cfg.snr_list):
         scope = ("bleu_compare", i)
         if cfg.key_refresh == "per_point":
             keys = [km.seed_key for km, _ in _derive_key_materials(cfg, [scope])] * n
         else:
             keys = [km.seed_key for km, _ in _derive_key_materials(cfg, [(*scope, j) for j in range(n)])]
-        plain = [encode(sentence, cfg.codec) for sentence in corpus]
         frames = [obfuscate(bits, key, p, cfg.codec) for bits, key in zip(plain, keys)]
         # The n encrypted frames, then the n plain ones.
         sent = [ota_bits(frame) for frame in frames] + plain
@@ -342,18 +347,9 @@ def run_bleu_compare(cfg: ExperimentConfig) -> list[dict]:
         for j in range(n):
             sums_enc += scores[2 * j].as_floats()
             sums_plain += scores[2 * j + 1].as_floats()
-        means[snr] = (sums_enc / n, sums_plain / n)
-    rows = []
-    for gram in range(1, 5):
-        for snr in cfg.snr_list:
-            enc_mean, plain_mean = means[snr]
-            rows.append({
-                "gram": gram,
-                "snr_db": snr,
-                "bleu_enc": float(enc_mean[gram - 1]),
-                "bleu_noenc": float(plain_mean[gram - 1]),
-            })
-    return rows
+        means.append((sums_enc / n, sums_plain / n))
+    return [{"gram": gram, "snr_db": snr, "bleu_enc": float(enc[gram - 1]), "bleu_noenc": float(noenc[gram - 1])}
+            for gram in range(1, 5) for snr, (enc, noenc) in zip(cfg.snr_list, means)]
 
 
 def emit_constellation(cfg: ExperimentConfig) -> np.ndarray:
@@ -414,8 +410,6 @@ def run_dispersion(cfg: ExperimentConfig) -> dict:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.8f}"
     return str(value)
@@ -430,16 +424,6 @@ def _csv_text(header: list[str], rows: list[dict]) -> str:
 
 def _json_text(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def _render_ber_sweep(cfg: ExperimentConfig) -> str:
-    rows = sorted(run_ber_sweep(cfg), key=lambda r: r["snr_db"])
-    return _csv_text(["snr_db", "ber_plain", "ber_legit", "ber_eavesdropper", "n_bits"], rows)
-
-
-def _render_bleu_compare(cfg: ExperimentConfig) -> str:
-    rows = sorted(run_bleu_compare(cfg), key=lambda r: (r["gram"], r["snr_db"]))
-    return _csv_text(["gram", "snr_db", "bleu_enc", "bleu_noenc"], rows)
 
 
 def _render_constellation(cfg: ExperimentConfig) -> str:
@@ -461,8 +445,10 @@ class Scenario:
 # renderers call the scenario functions by module-global name, so a function
 # patched on this module is the one that runs.
 SCENARIOS = {
-    "ber_sweep": Scenario("csv", True, _render_ber_sweep),
-    "bleu_compare": Scenario("csv", True, _render_bleu_compare),
+    "ber_sweep": Scenario("csv", True, lambda cfg: _csv_text(
+        ["snr_db", "ber_plain", "ber_legit", "ber_eavesdropper", "n_bits"], run_ber_sweep(cfg))),
+    "bleu_compare": Scenario("csv", True, lambda cfg: _csv_text(
+        ["gram", "snr_db", "bleu_enc", "bleu_noenc"], run_bleu_compare(cfg))),
     "constellation": Scenario("csv", True, _render_constellation),
     "keygen_demo": Scenario("json", False, lambda cfg: _json_text(run_keygen_demo(cfg))),
     "search_space": Scenario("json", False, lambda cfg: _json_text(run_search_space(cfg))),

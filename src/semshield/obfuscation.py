@@ -331,6 +331,8 @@ def _decrypt(air: np.ndarray, xbits: BitString, locs: np.ndarray, n_sub: int,
              p: ObfuscationParams) -> BitString:
     """Payload of an air string cut to its layout, ``n_sub`` unit subcarriers
     and the tail: the units' data subcarriers, then the tail, XORed with ``xbits``."""
+    # A tail-only frame, as most short sentence frames are, skips the empty
+    # layout cut and a copy of its air string, a measurable share of a short call.
     if n_sub:
         data = _subcarriers(air[: n_sub * p.b], p.b)[_data_mask(locs, n_sub)]
         air = np.concatenate([data.view(np.uint8), air[n_sub * p.b:]])

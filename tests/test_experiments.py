@@ -338,6 +338,18 @@ class TestBleuCompare:
         assert [(r["gram"], r["snr_db"]) for r in rows] == \
             [(g, s) for g in (1, 2, 3, 4) for s in (0.0, 12.0)]
 
+    def test_repeated_snr_gets_its_own_rows(self):
+        # A point is known by its index: the first 3-dB point draws what the
+        # lone point of [3] draws, the second what the 3-dB point of [2, 3] draws.
+        def lines(snr_list):
+            cfg = _fast_cfg(scenario="bleu_compare", snr_list=snr_list, n_sentences=6, n_probes=256)
+            return render_output(cfg).splitlines()[1:]
+
+        repeated, alone, pair = lines([3, 3]), lines([3]), lines([2, 3])
+        assert repeated[0::2] == alone
+        assert repeated[1::2] == pair[1::2]
+        assert repeated[0] != repeated[1]
+
     # At 16 bits per token a 16-token sentence fills one OFDM symbol, so some
     # plain frames need no filler either.
     @pytest.mark.parametrize("codec", [CodecModel(), CodecModel(vocab_size=2**16)])
@@ -515,6 +527,13 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_config_root_not_an_object_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "list.json"
+        cfg_path.write_text("[]", encoding="utf-8")
+        rc = main(["search_space", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "config error: config root must be a JSON object" in capsys.readouterr().err
+
     def test_search_space_too_large_to_write_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"scenario": "search_space", "n_unit": 400}), encoding="utf-8")
@@ -587,6 +606,8 @@ class TestCli:
         pytest.param('"n_bits": %s' % ("1" * 5000), id='"n_bits": <5000 digits>'),
         '"n_bits": 2000, "codec": {"vocab_size": 8589934592}',
         '"probe_noise_std": 1e300',
+        # Values that the scenario argument and --snr replace.
+        '"scenario": "bogus"', '"snr_list": [NaN]',
     ])
     def test_bad_field_type_or_value_exits_two(self, tmp_path, capsys, entry):
         cfg_path = tmp_path / "cfg.json"
@@ -637,6 +658,46 @@ class TestCli:
         rc = main(["ber_sweep", "--config", str(cfg_path), "--snr", "30", "--out", str(out)])
         assert rc == 0
         assert out.read_text().splitlines()[1].startswith("30.00000000,")
+
+    def test_flags_complete_a_config_the_scenario_rules_reject(self, tmp_path):
+        # An empty snr_list in a ber_sweep file is valid once --snr fills it.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "ber_sweep", "snr_list": [], "n_bits": 2000}),
+                            encoding="utf-8")
+        out = tmp_path / "ber.csv"
+        rc = main(["ber_sweep", "--config", str(cfg_path), "--snr", "30", "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().splitlines()[1].startswith("30.00000000,")
+
+    def test_dispersion_rule_skipped_for_another_scenario(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scenario": "dispersion", "n_sentences": 50}), encoding="utf-8")
+        out = tmp_path / "space.json"
+        assert main(["search_space", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["scenario"] == "search_space"
+
+    def test_static_channel_flag(self, tmp_path):
+        out = tmp_path / "demo.json"
+        assert main(["keygen_demo", "--static-channel", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["static_channel"] is True
+        cfg = ExperimentConfig(scenario="keygen_demo", static_channel=True)
+        assert out.read_text() == render_output(cfg)
+
+    def test_key_refresh_flag(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"snr_list": [3], "n_sentences": 6, "n_probes": 256}),
+                            encoding="utf-8")
+        out = tmp_path / "bleu.csv"
+        rc = main(["bleu_compare", "--config", str(cfg_path), "--key-refresh", "per_point", "--out", str(out)])
+        assert rc == 0
+        cfg = ExperimentConfig(scenario="bleu_compare", snr_list=[3], n_sentences=6, n_probes=256,
+                               key_refresh="per_point")
+        assert out.read_text() == render_output(cfg)
+
+    def test_snr_without_values_exits_two(self, tmp_path, capsys):
+        rc = main(["ber_sweep", "--snr", ",", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "--snr must list at least one value" in capsys.readouterr().err
 
     def test_scenario_argument_wins_over_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

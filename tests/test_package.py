@@ -1,10 +1,13 @@
+import importlib
 import inspect
+import json
 import re
 from pathlib import Path
 
 import semshield
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # The names README.md imports from the package root.
 QUICK_START_NAMES = {
@@ -24,3 +27,25 @@ def test_readme_blocks_run_on_exactly_the_root_names():
     public = {name for name, value in vars(semshield).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == imported == QUICK_START_NAMES
+
+
+
+def test_benchmark_names_resolve_to_traced_functions():
+    # The traced benchmark wraps the public functions of each layer module and
+    # the public methods of its classes, and stops when a declared function
+    # metric was not measured: renaming, hiding or moving one must fail here.
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    functions = [name.split(".") for name in names
+                 if name.count(".") in (2, 3) and name.rsplit(".", 1)[1] in ("calls", "busy_s", "self_s")]
+    assert functions
+    for layer, *path, _stat in functions:
+        module = importlib.import_module(f"semshield.{layer}")
+        name = ".".join([layer, *path])
+        assert not any(part.startswith("_") for part in path), name
+        member = vars(module).get(path[0])
+        if len(path) == 2:
+            assert inspect.isclass(member) and member.__module__ == module.__name__, name
+            member = vars(member).get(path[1])
+            if isinstance(member, (classmethod, staticmethod)):
+                member = member.__func__
+        assert inspect.isfunction(member) and member.__module__ == module.__name__, name
