@@ -3,19 +3,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-from .experiments import (
-    _CONFIG_RULES,
-    KEY_REFRESH,
-    SCENARIOS,
-    ConfigError,
-    ExperimentConfig,
-    _read_json,
-    run_to_file,
-    snr_values,
-)
-from .fields import check_fields
+from .experiments import KEY_REFRESH, SCENARIOS, ConfigError, load_config, run_to_file
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -26,9 +15,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("scenario", choices=SCENARIOS, help="experiment to run")
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--out", metavar="PATH", help="output file (default: <scenario>.<ext>)")
-    parser.add_argument("--seed", type=int, metavar="N", help="override master_seed")
-    parser.add_argument("--snr", metavar="a,b,c", help="override snr_list (comma-separated dB)")
-    parser.add_argument("--static-channel", action="store_true",
+    # Every other flag stores into the config field it replaces; None is unset.
+    parser.add_argument("--seed", type=int, dest="master_seed", metavar="N", help="override master_seed")
+    parser.add_argument("--snr", dest="snr_list", metavar="a,b,c", help="override snr_list (comma-separated dB)")
+    parser.add_argument("--static-channel", action="store_const", const=True,
                         help="use a constant channel trace for key generation")
     parser.add_argument("--key-refresh", choices=KEY_REFRESH,
                         help="how often the key ceremony reruns")
@@ -46,28 +36,13 @@ def _parse_snr(text: str) -> list:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    config, out = flags.pop("config"), flags.pop("out")
     try:
-        overrides = {"scenario": args.scenario}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.snr is not None:
-            overrides["snr_list"] = _parse_snr(args.snr)
-        if args.static_channel:
-            overrides["static_channel"] = True
-        if args.key_refresh:
-            overrides["key_refresh"] = args.key_refresh
-        raw = _read_json(args.config) if args.config else {}
-        # The combined config is checked once, so the rules that depend on the
-        # scenario see the values that run.  A file value that a flag replaces
-        # must still pass its own rule: an snr_list its type and dB range, in
-        # the combined config, and any other field its _CONFIG_RULES row.
-        cfg = ExperimentConfig.from_dict({**raw, **overrides} if isinstance(raw, dict) else raw)
-        replaced = {name: raw[name] for name in overrides if name in raw}
-        if "snr_list" in replaced:
-            replace(cfg, snr_list=snr_values(replaced.pop("snr_list")) or cfg.snr_list)
-        check_fields(argparse.Namespace(**replaced), {name: _CONFIG_RULES[name] for name in replaced}, ConfigError)
-        out_path = args.out or cfg.output_path or f"{args.scenario}.{SCENARIOS[args.scenario].ext}"
+        if flags["snr_list"] is not None:
+            flags["snr_list"] = _parse_snr(flags["snr_list"])
+        cfg = load_config(config or None, **{name: value for name, value in flags.items() if value is not None})
+        out_path = out or cfg.output_path or f"{cfg.scenario}.{SCENARIOS[cfg.scenario].ext}"
         # A run finds config errors too, such as a search space too large to write.
         written = run_to_file(cfg, out_path)
     except ConfigError as exc:

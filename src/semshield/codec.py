@@ -100,8 +100,6 @@ def decode(bits: BitString, model: CodecModel, noise_seed: int) -> TokenSequence
     fields = bits.reshape(*bits.shape[:-1], -1, model.token_bits).astype(np.int64)
     weights = 1 << np.arange(model.token_bits - 1, -1, -1, dtype=np.int64)
     tokens = fields @ weights
-    if model.deviation_rate == 0.0 or tokens.size == 0:
-        return tokens
     rng = np.random.default_rng([model.codec_seed & 0xFFFFFFFFFFFFFFFF, noise_seed & 0xFFFFFFFFFFFFFFFF])
     n_tokens = tokens.shape[-1]
     substitute = rng.random(n_tokens) < model.deviation_rate

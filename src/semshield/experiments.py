@@ -11,8 +11,9 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -111,34 +112,47 @@ class ExperimentConfig:
         taps = self.channel_taps if self.channel_kind == KIND_RAYLEIGH_MULTIPATH else 1
         return ChannelModel(self.channel_kind, snr_db, taps, channel_seed)
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        data = dict(raw)
+
+def load_config(path: str | Path | None = None, /, **values) -> ExperimentConfig:
+    """The config of the JSON file at ``path`` (none when None) with
+    ``values`` in place of its fields; every failure is a ConfigError.
+
+    The scenario rules see the combined config.  A file value that
+    ``values`` replaces must still pass its own rule: its class for an
+    ``obfuscation`` or ``codec`` section, snr_values and the dB range for
+    ``snr_list``, the ChannelModel check for ``channel_kind``, and its
+    _CONFIG_RULES row for any other field.
+    """
+    file = {}
+    if path is not None:
         try:
-            for name, section in (("obfuscation", ObfuscationParams), ("codec", CodecModel)):
-                if name in data:
-                    data[name] = section(**data[name])
-            return cls(**data)
-        except (TypeError, ValueError) as exc:  # a ConfigError comes out with its message
-            raise ConfigError(str(exc)) from None
-
-
-def _read_json(path: str | Path):
+            with open(path, "r", encoding="utf-8") as fh:
+                file = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from None
+        except ValueError as exc:  # JSONDecodeError, bytes that are not UTF-8, an int past the digit limit
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ConfigError("config is nested too deeply to parse") from None
+        if not isinstance(file, dict):
+            raise ConfigError("config root must be a JSON object")
+    data = {**file, **values}
+    replaced = {name: file[name] for name in values if name in file}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError, bytes that are not UTF-8, an int past the digit limit
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise ConfigError("config is nested too deeply to parse") from None
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(_read_json(path))
+        for raw in (data, replaced):
+            for name, section in (("obfuscation", ObfuscationParams), ("codec", CodecModel)):
+                if isinstance(raw.get(name), dict):
+                    raw[name] = section(**raw[name])
+        cfg = ExperimentConfig(**data)
+        if "snr_list" in replaced:  # an empty file list passes alone; the combined SNRs stand in
+            replaced["snr_list"] = snr_values(replaced["snr_list"]) or cfg.snr_list
+        by_channel = {name: replaced.pop(name) for name in ("snr_list", "channel_kind") if name in replaced}
+        if by_channel:
+            replace(cfg, **by_channel)
+        check_fields(SimpleNamespace(**replaced), {name: _CONFIG_RULES[name] for name in replaced})
+    except (TypeError, ValueError) as exc:  # a ConfigError comes out with its message
+        raise ConfigError(str(exc)) from None
+    return cfg
 
 
 # --- deterministic substreams ------------------------------------------------
@@ -483,7 +497,6 @@ def render_output(cfg: ExperimentConfig) -> str:
 def run_to_file(cfg: ExperimentConfig, out_path: str | Path) -> Path:
     text = render_output(cfg)
     out = Path(out_path)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text, encoding="ascii")
     return out

@@ -112,8 +112,10 @@ class Keystream:
     def from_seed_bits(cls, seed_bits: BitString, label: bytes | str) -> "Keystream":
         return cls(expand_seed(seed_bits), label)
 
-    def _peek(self, nbits: int) -> BitString:
-        """The ``nbits`` bits from ``position`` on, without consuming them."""
+    def bits(self, nbits: int) -> BitString:
+        """Return the next ``nbits`` of the stream and advance the position."""
+        if nbits < 0:
+            raise ValueError("nbits must be non-negative")
         start = self.position - self._base
         stop = start + nbits
         if stop > 8 * len(self._raw):
@@ -126,16 +128,9 @@ class Keystream:
             self._base += 8 * drop
             start -= 8 * drop
             stop -= 8 * drop
+        self.position += nbits
         raw = np.frombuffer(self._raw, dtype=np.uint8)[start // 8:(stop + 7) // 8]
         return np.unpackbits(raw)[start % 8:start % 8 + nbits]
-
-    def bits(self, nbits: int) -> BitString:
-        """Return the next ``nbits`` of the stream and advance the position."""
-        if nbits < 0:
-            raise ValueError("nbits must be non-negative")
-        out = self._peek(nbits)
-        self.position += nbits
-        return out
 
     def draw_uniform(self, m: int, n: int | None = None) -> int | list[int]:
         """Unbiased draws from [0, m) by rejection on 32-bit stream words.

@@ -200,7 +200,7 @@ def generate_dummy_bits(seed2_stream: Keystream, k: np.ndarray, b: int, model: C
 
 def _unit_subcarriers(s: np.ndarray, p: ObfuscationParams) -> int:
     """Subcarriers of units of ``s`` symbols each, laid end to end."""
-    return int(s.sum()) * p.n_d if s.size else 0
+    return int(s.sum()) * p.n_d
 
 
 def _capacity(s: int, k: int, p: ObfuscationParams) -> int:

@@ -85,6 +85,15 @@ class TestEncodeDecode:
             seq = rng.integers(0, model.vocab_size, size=int(rng.integers(1, 40)))
             assert np.array_equal(decode(encode(seq, model), model, noise_seed=0), seq)
 
+    def test_zero_deviation_returns_the_framed_tokens(self):
+        model = CodecModel(vocab_size=4096, deviation_rate=0.0)
+        rows = np.array([[5, 0, 4095], [7, 7, 1]])
+        out = decode(np.stack([encode(row, model) for row in rows]), model, noise_seed=3)
+        assert out.dtype == np.int64 and out.shape == (2, 3)
+        assert np.array_equal(out, rows)
+        empty = decode(np.zeros(0, dtype=np.uint8), model, noise_seed=3)
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+
     def test_bad_framing(self):
         with pytest.raises(ValueError):
             decode(np.zeros(13, dtype=np.uint8), CodecModel(vocab_size=4096), noise_seed=0)

@@ -3,6 +3,10 @@ import functools
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semshield import experiments
-from semshield.cli import main
+from semshield.cli import build_parser, main
 from semshield.codec import CodecModel, encode, make_corpus
 from semshield.experiments import (
     DEFAULT_SNR_GRID,
@@ -32,6 +36,9 @@ from semshield.experiments import (
 from semshield.fields import DESCRIBE_MAX_CHARS
 from semshield.obfuscation import ObfuscationParams
 from semshield.ofdm import BITS_PER_SYMBOL, N_FFT, qam16_map
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _fast_cfg(**kw):
@@ -138,8 +145,8 @@ class TestConfig:
         cfg = ExperimentConfig(channel_kind="awgn", channel_taps=5)
         assert cfg.channel(10.0, 1).taps == 1
 
-    def test_from_dict_nested_sections(self):
-        cfg = ExperimentConfig.from_dict({
+    def test_load_config_nested_sections(self):
+        cfg = load_config(**{
             "scenario": "ber_sweep",
             "snr_list": [3, 0],
             "obfuscation": {"s_max": 2, "k_max": 3, "n_d": 8, "b": 2},
@@ -149,9 +156,9 @@ class TestConfig:
         assert cfg.codec.token_bits == 8
         assert cfg.snr_list == (0.0, 3.0)
 
-    def test_from_dict_rejects_unknown_keys(self):
+    def test_load_config_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"scenario": "ber_sweep", "bogus": 1})
+            load_config(scenario="ber_sweep", bogus=1)
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -170,6 +177,32 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.scenario == "search_space"
         assert cfg.n_unit == 4
+
+    def test_load_config_values_replace_file_values(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "search_space", "n_bits": 5, "n_unit": 4, "codec": {"vocab_size": 16}}),
+                        encoding="utf-8")
+        cfg = load_config(path, n_bits=7, codec={"vocab_size": 256})
+        assert (cfg.n_bits, cfg.n_unit, cfg.codec) == (7, 4, CodecModel(vocab_size=256))
+
+    def test_load_config_without_a_file_is_the_default(self):
+        assert load_config() == ExperimentConfig()
+
+    # Each combined config is valid, but the file value it replaces is not.
+    @pytest.mark.parametrize("entry, values", [
+        ('"n_bits": "x"', {"n_bits": 2000}),
+        ('"snr_list": [NaN]', {"snr_list": [3.0]}),
+        ('"snr_list": 3', {"snr_list": [3.0]}),
+        ('"channel_kind": "bogus"', {"channel_kind": "awgn"}),
+        ('"codec": {"vocab_size": 1}', {"codec": {}}),
+        ('"obfuscation": []', {"obfuscation": ObfuscationParams()}),
+    ])
+    def test_load_config_checks_replaced_file_values(self, tmp_path, entry, values):
+        path = tmp_path / "cfg.json"
+        path.write_text("{%s}" % entry, encoding="utf-8")
+        assert load_config(**values)
+        with pytest.raises(ConfigError):
+            load_config(path, **values)
 
 
 # JSON-shaped values as Python's json module reads them: NaN and Infinity
@@ -204,9 +237,9 @@ def _section(cls):
 @example(raw={"obfuscation": [], "codec": "x"})
 @example(raw={"obfuscation": {"s_max": math.nan}, "codec": {"vocab_size": 2**33}})
 @example(raw={"codec": {"vocab_size": 2**32, "token_bits": None}})
-def test_from_dict_returns_a_config_or_raises_config_error(raw):
+def test_load_config_returns_a_config_or_raises_config_error(raw):
     try:
-        cfg = ExperimentConfig.from_dict(raw)
+        cfg = load_config(**raw)
     except ConfigError:
         return
     assert isinstance(cfg, ExperimentConfig)
@@ -266,7 +299,7 @@ def _small_run(scenario):
 @given(raw=st.sampled_from(sorted(SCENARIOS)).flatmap(_small_run))
 def test_every_accepted_config_runs(raw):
     try:
-        cfg = ExperimentConfig.from_dict(raw)
+        cfg = load_config(**raw)
     except ConfigError:
         return
     try:
@@ -322,7 +355,7 @@ class TestBleuCompare:
             assert row["bleu_enc"] == pytest.approx(row["bleu_noenc"], abs=0.0)
 
     def test_zero_deviation_noiseless_scores_are_perfect(self):
-        cfg = ExperimentConfig.from_dict({
+        cfg = load_config(**{
             "scenario": "bleu_compare", "snr_list": [math.inf],
             "n_sentences": 10, "n_probes": 512,
             "codec": {"deviation_rate": 0.0},
@@ -486,6 +519,22 @@ class TestOutput:
 
 
 class TestCli:
+    def test_every_flag_names_a_config_field(self):
+        dests = set(vars(build_parser().parse_args(["search_space"]))) - {"config", "out"}
+        assert dests <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    def test_module_runs_in_a_fresh_interpreter(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = tmp_path / "space.json"
+        done = subprocess.run([sys.executable, "-m", "semshield.cli", "search_space", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert out.read_bytes() == render_output(ExperimentConfig(scenario="search_space")).encode("ascii")
+        done = subprocess.run([sys.executable, "-m", "semshield.cli", "ber_sweep", "--snr", "abc",
+                               "--out", str(tmp_path / "x.csv")], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "config error: bad --snr value 'abc'" in done.stderr
+
     def test_success_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "space.json"
         assert main(["search_space", "--out", str(out)]) == 0
