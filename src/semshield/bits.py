@@ -10,6 +10,15 @@ import numpy as np
 BitString = np.ndarray
 
 
+def _bit_array(bits, what: str) -> BitString:
+    """``bits`` as uint8; a ValueError unless it is a bool or integer array of 0s and 1s."""
+    bits = np.asarray(bits)
+    # One reduction: the OR of every value lies in [0, 1] only when each value does.
+    if bits.dtype.kind not in "biu" or not 0 <= np.bitwise_or.reduce(bits, axis=None) <= 1:
+        raise ValueError(f"{what} must be a bool or integer array of 0s and 1s")
+    return bits.astype(np.uint8, copy=False)
+
+
 def bits_from_bytes(data: bytes, nbits: int | None = None) -> BitString:
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     if nbits is not None:

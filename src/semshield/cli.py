@@ -41,7 +41,11 @@ def main(argv=None) -> int:
     try:
         if flags["snr_list"] is not None:
             flags["snr_list"] = _parse_snr(flags["snr_list"])
-        cfg = load_config(config or None, **{name: value for name, value in flags.items() if value is not None})
+        # An empty --out, like an empty --config, is more likely an unset
+        # shell variable than a wish for the default.
+        if out == "":
+            raise ConfigError("--out must name a file, not ''")
+        cfg = load_config(config, **{name: value for name, value in flags.items() if value is not None})
         out_path = out or cfg.output_path or f"{cfg.scenario}.{SCENARIOS[cfg.scenario].ext}"
         # A run finds config errors too, such as a search space too large to write.
         written = run_to_file(cfg, out_path)

@@ -98,6 +98,8 @@ class ExperimentConfig:
         object.__setattr__(self, "snr_list", snr_values(self.snr_list))
         if SCENARIOS[self.scenario].needs_snr and not self.snr_list:
             raise ConfigError("snr_list must be non-empty for channel scenarios")
+        if self.output_path == "":
+            raise ConfigError("output_path must name a file, not ''")
         if self.l_skey % 8 or self.l_seedkey % 8:
             raise ConfigError("key lengths must be whole bytes (multiples of 8 bits)")
         if self.scenario == "dispersion" and self.n_sentences < security.MIN_DISPERSION_SENTENCES:

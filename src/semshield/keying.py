@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
-from .bits import BitString, bits_from_bytes, bytes_from_bits, int_from_bits, xor_bits
+from .bits import BitString, _bit_array, bits_from_bytes, bytes_from_bits, int_from_bits, xor_bits
 from .codec import BleuScores
 
 DEFAULT_KEY_BITS = 128
@@ -55,12 +55,14 @@ def chacha20_stream(key: bytes, nonce: bytes, counter: int, nbytes: int) -> byte
 
 
 def _seed_bytes(seed: BitString) -> bytes:
-    """Pack seed bits into bytes; a seed must be a whole number of bytes.
+    """Pack seed bits into bytes; a seed must be a whole number of bytes,
+    and a bool or integer array of 0s and 1s.
 
     Packing pads the last byte with zeros, so a ragged seed and the same
-    bits plus trailing zeros would otherwise name the same key.
+    bits plus trailing zeros would otherwise name the same key; a 2 or
+    a -1 would pack like a 1, and a 0.5 like a 0.
     """
-    seed = np.asarray(seed, dtype=np.uint8)
+    seed = _bit_array(seed, "seed")
     if seed.size % 8:
         raise ValueError(f"seed length {seed.size} is not a multiple of 8 bits")
     return bytes_from_bits(seed)

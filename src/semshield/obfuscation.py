@@ -18,9 +18,15 @@ unit loop.  Every draw is a ``Keystream.draw_uniform`` draw: one 32-bit
 word, skipped when it is at or above the largest multiple of the range.
 ``draw_unit_params`` and ``dummy_locations`` make these draws one at a
 time; ``derive_layout``, the one replay the frame functions use, must
-equal them.  Its one plain-int loop resolves every unit's (s, k), drops
-each rejected word and draws that unit again; then it runs the partial
-Fisher-Yates shuffles (Knuth's Algorithm P) of all units at once.
+equal them.  Its one plain-int loop walks the units: each unit's s, k
+and capacity, then the next unit's start.  No draw rejects a word below
+safe = min(lim_s, lim_k, 2**32 - s_max*n_d + 1), lim_s and lim_k being
+the (s, k) draws' limits, so the exact checks run only for a unit whose
+2 + k_max words reach a word at or above safe: they drop each rejected
+word and draw that unit again.  Then it runs the partial Fisher-Yates
+shuffles (Knuth's Algorithm P) of all units at once.  A payload shorter
+than the smallest unit, (n_d - k_max)*b bits, reads only its encryption
+bits: every (s, k) draw would stop the loop.
 Dummy bits come from a second stream keyed by seed2 (label "dummy"),
 every unit's tokens in unit order; tail padding from a "pad" stream.
 Deviating from this order desynchronizes the two ends.
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, xor_bits
+from .bits import BitString, _bit_array, xor_bits
 from .codec import CodecModel, encode
 from .fields import check_fields
 from .keying import Keystream, _seed_bytes
@@ -223,52 +229,61 @@ def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
     exceeds what is left; that stopping draw is consumed but makes no unit.
     A rejected word is dropped and its unit drawn again from the same
     place, as ``draw_unit_params`` and ``dummy_locations`` skip it.
+
+    No draw rejects a word below ``safe`` (module docstring), so the loop
+    walks the units with no rejection check.  One max per read of the
+    stream finds the words at or above ``safe``, and the exact checks run
+    only for a unit whose 2 + k_max words reach one.  A payload shorter
+    than the smallest unit, (n_d - k_max)*b bits, holds no unit and reads
+    only its encryption bits.
     """
     n_d, b, s_max, k_max = p.n_d, p.b, p.s_max, p.k_max
+    ks = Keystream.from_seed_bits(seed, "xor")
+    # Most short sentence frames end here; the stopping draw it skips
+    # would change no output.
+    if l_d < (n_d - k_max) * b:
+        return ks.bits(l_d), _NO_UNITS, _NO_UNITS, _NO_UNITS, l_d
     lim_s, lim_k = _WORD - _WORD % s_max, _WORD - _WORD % k_max
+    # Every location draw's limit exceeds 2**32 - s*n_d >= 2**32 - s_max*n_d.
+    safe = min(lim_s, lim_k, _WORD - s_max * n_d + 1)
     # One read covers the encryption bits and the words of the units an
     # l_d-bit frame holds on average, plus two units' worth; the loop reads
     # a quarter as many words again whenever it runs out.
     mean_cap = ((s_max + 1) * n_d - k_max - 1) * b / 2
     chunk = int(l_d / mean_cap * (k_max + 5) / 2) + 2 * (k_max + 2)
     more = chunk // 4 + k_max + 2
-    ks = Keystream.from_seed_bits(seed, "xor")
     first = ks.bits(l_d + 32 * chunk)
-    chunks = [np.packbits(first[l_d:]).view(">u4")]
-    words = chunks[0].tolist()
-
-    s_of, k_of, loc_word, dropped = [], [], [], []
-
-    def drop(j):
-        # Drops land at non-decreasing places in ``words``, so j plus the
-        # count of earlier drops is the word's index in the stream.
-        dropped.append(j + len(dropped))
-        del words[j]
-
-    remaining = l_d
+    arr, words, hot = _words(first[l_d:], 0, safe)
+    chunks = [arr]
+    span = 2 + k_max  # the most words one unit's draws read
+    remaining, s_of, k_of, dropped = l_d, [], [], []
     i = 0  # next word, counted from the end of the encryption bits
+    clear = 0  # words[i:clear] are read and all below safe
     while True:
-        while len(words) < i + 2 + k_max:
-            chunks.append(np.packbits(ks.bits(32 * more)).view(">u4"))
-            words += chunks[-1].tolist()
-        ws, wk = words[i], words[i + 1]
-        # The stopping draw counts too: a rejected word there moves the stop.
-        if ws >= lim_s or wk >= lim_k:
-            drop(i if ws >= lim_s else i + 1)
-            continue
-        s, k = 1 + ws % s_max, 1 + wk % k_max
+        if i + span > clear:
+            while len(words) < i + span:
+                arr, fresh, fresh_hot = _words(ks.bits(32 * more), len(words), safe)
+                chunks.append(arr)
+                words += fresh
+                hot += fresh_hot
+            while hot and hot[0] < i:
+                del hot[0]
+            clear = hot[0] if hot else len(words)
+            # The stopping draw counts too: a rejected word there moves the stop.
+            j = _first_rejected(words, i, remaining, p) if i + span > clear else None
+            if j is not None:
+                # Drops land at non-decreasing places in ``words``, so j plus
+                # the count of earlier drops is the word's index in the stream.
+                dropped.append(j + len(dropped))
+                del words[j]
+                at = hot.index(j)  # a rejected word is at or above safe
+                hot[at:] = [h - 1 for h in hot[at + 1:]]
+                continue
+        s, k = 1 + words[i] % s_max, 1 + words[i + 1] % k_max
         cap = (s * n_d - k) * b
         if cap > remaining:
             break
-        # A location word at most 2**32 - s*n_d lies below every limit of
-        # the unit's draws; only a larger one may be rejected.
-        if max(words[i + 2:i + 2 + k]) > _WORD - s * n_d:
-            bad = [t for t in range(k) if words[i + 2 + t] >= _WORD - _WORD % (s * n_d - t)]
-            if bad:
-                drop(i + 2 + bad[0])
-                continue
         remaining -= cap
-        loc_word.append(i + 2)
         i += 2 + k
         s_of.append(s)
         k_of.append(k)
@@ -283,8 +298,36 @@ def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
     # np.delete costs microseconds even with nothing to delete; most frames drop nothing.
     if dropped:
         stream = np.delete(stream, dropped)
-    locs = _place_dummies(stream, np.array(loc_word), s, k, max(k_of), p)
+    # Each unit's words follow the last unit's, 2 + k of them, once the
+    # dropped words are gone; its locations start at its third.
+    locs = _place_dummies(stream, np.cumsum(k + 2) - k, s, k, max(k_of), p)
     return xbits, s, k, locs, remaining
+
+
+def _words(bits: BitString, offset: int, safe: int) -> tuple[np.ndarray, list, list]:
+    """The 32-bit words of ``bits`` as a native uint32 array and as ints,
+    and the indices, counted from ``offset``, of those at or above ``safe``.
+    Such words are rare (about 1e-7 per word at the default params), so
+    one max per read finds none."""
+    chunk = np.packbits(bits).view(">u4").astype(np.uint32)
+    hot = (offset + np.flatnonzero(chunk >= safe)).tolist() if chunk.max() >= safe else []
+    return chunk, chunk.tolist(), hot
+
+
+def _first_rejected(words: list, i: int, remaining: int, p: ObfuscationParams) -> int | None:
+    """Index of the first word that the draws of the unit at ``words[i]``
+    reject, or None: its (s, k) draw, then, unless that draw stops the
+    unit loop with ``remaining`` bits left, its k location draws."""
+    ws, wk = words[i], words[i + 1]
+    if ws >= _WORD - _WORD % p.s_max:
+        return i
+    if wk >= _WORD - _WORD % p.k_max:
+        return i + 1
+    s, k = 1 + ws % p.s_max, 1 + wk % p.k_max
+    if _capacity(s, k, p) > remaining:
+        return None
+    n = s * p.n_d
+    return next((i + 2 + t for t in range(k) if words[i + 2 + t] >= _WORD - _WORD % (n - t)), None)
 
 
 def _place_dummies(words, loc_word, s, k, k_hi, p) -> np.ndarray:
@@ -346,7 +389,7 @@ def obfuscate(data: BitString, seed: BitString, p: ObfuscationParams, model: Cod
     decoy bits from the "dummy" stream.  Leftover encrypted bits go to the
     tail, padded with "pad" stream bits to a whole number of OFDM symbols.
     """
-    data = np.asarray(data, dtype=np.uint8)
+    data = _bit_array(data, "data")
     if data.size == 0:
         raise ValueError("data must be non-empty")
     xbits, s, k, locs, tail = derive_layout(seed, data.size, p)

@@ -690,6 +690,21 @@ class TestCli:
         assert rc == 3
         assert "symbols must be finite" in capsys.readouterr().err
 
+    # Each used to run as if it were left out: an empty --config on the
+    # defaults, an empty --out or output_path into <scenario>.<ext>.
+    @pytest.mark.parametrize("argv, message", [
+        (["--config", ""], "cannot read config"),
+        (["--out", ""], "--out must name a file"),
+        (["--config", "empty_path.json"], "output_path must name a file"),
+        (["--config", "empty_path.json", "--out", "x.json"], "output_path must name a file"),
+    ], ids=["config", "out", "output_path", "output_path_and_out"])
+    def test_empty_path_exits_two(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty_path.json").write_text('{"output_path": ""}', encoding="utf-8")
+        assert main(["search_space", *argv]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["empty_path.json"]
+
     def test_runtime_failure_exits_three(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory", encoding="utf-8")

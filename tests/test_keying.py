@@ -132,6 +132,25 @@ class TestKeystream:
                 Keystream.from_seed_bits(bad, "xor")
         assert expand_seed(seed) == hashlib.sha256(bytes_from_bits(seed)).digest()
 
+    # A 2 or a -1 used to pack like a 1 and a 0.5 like a 0, so each of these
+    # named the key of the all-one or all-zero seed.
+    @pytest.mark.parametrize("bad", [
+        np.full(128, 2), -np.ones(128, dtype=np.int64), np.full(128, 0.5), np.ones(128),
+        np.array(["1"] * 128), np.array([1] * 127 + [None]), np.full(128, 256, dtype=np.uint16),
+    ], ids=["two", "minus_one", "half", "float_ones", "strings", "objects", "uint16_256"])
+    def test_non_bit_seed_rejected(self, bad):
+        with pytest.raises(ValueError, match="seed must be a bool or integer array of 0s and 1s"):
+            expand_seed(bad)
+        with pytest.raises(ValueError, match="seed must be"):
+            Keystream.from_seed_bits(bad, "xor")
+
+    def test_bool_and_integer_seeds_name_the_same_key(self):
+        seed = np.random.default_rng(5).integers(0, 2, 128).astype(np.uint8)
+        key = expand_seed(seed)
+        for same in (seed.astype(bool), seed.astype(np.int64), seed.astype(np.uint32), seed.tolist()):
+            assert expand_seed(same) == key
+        assert expand_seed(np.zeros(0, dtype=np.uint8)) == hashlib.sha256(b"").digest()
+
     def test_expand_seed_passthrough_at_256(self):
         bits = bits_from_bytes(bytes(range(32)))
         assert expand_seed(bits) == bytes(range(32))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semshield import keying
-from semshield.bits import bytes_from_bits
+from semshield.bits import bits_from_bytes, bytes_from_bits
 from semshield.codec import CodecModel, decode, encode
 from semshield.keying import Keystream, expand_seed, label_nonce
 from semshield.obfuscation import (
@@ -262,6 +262,30 @@ class TestObfuscate:
         with pytest.raises(ValueError):
             obfuscate(np.ones(10, dtype=np.uint8), seed[:127], ObfuscationParams(), MODEL)
         assert len(derive_seed2(seed)) == 32
+
+    # [2, 0, 1]*100 used to pass: the wire round trip returned other bits
+    # and qam16_map raised a bare IndexError on the frame's air.
+    @pytest.mark.parametrize("bad", [
+        np.array([2, 0, 1] * 100), -np.ones(300, dtype=np.int64), np.full(300, 0.5),
+        np.ones(300), np.array(["1"] * 300),
+    ], ids=["two", "minus_one", "half", "float_ones", "strings"])
+    def test_non_bit_payload_rejected(self, bad):
+        with pytest.raises(ValueError, match="data must be a bool or integer array of 0s and 1s"):
+            obfuscate(bad, _seed(32), ObfuscationParams(), MODEL)
+
+    def test_non_bit_seed_rejected(self):
+        for bad in (np.full(128, 2), np.full(128, 0.5)):
+            with pytest.raises(ValueError, match="seed must be"):
+                derive_seed2(bad)
+            with pytest.raises(ValueError, match="seed must be"):
+                obfuscate(np.ones(300, dtype=np.uint8), bad, ObfuscationParams(), MODEL)
+
+    def test_bool_payload_is_its_uint8_bits(self):
+        data = np.random.default_rng(33).integers(0, 2, 3000).astype(np.uint8)
+        seed, p = _seed(33), ObfuscationParams()
+        want = serialize_frame(obfuscate(data, seed, p, MODEL))
+        for same in (data.astype(bool), data.astype(np.int64), data.tolist()):
+            assert serialize_frame(obfuscate(same, seed, p, MODEL)) == want
 
 
 def _frame_with(frame, **fields):
@@ -575,15 +599,12 @@ def test_derive_layout_is_the_frame_layout(draw):
     rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
     l_d = draw.draw(st.integers(1, 3000))
     # Stream words after the encryption bits, each overwritten with a value
-    # near 2**32 that some draws reject; a whole-byte l_d puts every word on
-    # a byte.
+    # near 2**32 that some draws reject.
     near_top = st.one_of(st.integers(1, 16), st.integers(1, 2 * p.s_max * p.n_d))
     hits = draw.draw(st.lists(st.tuples(st.integers(0, 127), near_top), max_size=12))
-    if hits:
-        l_d = -(-l_d // 8) * 8
     data = rng.integers(0, 2, l_d).astype(np.uint8)
     seed = rng.integers(0, 2, 128).astype(np.uint8)
-    patches = {l_d // 8 + 4 * word: (2**32 - below).to_bytes(4, "big") for word, below in hits}
+    patches = _word_patches(seed, l_d, {word: 2**32 - below for word, below in hits}) if hits else {}
 
     with _patch_stream(seed, b"xor", patches):
         xbits, s, k, locs, tail = derive_layout(seed, data.size, p)
@@ -687,6 +708,17 @@ def _draw_by_draw(seed, l_d, p):
         offset += s * p.n_d
 
 
+def _word_patches(seed, l_d, words):
+    """Patches for ``_patch_stream`` that write ``words`` ({index: value})
+    over the "xor" stream's 32-bit words, counted from the end of the l_d
+    encryption bits, whether or not l_d is whole bytes."""
+    end = -(-(l_d + 32 * (max(words) + 1)) // 8) * 8
+    bits = Keystream.from_seed_bits(seed, "xor").bits(end).copy()
+    for index, value in words.items():
+        bits[l_d + 32 * index:l_d + 32 * index + 32] = bits_from_bytes(value.to_bytes(4, "big"))
+    return {0: bytes_from_bits(bits)}
+
+
 def _patch_stream(seed, label, patches):
     """A context that overwrites bytes of one ChaCha20 stream: ``patches``
     maps a byte offset in the stream to the bytes written there."""
@@ -708,12 +740,16 @@ def _patch_stream(seed, label, patches):
 
 _RAGGED = ObfuscationParams(s_max=3, k_max=5, n_d=7, b=3)
 # 2**32 mod 641 == 640, so 2**32 - 640 is the smallest word a draw from
-# [0, 641) rejects, and 2**32 - 641 the largest it keeps.
+# [0, 641) rejects, and 2**32 - 641 the largest it keeps.  It is also
+# derive_layout's safe bound, 2**32 - s_max*n_d + 1, below which no draw
+# rejects a word.
 _WIDE = ObfuscationParams(s_max=1, k_max=3, n_d=641, b=1)
+# The default params' smallest unit, s = 1 with k = k_max, carries
+# (64 - 10) * 4 = 216 bits.
+_DEFAULT = ObfuscationParams()
 
 # (params, l_d, [(unit, draw, word)]).  Draw 0 is the unit's s, 1 its k,
 # 2.. its locations, -1 its last; unit -1 is the stopping (s, k) draw.
-# l_d is whole bytes, so every word starts on a byte.
 REJECTION_CASES = {
     "s_draw": (_RAGGED, 3000, [(4, 0, 0xFFFFFFFF)]),
     "k_draw": (_RAGGED, 3000, [(1, 1, 0xFFFFFFFF)]),
@@ -721,15 +757,28 @@ REJECTION_CASES = {
     "s_and_k_draw": (_RAGGED, 3000, [(3, 0, 0xFFFFFFFF), (3, 1, 0xFFFFFFFF)]),
     "first_location": (_RAGGED, 3000, [(3, 2, 0xFFFFFFFF)]),
     "last_location": (_RAGGED, 3000, [(6, -1, 0xFFFFFFFF)]),
+    # Unit 10 has k = k_max: its last location is the last word of the
+    # 2 + k_max words derive_layout checks for it.
+    "last_location_of_a_full_unit": (_RAGGED, 3000, [(10, -1, 0xFFFFFFFF)]),
     "two_in_a_row": (_RAGGED, 3000, [(8, 2, 0xFFFFFFFF), (8, 3, 0xFFFFFFFF)]),
     "several_units": (_RAGGED, 3000, [(2, 1, 0xFFFFFFFF), (6, 2, 0xFFFFFFFF),
                                       (7, -1, 0xFFFFFFFF)]),
+    # Units 91 to 101 draw from words past derive_layout's first read of
+    # the stream; it reads them in later chunks.
+    "past_the_first_read": (_RAGGED, 3000, [(95, 0, 0xFFFFFFFF), (97, -1, 0xFFFFFFFF)]),
+    # 2**32 - 20 is _RAGGED's safe bound, so the unit takes the exact
+    # checks, but no draw of _RAGGED rejects it.
+    "kept_at_the_safe_bound": (_RAGGED, 3000, [(3, 2, 2**32 - 20)]),
     # The next words then draw a unit that fits the tail, so the loop goes on.
     "stopping_s_draw": (_RAGGED, 288, [(-1, 0, 0xFFFFFFFF)]),
     "stopping_k_draw": (_RAGGED, 2968, [(-1, 1, 0xFFFFFFFF)]),
     "smallest_rejected": (_WIDE, 3200, [(2, 2, 2**32 - 640)]),
     "largest_kept": (_WIDE, 3200, [(2, 2, 2**32 - 641)]),
     "one_unit_frame": (_WIDE, 640, [(0, 2, 0xFFFFFFFF)]),
+    # The first draw is the smallest unit: it fills a 216-bit frame, and one
+    # bit less holds no unit, whatever the stream.
+    "smallest_unit": (_DEFAULT, 216, [(-1, 0, 0), (-1, 1, 9)]),
+    "below_the_smallest_unit": (_DEFAULT, 215, [(-1, 0, 0), (-1, 1, 9)]),
 }
 
 
@@ -739,15 +788,15 @@ def test_rejected_words_replay_like_single_draws(case):
     seed = _seed(60)
     clean = derive_layout(seed, l_d, p)
     _, k_of, _, _, first_word = _draw_by_draw(seed, l_d, p)
-    stream_bytes = {}
-    for unit, draw, word in patches:
-        index = first_word[unit] + (draw if draw >= 0 else 2 + k_of[unit] + draw)
-        stream_bytes[l_d // 8 + 4 * index] = word.to_bytes(4, "big")
-    with _patch_stream(seed, b"xor", stream_bytes):
+    words = {first_word[unit] + (draw if draw >= 0 else 2 + k_of[unit] + draw): word
+             for unit, draw, word in patches}
+    with _patch_stream(seed, b"xor", _word_patches(seed, l_d, words)):
         xbits, s, k, locs, tail = derive_layout(seed, l_d, p)
         ref_s, ref_k, ref_locs, ref_tail, _ = _draw_by_draw(seed, l_d, p)
     assert np.array_equal(xbits, clean[0])
     assert s.tolist() == ref_s and k.tolist() == ref_k
     assert locs.tolist() == ref_locs and tail == ref_tail
-    assert (s.tolist(), k.tolist(), locs.tolist()) != \
+    # Every patch moves the layout but the one below the smallest unit.
+    moved = (s.tolist(), k.tolist(), locs.tolist()) != \
         (clean[1].tolist(), clean[2].tolist(), clean[3].tolist())
+    assert moved == (case != "below_the_smallest_unit")
