@@ -239,13 +239,13 @@ def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
     """
     n_d, b, s_max, k_max = p.n_d, p.b, p.s_max, p.k_max
     ks = Keystream.from_seed_bits(seed, "xor")
-    # Most short sentence frames end here; the stopping draw it skips
-    # would change no output.
+    # Every (s, k) draw would stop the loop, so skipping the stopping draw
+    # changes no output; about half of the sentence frames end here.
     if l_d < (n_d - k_max) * b:
         return ks.bits(l_d), _NO_UNITS, _NO_UNITS, _NO_UNITS, l_d
-    lim_s, lim_k = _WORD - _WORD % s_max, _WORD - _WORD % k_max
-    # Every location draw's limit exceeds 2**32 - s*n_d >= 2**32 - s_max*n_d.
-    safe = min(lim_s, lim_k, _WORD - s_max * n_d + 1)
+    # The (s, k) draws' limits, then a bound below every location draw's
+    # limit, each of which exceeds 2**32 - s*n_d >= 2**32 - s_max*n_d.
+    safe = min(_WORD - _WORD % s_max, _WORD - _WORD % k_max, _WORD - s_max * n_d + 1)
     # One read covers the encryption bits and the words of the units an
     # l_d-bit frame holds on average, plus two units' worth; the loop reads
     # a quarter as many words again whenever it runs out.
