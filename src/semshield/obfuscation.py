@@ -243,8 +243,9 @@ def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
     # changes no output; about half of the sentence frames end here.
     if l_d < (n_d - k_max) * b:
         return ks.bits(l_d), _NO_UNITS, _NO_UNITS, _NO_UNITS, l_d
-    # The (s, k) draws' limits, then a bound below every location draw's
-    # limit, each of which exceeds 2**32 - s*n_d >= 2**32 - s_max*n_d.
+    # The (s, k) draws' limits, and a bound no location draw's limit lies
+    # below: a draw from [0, m) rejects from 2**32 - 2**32 % m > 2**32 - m,
+    # and m <= s_max*n_d.
     safe = min(_WORD - _WORD % s_max, _WORD - _WORD % k_max, _WORD - s_max * n_d + 1)
     # One read covers the encryption bits and the words of the units an
     # l_d-bit frame holds on average, plus two units' worth; the loop reads
