@@ -73,7 +73,11 @@ def expand_seed(seed: BitString) -> bytes:
 
     A 256-bit seed is used verbatim; anything else is hashed.
     """
-    packed = _seed_bytes(seed)
+    return _stream_key(_seed_bytes(seed))
+
+
+def _stream_key(packed: bytes) -> bytes:
+    """``expand_seed`` of a seed already packed by ``_seed_bytes``."""
     if len(packed) == 32:
         return packed
     return hashlib.sha256(packed).digest()

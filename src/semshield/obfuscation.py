@@ -30,6 +30,14 @@ bits: every (s, k) draw would stop the loop.
 Dummy bits come from a second stream keyed by seed2 (label "dummy"),
 every unit's tokens in unit order; tail padding from a "pad" stream.
 Deviating from this order desynchronizes the two ends.
+
+Both ends of a link run in this one process, and they derive each frame's
+layout in turn, so ``derive_layout`` keeps the last layout it made in one
+module-level entry, keyed by the stream key, l_d and the params.  The
+entry holds the units' s and k and the dummy locations, as read-only
+arrays, and the tail count: what ``serialize_frame`` already puts on the
+wire, never the XOR pad.  A call that matches it reads only its l_d
+encryption bits, from a fresh "xor" stream.
 """
 from __future__ import annotations
 
@@ -42,11 +50,14 @@ import numpy as np
 from .bits import BitString, _bit_array, xor_bits
 from .codec import CodecModel, encode
 from .fields import check_fields
-from .keying import Keystream, _seed_bytes
+from .keying import Keystream, _seed_bytes, _stream_key, expand_seed
 
 _WORD = 1 << 32
 _NO_UNITS = np.zeros(0, dtype=np.int64)
 _NO_UNITS.flags.writeable = False
+# The last layout derive_layout made: ((stream key, l_d, params), (s, k,
+# dummy_locations, tail)), arrays read-only; None before the first.
+_last_layout = None
 
 
 class DesyncError(ValueError):
@@ -165,7 +176,12 @@ class ObfuscatedFrame:
 
 def derive_seed2(seed: BitString) -> bytes:
     """Second stream key for dummy data, bound to the frame seed."""
-    return hashlib.sha256(_seed_bytes(seed) + b"dummy").digest()
+    return _seed2(_seed_bytes(seed))
+
+
+def _seed2(packed: bytes) -> bytes:
+    """``derive_seed2`` of a seed already packed by ``_seed_bytes``."""
+    return hashlib.sha256(packed + b"dummy").digest()
 
 
 def draw_unit_params(ks: Keystream, p: ObfuscationParams) -> tuple[int, int]:
@@ -236,13 +252,29 @@ def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
     only for a unit whose 2 + k_max words reach one.  A payload shorter
     than the smallest unit, (n_d - k_max)*b bits, holds no unit and reads
     only its encryption bits.
+
+    The last layout derived is kept (module docstring), so the receiving
+    end of a frame just sent reads only the encryption bits; the arrays
+    of a frame with units are read-only.
     """
+    return _layout(expand_seed(seed), l_d, p)
+
+
+def _layout(key: bytes, l_d: int, p: ObfuscationParams) -> tuple:
+    """``derive_layout`` for the stream key ``key``, ``expand_seed(seed)``."""
+    global _last_layout
     n_d, b, s_max, k_max = p.n_d, p.b, p.s_max, p.k_max
-    ks = Keystream.from_seed_bits(seed, "xor")
+    ks = Keystream(key, "xor")
     # Every (s, k) draw would stop the loop, so skipping the stopping draw
     # changes no output; about half of the sentence frames end here.
     if l_d < (n_d - k_max) * b:
         return ks.bits(l_d), _NO_UNITS, _NO_UNITS, _NO_UNITS, l_d
+    memo_key = (key, l_d, p)
+    # One read: an entry is a whole (key, layout) pair, so a thread that
+    # replaces it between calls costs a miss, never a wrong layout.
+    last = _last_layout
+    if last is not None and last[0] == memo_key:
+        return (ks.bits(l_d), *last[1])
     # The (s, k) draws' limits, and a bound no location draw's limit lies
     # below: a draw from [0, m) rejects from 2**32 - 2**32 % m > 2**32 - m,
     # and m <= s_max*n_d.
@@ -289,20 +321,24 @@ def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
         s_of.append(s)
         k_of.append(k)
 
-    xbits = first[:l_d]
     # A frame too short for one unit has no shuffle to run, and
     # _place_dummies needs at least one unit.
     if not s_of:
-        return xbits, _NO_UNITS, _NO_UNITS, _NO_UNITS, remaining
-    s, k = np.array(s_of), np.array(k_of)
-    stream = np.concatenate(chunks)
-    # np.delete costs microseconds even with nothing to delete; most frames drop nothing.
-    if dropped:
-        stream = np.delete(stream, dropped)
-    # Each unit's words follow the last unit's, 2 + k of them, once the
-    # dropped words are gone; its locations start at its third.
-    locs = _place_dummies(stream, np.cumsum(k + 2) - k, s, k, max(k_of), p)
-    return xbits, s, k, locs, remaining
+        s = k = locs = _NO_UNITS
+    else:
+        s, k = np.array(s_of), np.array(k_of)
+        stream = np.concatenate(chunks)
+        # np.delete costs microseconds even with nothing to delete; most frames drop nothing.
+        if dropped:
+            stream = np.delete(stream, dropped)
+        # Each unit's words follow the last unit's, 2 + k of them, once the
+        # dropped words are gone; its locations start at its third.
+        locs = _place_dummies(stream, np.cumsum(k + 2) - k, s, k, max(k_of), p)
+        # Frames keep these arrays without a copy, and the memo hands them out again.
+        for arr in (s, k, locs):
+            arr.flags.writeable = False
+    _last_layout = (memo_key, (s, k, locs, remaining))
+    return first[:l_d], s, k, locs, remaining
 
 
 def _words(bits: BitString, offset: int, safe: int) -> tuple[np.ndarray, list, list]:
@@ -393,9 +429,12 @@ def obfuscate(data: BitString, seed: BitString, p: ObfuscationParams, model: Cod
     data = _bit_array(data, "data")
     if data.size == 0:
         raise ValueError("data must be non-empty")
-    xbits, s, k, locs, tail = derive_layout(seed, data.size, p)
+    # The seed is checked and packed once for all three streams.
+    packed = _seed_bytes(seed)
+    key = _stream_key(packed)
+    xbits, s, k, locs, tail = _layout(key, data.size, p)
     enc = xor_bits(data, xbits)
-    pad = Keystream.from_seed_bits(seed, "pad").bits(_expected_tail_bits(tail, p) - tail)
+    pad = Keystream(key, "pad").bits(_expected_tail_bits(tail, p) - tail)
     # A tail-only frame, as short sentence frames often are, skips the slot
     # arrays and the dummy stream, which would nearly double its cost.
     if not s.size:
@@ -406,7 +445,7 @@ def obfuscate(data: BitString, seed: BitString, p: ObfuscationParams, model: Cod
     air = np.empty(unit_bits + tail + pad.size, dtype=np.uint8)
     slots = _subcarriers(air[:unit_bits], p.b)
     slots[_data_mask(locs, n_sub)] = _subcarriers(enc[: enc.size - tail], p.b)
-    dummy = generate_dummy_bits(Keystream(derive_seed2(seed), "dummy"), k, p.b, model)
+    dummy = generate_dummy_bits(Keystream(_seed2(packed), "dummy"), k, p.b, model)
     slots[locs] = _subcarriers(dummy, p.b)
     air[unit_bits:unit_bits + tail] = enc[enc.size - tail:]
     air[unit_bits + tail:] = pad
@@ -422,10 +461,12 @@ def deobfuscate(frame: ObfuscatedFrame, seed: BitString, p: ObfuscationParams) -
     """Exact inverse of obfuscate for a trusted frame.
 
     Demands that the frame's recorded layout match the one derived from
-    the seed bit for bit; any disagreement raises DesyncError.
+    the seed bit for bit; any disagreement raises DesyncError.  Air
+    values other than 0 and 1 raise ValueError.
     """
     if frame.params != p:
         raise DesyncError(f"frame params {frame.params} != {p}")
+    _bit_array(frame.air, "frame air")  # the frame holds it as uint8 already
     xbits, s, k, locs, tail = derive_layout(seed, frame.l_d, p)
     if frame.s.size != s.size:
         raise DesyncError(f"frame has {frame.s.size} units, the seed derives {s.size}")
@@ -450,9 +491,10 @@ def recover_bits(ota: BitString, l_d: int, seed: BitString, p: ObfuscationParams
     Unlike deobfuscate there is no metadata to cross-check: the layout is
     taken entirely from the seed, short input is zero padded and excess
     ignored, so demodulation bit errors (or a wrong seed) degrade the
-    output instead of aborting it.
+    output instead of aborting it.  Values other than 0 and 1 in ``ota``
+    raise ValueError.
     """
-    ota = np.ascontiguousarray(ota, dtype=np.uint8)
+    ota = np.ascontiguousarray(_bit_array(ota, "ota"))
     if l_d < 0:
         raise ValueError("l_d must be >= 0")
     xbits, s, k, locs, tail = derive_layout(seed, l_d, p)
@@ -522,19 +564,23 @@ def deserialize_frame(buf: bytes, p: ObfuscationParams) -> ObfuscatedFrame:
     off = _HEADER.size
     s_of, k_of, locs_at = [], [], []
     remaining = l_d
+    # The walk reads every unit header, so it works on locals alone.
+    size, head, unpack = len(buf), _UNIT_HEADER.size, _UNIT_HEADER.unpack_from
+    s_max, k_max, n_d, b, symbol_bits = p.s_max, p.k_max, p.n_d, p.b, p.symbol_bits
     for i in range(n_units):
-        if len(buf) < off + _UNIT_HEADER.size:
+        if size < off + head:
             raise FrameFormatError(f"frame truncated in the header of unit {i}")
-        s, k = _UNIT_HEADER.unpack_from(buf, off)
-        if not (1 <= s <= p.s_max and 1 <= k <= p.k_max):
-            raise FrameFormatError(f"unit {i} params ({s},{k}) outside [1,{p.s_max}] x [1,{p.k_max}]")
-        locs_at.append(off + _UNIT_HEADER.size)
-        off += _UNIT_HEADER.size + 4 * k + (s * p.symbol_bits + 7) // 8
-        if len(buf) < off:
+        s, k = unpack(buf, off)
+        if not (1 <= s <= s_max and 1 <= k <= k_max):
+            raise FrameFormatError(f"unit {i} params ({s},{k}) outside [1,{s_max}] x [1,{k_max}]")
+        off += head
+        locs_at.append(off)
+        off += 4 * k + (s * symbol_bits + 7) // 8
+        if size < off:
             raise FrameFormatError(f"frame truncated in the body of unit {i}")
         s_of.append(s)
         k_of.append(k)
-        remaining -= _capacity(s, k, p)
+        remaining -= (s * n_d - k) * b
     if remaining < 0:
         raise FrameFormatError("unit capacities exceed l_d")
     tail_len = _expected_tail_bits(remaining, p)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString
+from .bits import BitString, _bit_array
 
 N_FFT = 64
 CP_LEN = 16
@@ -35,8 +35,11 @@ MAX_SNR_DB = 300.0
 
 
 def qam16_map(bits: BitString) -> np.ndarray:
-    """Gray-mapped 16QAM: per 4 bits, I from the first pair, Q from the second."""
-    bits = np.asarray(bits, dtype=np.uint8)
+    """Gray-mapped 16QAM: per 4 bits, I from the first pair, Q from the second.
+
+    Values other than 0 and 1 raise ValueError.
+    """
+    bits = _bit_array(bits, "bits")
     if bits.size % 4:
         raise ValueError("bit count must be divisible by 4")
     quads = bits.reshape(-1, 4)

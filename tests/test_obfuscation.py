@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import struct
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semshield import keying
+from semshield import keying, obfuscation
 from semshield.bits import bits_from_bytes, bytes_from_bits
 from semshield.codec import CodecModel, decode, encode
 from semshield.keying import Keystream, expand_seed, label_nonce
@@ -36,6 +37,11 @@ MODEL = CodecModel(vocab_size=4096, deviation_rate=0.0)
 def _seed(tag: int) -> np.ndarray:
     rng = np.random.default_rng(tag)
     return rng.integers(0, 2, 128).astype(np.uint8)
+
+
+def _forget_layout():
+    """Clear derive_layout's memo, so the next derivation replays the stream."""
+    obfuscation._last_layout = None
 
 
 class TestParams:
@@ -228,6 +234,7 @@ class TestObfuscate:
         p = ObfuscationParams()
         data = np.random.default_rng(5).integers(0, 2, 5000).astype(np.uint8)
         f1 = obfuscate(data, _seed(20), p, MODEL)
+        _forget_layout()
         f2 = obfuscate(data, _seed(20), p, MODEL)
         f3 = obfuscate(data, _seed(21), p, MODEL)
         assert [(u.s, u.k) for u in f1.units] == [(u.s, u.k) for u in f2.units]
@@ -285,6 +292,7 @@ class TestObfuscate:
         seed, p = _seed(33), ObfuscationParams()
         want = serialize_frame(obfuscate(data, seed, p, MODEL))
         for same in (data.astype(bool), data.astype(np.int64), data.tolist()):
+            _forget_layout()
             assert serialize_frame(obfuscate(same, seed, p, MODEL)) == want
 
 
@@ -397,8 +405,28 @@ class TestDeobfuscate:
         with pytest.raises(DesyncError, match="tail length"):
             deobfuscate(padded, seed, p)
 
+    def test_non_bit_air_rejected(self):
+        p = ObfuscationParams()
+        seed = _seed(38)
+        frame = obfuscate(np.ones(3000, dtype=np.uint8), seed, p, MODEL)
+        air = frame.air.copy()
+        air[5] = 2
+        with pytest.raises(ValueError, match="frame air must be"):
+            deobfuscate(_frame_with(frame, air=air), seed, p)
+
 
 class TestRecoverBits:
+    # A 2 on the air used to come back as a 3 in the payload, and a 0.5 as a 0.
+    @pytest.mark.parametrize("bad", [2, 0.5], ids=["two", "half"])
+    def test_non_bit_air_rejected(self, bad):
+        p = ObfuscationParams()
+        seed = _seed(35)
+        frame = obfuscate(np.ones(300, dtype=np.uint8), seed, p, MODEL)
+        air = ota_bits(frame).astype(type(bad))
+        air[7] = bad
+        with pytest.raises(ValueError, match="ota must be"):
+            recover_bits(air, frame.l_d, seed, p)
+
     def test_exact_recovery_from_clean_air(self):
         p = ObfuscationParams()
         data = np.random.default_rng(13).integers(0, 2, 7000).astype(np.uint8)
@@ -719,9 +747,15 @@ def _word_patches(seed, l_d, words):
     return {0: bytes_from_bits(bits)}
 
 
+@contextlib.contextmanager
 def _patch_stream(seed, label, patches):
     """A context that overwrites bytes of one ChaCha20 stream: ``patches``
-    maps a byte offset in the stream to the bytes written there."""
+    maps a byte offset in the stream to the bytes written there.
+
+    derive_layout's memo is cleared on entry and on exit, so no layout of
+    the real stream is read inside the context and none of the patched
+    stream outside it.
+    """
     key, nonce = expand_seed(seed), label_nonce(label)
     real = keying.chacha20_stream
 
@@ -735,7 +769,12 @@ def _patch_stream(seed, label, patches):
                         out[at + i - base] = byte
         return bytes(out)
 
-    return mock.patch.object(keying, "chacha20_stream", stream)
+    _forget_layout()
+    try:
+        with mock.patch.object(keying, "chacha20_stream", stream):
+            yield
+    finally:
+        _forget_layout()
 
 
 _RAGGED = ObfuscationParams(s_max=3, k_max=5, n_d=7, b=3)
@@ -800,3 +839,59 @@ def test_rejected_words_replay_like_single_draws(case):
     moved = (s.tolist(), k.tolist(), locs.tolist()) != \
         (clean[1].tolist(), clean[2].tolist(), clean[3].tolist())
     assert moved == (case != "below_the_smallest_unit")
+
+
+# --- the layout memo ------------------------------------------------------------
+
+class TestLayoutMemo:
+    def test_hit_arrays_are_read_only(self):
+        p, seed = ObfuscationParams(), _seed(61)
+        frame = obfuscate(np.ones(5000, dtype=np.uint8), seed, p, MODEL)
+        _, s, k, locs, _ = derive_layout(seed, frame.l_d, p)
+        assert s is frame.s and k is frame.k and locs is frame.dummy_locations
+        for arr in (s, k, locs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+    def test_memo_holds_no_pad(self):
+        p, seed = ObfuscationParams(), _seed(62)
+        xbits = derive_layout(seed, 5000, p)[0]
+        (key, l_d, params), layout = obfuscation._last_layout
+        assert (key, l_d, params) == (expand_seed(seed), 5000, p)
+        assert len(layout) == 4
+        assert not any(np.shares_memory(xbits, arr) for arr in layout[:3])
+
+    def test_seed_a_then_b_then_a(self):
+        p = ObfuscationParams()
+        for seed in (_seed(63), _seed(64), _seed(63)):
+            xbits, s, k, locs, tail = derive_layout(seed, 5000, p)
+            assert (s.tolist(), k.tolist(), locs.tolist(), tail) == _draw_by_draw(seed, 5000, p)[:4]
+            assert np.array_equal(xbits, Keystream.from_seed_bits(seed, "xor").bits(5000))
+
+    def test_tampered_wire_frame_desyncs_after_obfuscate(self):
+        p, seed = ObfuscationParams(), _seed(65)
+        frame = obfuscate(np.ones(5000, dtype=np.uint8), seed, p, MODEL)
+        # Move unit 0's first dummy into a gap: the frame still parses.
+        locs = frame.units[0].dummy_locations
+        j = int(np.flatnonzero(np.diff(np.append(locs, frame.s[0] * p.n_d)) > 1)[0])
+        blob = bytearray(serialize_frame(frame))
+        at = 17 + 4 + 4 * j + 3  # frame header, unit header, low byte of location j
+        blob[at] += 1
+        tampered = deserialize_frame(bytes(blob), p)
+        with pytest.raises(DesyncError, match="dummy locations"):
+            deobfuscate(tampered, seed, p)
+
+    def test_wrong_seed_right_after_the_right_one(self):
+        p, seed = ObfuscationParams(), _seed(66)
+        wrong = seed.copy()
+        wrong[0] ^= 1
+        data = np.random.default_rng(66).integers(0, 2, 5000).astype(np.uint8)
+        frame = obfuscate(data, seed, p, MODEL)
+        air = ota_bits(frame)
+        _forget_layout()
+        want = recover_bits(air, frame.l_d, wrong, p)
+        frame = obfuscate(data, seed, p, MODEL)
+        assert np.array_equal(recover_bits(air, frame.l_d, seed, p), data)
+        assert np.array_equal(recover_bits(air, frame.l_d, wrong, p), want)
+        assert not np.array_equal(want, data)

@@ -132,6 +132,13 @@ class TestQam16Map:
         with pytest.raises(ValueError):
             qam16_map(np.zeros(6, dtype=np.uint8))
 
+    # A 2 used to raise a bare IndexError from the point table.
+    @pytest.mark.parametrize("bad", [np.array([2, 0, 1, 0] * 8, dtype=np.uint8), np.full(32, 0.5)],
+                             ids=["two", "half"])
+    def test_rejects_non_bits(self, bad):
+        with pytest.raises(ValueError, match="bits must be"):
+            qam16_map(bad)
+
 
 class TestQam16Demap:
     def test_identity_on_clean_symbols(self):
