@@ -792,6 +792,25 @@ def test_bleu_compare_output_pinned(key_refresh, probe_noise_std):
     assert digest == BLEU_COMPARE_SHA256[key_refresh, probe_noise_std]
 
 
+# SHA-256 of render_output for a four-point bleu_compare config with a
+# repeated SNR, one per key refresh policy.  Every sentence is decoded with
+# the same substitution draws at each point, so these check that each point
+# still sums its own scores; recorded while every point decoded its own
+# sentences.
+BLEU_COMPARE_POINTS_SHA256 = {
+    "per_frame": "a97fe3f8a6ebfa12580f190d1099592b06a41aa6d452209d2be198b003c977cc",
+    "per_point": "f29e1e0035b9f41c639e7dcb4cd8c84c7ba599b080dd78bf521cc5a5f9d2643b",
+}
+
+
+@pytest.mark.parametrize("key_refresh", sorted(BLEU_COMPARE_POINTS_SHA256))
+def test_bleu_compare_repeated_points_pinned(key_refresh):
+    cfg = _fast_cfg(scenario="bleu_compare", snr_list=(3.0, 3.0, 12.0, 40.0), n_sentences=8,
+                    key_refresh=key_refresh)
+    digest = hashlib.sha256(render_output(cfg).encode("ascii")).hexdigest()
+    assert digest == BLEU_COMPARE_POINTS_SHA256[key_refresh]
+
+
 # SHA-256 of render_output for small bleu_compare configs over the two fading
 # channels, one per key refresh policy.  Every frame has its own channel
 # response here, so these check that each frame is equalized by its own taps;
