@@ -210,9 +210,12 @@ def _equalize(tx: np.ndarray, channels: list[ChannelModel], sizes: list[int]) ->
     """Pass each frame of ``sizes[i]`` bits in ``tx`` through its own channel;
     return the equalized symbols of all frames."""
     n_symbols = [_n_symbols(n) for n in sizes]
-    edges = np.cumsum(n_symbols)[:-1] * (N_FFT + CP_LEN)
-    rx = _join([apply_channel(part, ch) for part, ch in zip(np.split(tx, edges), channels)])
-    return ofdm_demodulate_equalize(rx, channels, n_symbols)
+    parts, start = [], 0
+    for ch, m in zip(channels, n_symbols):
+        stop = start + m * (N_FFT + CP_LEN)
+        parts.append(apply_channel(tx[start:stop], ch))
+        start = stop
+    return ofdm_demodulate_equalize(_join(parts), channels, n_symbols)
 
 
 def _receive(tx: np.ndarray, channels: list[ChannelModel], sizes: list[int]) -> list[BitString]:
@@ -249,11 +252,10 @@ def _derive_key_materials(cfg: ExperimentConfig, scopes: list[tuple]) -> list[tu
                 cfg.probe_coherence,
                 cfg.probe_noise_std,
             )
+        # simulate_plk reads the noise seed only for noisy probes.
+        noise_seed = derive_int(cfg.master_seed, *scope, "probe-noise") if cfg.probe_noise_std else 0
         try:
-            plk, entropy = simulate_plk(
-                trace, cfg.l_seedkey, cfg.guard_band,
-                noise_seed=derive_int(cfg.master_seed, *scope, "probe-noise"),
-            )
+            plk, entropy = simulate_plk(trace, cfg.l_seedkey, cfg.guard_band, noise_seed=noise_seed)
             insufficient = False
         except InsufficientEntropyError as exc:
             plk = np.zeros(cfg.l_seedkey, dtype=np.uint8)
@@ -334,7 +336,8 @@ def run_bleu_compare(cfg: ExperimentConfig) -> list[dict]:
     n = len(corpus)
     # Encoded once for every point: obfuscate, _transmit and decode only read these.
     plain = [encode(sentence, cfg.codec) for sentence in corpus]
-    means = []
+    # Per sentence, the (encrypted, plain) received rows of every point in turn.
+    received = [[] for _ in range(n)]
     for i, snr in enumerate(cfg.snr_list):
         scope = ("bleu_compare", i)
         if cfg.key_refresh == "per_point":
@@ -348,22 +351,17 @@ def run_bleu_compare(cfg: ExperimentConfig) -> list[dict]:
         tx = _transmit(cfg.master_seed, sent, [(*scope, j, "pad" + r) for j, r in roles])
         channels = [cfg.channel(snr, derive_int(cfg.master_seed, *scope, j, "ch" + r)) for j, r in roles]
         rx = _receive(tx, channels, [bits.size for bits in sent])
-
-        # Both copies of sentence j share its substitution draws, so they are
-        # decoded as one stack and scored as the pairs (enc j, plain j).
-        decoded = [
-            decode(np.stack([recover_bits(rx[j], frames[j].l_d, keys[j], p), rx[n + j]]),
-                   cfg.codec, noise_seed=j)
-            for j in range(n)
-        ]
-        scores = bleu_scores_many((corpus[j], hyp) for j in range(n) for hyp in decoded[j])
-        # Summed frame by frame, in corpus order, as the means are defined.
-        sums_enc = np.zeros(4)
-        sums_plain = np.zeros(4)
         for j in range(n):
-            sums_enc += scores[2 * j].as_floats()
-            sums_plain += scores[2 * j + 1].as_floats()
-        means.append((sums_enc / n, sums_plain / n))
+            received[j] += (recover_bits(rx[j], frames[j].l_d, keys[j], p), rx[n + j])
+
+    # Every received copy of sentence j shares its substitution draws, so the
+    # copies of all points are decoded as one stack and scored as the pairs
+    # (enc, plain) of point 0, then of point 1, and so on.
+    decoded = [decode(np.stack(rows), cfg.codec, noise_seed=j) for j, rows in enumerate(received)]
+    scores = bleu_scores_many((corpus[j], hyp) for j in range(n) for hyp in decoded[j])
+    # Summed frame by frame, in corpus order, as the means are defined.
+    table = np.array([score.as_floats() for score in scores]).reshape(n, len(cfg.snr_list), 2, 4)
+    means = np.cumsum(table, axis=0)[-1] / n
     return [{"gram": gram, "snr_db": snr, "bleu_enc": float(enc[gram - 1]), "bleu_noenc": float(noenc[gram - 1])}
             for gram in range(1, 5) for snr, (enc, noenc) in zip(cfg.snr_list, means)]
 

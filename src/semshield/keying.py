@@ -290,16 +290,20 @@ def quantize_samples(samples: np.ndarray, guard_band: float) -> tuple[BitString,
     Raises ValueError when the samples' std is not finite.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    # The median as np.median takes it: the middle value, or the mean of the
-    # two.  The lower of the two is the largest value left of the pivot.
-    half = samples.size // 2
-    part = np.partition(samples, half)
-    if samples.size % 2:
-        median = float(part[half])
-    else:
-        median = float((part[:half].max() + part[half]) / 2)
+    n = samples.size
     with np.errstate(over="ignore", invalid="ignore"):
-        std = float(np.std(samples))
+        # The median as np.median takes it: the middle value, or the mean of
+        # the two.  The lower of the two is the largest value left of the pivot.
+        half = n // 2
+        part = np.partition(samples, half)
+        if n % 2:
+            median = float(part[half])
+        else:
+            median = float((part[:half].max() + part[half]) / 2)
+        # np.std's own steps, without its Python wrappers: the same doubles.
+        dev = samples - np.add.reduce(samples) / n
+        dev *= dev
+        std = math.sqrt(np.add.reduce(dev) / n)
     if not math.isfinite(std):
         raise ValueError(f"samples have a non-finite std ({std})")
     hi = median + guard_band * std
@@ -315,7 +319,7 @@ def empirical_bit_entropy(bits: BitString) -> float:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size == 0:
         return 0.0
-    p = float(bits.mean())
+    p = np.count_nonzero(bits) / bits.size
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
@@ -324,6 +328,8 @@ def empirical_bit_entropy(bits: BitString) -> float:
 def _amplify(agreed: BitString, target_bits: int) -> BitString:
     # skey_hash in counter mode over the agreed bits (length-prefixed).
     material = struct.pack(">Q", len(agreed)) + bytes_from_bits(agreed)
+    if target_bits <= 256:  # one block, as every config key length is
+        return skey_hash(material + struct.pack(">I", 0), target_bits)
     chunks = []
     produced = 0
     counter = 0

@@ -146,9 +146,12 @@ class ObfuscatedFrame:
     air: BitString
 
     def __post_init__(self):
-        for name in ("s", "k", "dummy_locations"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        object.__setattr__(self, "air", np.ascontiguousarray(self.air, dtype=np.uint8))
+        for name, dtype in (("s", np.int64), ("k", np.int64), ("dummy_locations", np.int64), ("air", np.uint8)):
+            value = np.asarray(getattr(self, name))
+            # The cast below would truncate floats; an empty list is float64.
+            if value.size and value.dtype.kind not in "biu":
+                raise ValueError(f"frame {name} must be a bool or integer array, not {value.dtype}")
+            object.__setattr__(self, name, np.ascontiguousarray(value, dtype=dtype))
 
     @property
     def unit_bits(self) -> int:

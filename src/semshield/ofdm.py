@@ -123,14 +123,14 @@ def apply_channel(samples: np.ndarray, ch: ChannelModel) -> np.ndarray:
     the output in place; the input is never written.
     """
     samples = np.asarray(samples, dtype=np.complex128)
-    h = realize_taps(ch)
-    out = np.convolve(samples, h)[: samples.size] if h.size > 1 or h[0] != 1.0 else samples.copy()
+    out = samples.copy() if ch.kind == KIND_AWGN else np.convolve(samples, realize_taps(ch))[: samples.size]
     if ch.snr_db == math.inf:
         return out
     # One float buffer holds |samples|**2 for Es, then each half of the noise.
     buf = np.abs(samples)
     buf *= buf
-    noise_var = float(np.mean(buf)) / (10.0 ** (ch.snr_db / 10.0))
+    # Es as np.mean takes it, without its Python wrapper: the same double.
+    noise_var = float(np.add.reduce(buf) / buf.size) / (10.0 ** (ch.snr_db / 10.0))
     std = math.sqrt(noise_var / 2.0)
     rng = np.random.default_rng([ch.channel_seed & 0xFFFFFFFFFFFFFFFF, 0x6E])
     for part in (out.real, out.imag):

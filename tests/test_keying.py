@@ -510,6 +510,10 @@ def _plk_outcome(trace, target_bits, guard_band, noise_seed):
         plk, entropy = simulate_plk(trace, target_bits, guard_band, noise_seed=noise_seed)
     except InsufficientEntropyError as exc:
         return "insufficient", exc.agreed_bits, exc.entropy_estimate
+    except ValueError as exc:
+        if "non-finite std" not in str(exc):
+            raise
+        return "non-finite std", None, None
     return "key", plk.tolist(), entropy
 
 
@@ -524,7 +528,10 @@ def _plk_reference(trace, target_bits, guard_band, noise_seed):
         observed.append(probes + noise if trace.probe_noise_std else probes)
     bits, kept = [], []
     for obs in observed:
-        median, std = float(np.median(obs)), float(np.std(obs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            median, std = float(np.median(obs)), float(np.std(obs))
+        if not math.isfinite(std):
+            return "non-finite std", None, None
         ones = obs > median + guard_band * std
         k = np.flatnonzero(ones | (obs < median - guard_band * std))
         bits.append(ones[k].astype(np.uint8))
@@ -535,7 +542,8 @@ def _plk_reference(trace, target_bits, guard_band, noise_seed):
     for i in range(0, a.size - 7, 8):
         if a[i:i + 8].sum() % 2 == b[i:i + 8].sum() % 2:
             agreed.extend(a[i:i + 8].tolist())
-    entropy = empirical_bit_entropy(np.array(agreed, dtype=np.uint8))
+    p = sum(agreed) / len(agreed) if agreed else 0.0
+    entropy = -p * math.log2(p) - (1 - p) * math.log2(1 - p) if 0 < p < 1 else 0.0
     if len(agreed) < 8:
         return "insufficient", len(agreed), entropy
     material = struct.pack(">Q", len(agreed)) + bytes_from_bits(np.array(agreed, dtype=np.uint8))
@@ -577,12 +585,20 @@ class TestPlkPinned:
         assert (kind, agreed_bits, entropy) == ("insufficient", 0, 0.0)
 
 
-_PLK_SAMPLES = st.lists(
-    st.one_of(st.floats(0.0, 3.0, allow_nan=False), st.sampled_from([0.0, 0.5, 1.0])),
-    min_size=1, max_size=300)
+# Gains of either sign, and short traces of magnitudes up to the float limit,
+# where the squares (and near the limit the sums) overflow and the std is
+# not finite.
+_PLK_SAMPLES = st.one_of(
+    st.lists(st.one_of(st.floats(-3.0, 3.0, allow_nan=False), st.sampled_from([0.0, 0.5, 1.0, -1.0])),
+             min_size=1, max_size=300),
+    st.lists(st.one_of(st.floats(-3.0, 3.0), st.floats(-1e308, 1e308),
+                       st.sampled_from([1e200, -1e200, 1.7e308, -1.7e308])),
+             min_size=1, max_size=40),
+)
 
 
-@settings(max_examples=150, deadline=None)
+# About half the examples draw the huge-magnitude traces.
+@settings(max_examples=300, deadline=None)
 @given(samples=_PLK_SAMPLES, coherence=st.integers(1, 9),
        noise_std=st.one_of(st.sampled_from([0.0, 0.05, 0.5]), st.floats(0.0, 2.0)),
        guard_band=st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 2.0)),
@@ -593,6 +609,14 @@ _PLK_SAMPLES = st.lists(
 # pivot is not the lower middle.
 @example(samples=np.random.default_rng(98).rayleigh(size=4096).tolist(), coherence=1,
          noise_std=0.0, guard_band=0.0, target_bits=128, noise_seed=0)
+# Squares that overflow: np.std is inf.  Sums that overflow: np.std is NaN.
+@example(samples=[1e200, -1e200, 3.0], coherence=2, noise_std=0.5, guard_band=0.2,
+         target_bits=128, noise_seed=1)
+@example(samples=[1.7e308, 1.7e308, 1.0], coherence=1, noise_std=0.0, guard_band=0.2,
+         target_bits=128, noise_seed=2)
+# Magnitudes near the square root of the float limit, whose std stays finite.
+@example(samples=[1e150, -1e150, 2e150, 0.0] * 20, coherence=1, noise_std=0.05, guard_band=0.2,
+         target_bits=300, noise_seed=3)
 def test_simulate_plk_matches_reference(samples, coherence, noise_std, guard_band,
                                         target_bits, noise_seed):
     trace = ChannelTrace(np.array(samples), coherence=coherence, probe_noise_std=noise_std)

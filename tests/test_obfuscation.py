@@ -323,6 +323,27 @@ class TestFrame:
         air ^= 1
         assert np.array_equal(ota_bits(frame) ^ 1, air)
 
+    # The integer cast used to truncate floats: air of 0.5 became zeros, and
+    # deobfuscate returned pad-XORed bits with no error.
+    @pytest.mark.parametrize("name", ["s", "k", "dummy_locations", "air"])
+    def test_float_fields_rejected(self, name):
+        seed, p = _seed(27), ObfuscationParams()
+        frame = obfuscate(np.ones(5000, dtype=np.uint8), seed, p, MODEL)
+        assert frame.k.sum() > 0
+        with pytest.raises(ValueError, match=f"frame {name} must be a bool or integer array"):
+            _frame_with(frame, **{name: getattr(frame, name) * 0.5})
+        with pytest.raises(ValueError, match=f"frame {name} must be"):
+            _frame_with(frame, **{name: getattr(frame, name).astype(float)})
+
+    def test_empty_lists_build_a_tail_only_frame(self):
+        seed, p = _seed(28), ObfuscationParams()
+        data = np.random.default_rng(28).integers(0, 2, 100).astype(np.uint8)
+        frame = obfuscate(data, seed, p, MODEL)
+        assert frame.s.size == 0
+        rebuilt = _frame_with(frame, s=[], k=[], dummy_locations=[], air=frame.air.tolist())
+        assert rebuilt.s.dtype == rebuilt.dummy_locations.dtype == np.int64
+        assert np.array_equal(deobfuscate(rebuilt, seed, p), data)
+
 
 class TestDeobfuscate:
     def test_tail_only_frame(self):

@@ -78,8 +78,12 @@ class TestSameBytesAsReference:
 
     @pytest.mark.parametrize("ch", _CHANNELS, ids=lambda ch: f"{ch.kind}-{ch.snr_db}-{ch.channel_seed}")
     def test_channel(self, ch):
-        x = _ref_modulate(_ref_map(_bits(25 * N_FFT * 4, 32)))
-        assert apply_channel(x, ch).tobytes() == _ref_channel(x, ch).tobytes()
+        # 25 symbols, and the 1- and 2-symbol frames (80 and 160 samples) of
+        # bleu_compare's sentences.
+        for n_symbols in (25, 1, 2):
+            x = _ref_modulate(_ref_map(_bits(n_symbols * N_FFT * 4, 32)))
+            assert x.size == n_symbols * (N_FFT + CP_LEN)
+            assert apply_channel(x, ch).tobytes() == _ref_channel(x, ch).tobytes(), n_symbols
 
     def test_channel_on_a_strided_view(self):
         # A frame split out of a longer transmission is a view of it.
@@ -94,8 +98,9 @@ class TestInputsUnchanged:
     def test_apply_channel(self, ch):
         tx = _ref_modulate(_ref_map(_bits(4 * N_FFT * 4, 35)))
         before = tx.copy()
-        # both a whole array and the views np.split hands out
-        for part in (tx, *np.split(tx, [2 * (N_FFT + CP_LEN)])):
+        # both a whole array and the frame slices a transmission is cut into
+        edge = 2 * (N_FFT + CP_LEN)
+        for part in (tx, tx[:edge], tx[edge:]):
             out = apply_channel(part, ch)
             assert not np.shares_memory(out, tx)
         assert tx.tobytes() == before.tobytes()
