@@ -336,8 +336,9 @@ def run_bleu_compare(cfg: ExperimentConfig) -> list[dict]:
     n = len(corpus)
     # Encoded once for every point: obfuscate, _transmit and decode only read these.
     plain = [encode(sentence, cfg.codec) for sentence in corpus]
-    # Per sentence, the (encrypted, plain) received rows of every point in turn.
-    received = [[] for _ in range(n)]
+    n_points = len(cfg.snr_list)
+    # Per sentence, its received rows: (encrypted, plain) of each point in turn.
+    received = [np.empty((2 * n_points, bits.size), dtype=np.uint8) for bits in plain]
     for i, snr in enumerate(cfg.snr_list):
         scope = ("bleu_compare", i)
         if cfg.key_refresh == "per_point":
@@ -352,16 +353,21 @@ def run_bleu_compare(cfg: ExperimentConfig) -> list[dict]:
         channels = [cfg.channel(snr, derive_int(cfg.master_seed, *scope, j, "ch" + r)) for j, r in roles]
         rx = _receive(tx, channels, [bits.size for bits in sent])
         for j in range(n):
-            received[j] += (recover_bits(rx[j], frames[j].l_d, keys[j], p), rx[n + j])
+            received[j][2 * i] = recover_bits(rx[j], frames[j].l_d, keys[j], p)
+            received[j][2 * i + 1] = rx[n + j]
 
     # Every received copy of sentence j shares its substitution draws, so the
-    # copies of all points are decoded as one stack and scored as the pairs
-    # (enc, plain) of point 0, then of point 1, and so on.
-    decoded = [decode(np.stack(rows), cfg.codec, noise_seed=j) for j, rows in enumerate(received)]
-    scores = bleu_scores_many((corpus[j], hyp) for j in range(n) for hyp in decoded[j])
+    # copies of all points are decoded as one stack.  Each point's pairs
+    # (enc j, plain j) are scored in one call: a call over the whole run
+    # holds the n-gram arrays of every pair at once.
+    decoded = [decode(rows, cfg.codec, noise_seed=j) for j, rows in enumerate(received)]
+    table = np.array([
+        [score.as_floats() for score in bleu_scores_many(
+            (corpus[j], hyp) for j in range(n) for hyp in decoded[j][2 * i:2 * i + 2])]
+        for i in range(n_points)
+    ]).reshape(n_points, n, 2, 4)
     # Summed frame by frame, in corpus order, as the means are defined.
-    table = np.array([score.as_floats() for score in scores]).reshape(n, len(cfg.snr_list), 2, 4)
-    means = np.cumsum(table, axis=0)[-1] / n
+    means = np.cumsum(table, axis=1)[:, -1] / n
     return [{"gram": gram, "snr_db": snr, "bleu_enc": float(enc[gram - 1]), "bleu_noenc": float(noenc[gram - 1])}
             for gram in range(1, 5) for snr, (enc, noenc) in zip(cfg.snr_list, means)]
 
