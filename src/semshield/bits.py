@@ -10,6 +10,23 @@ import numpy as np
 BitString = np.ndarray
 
 
+def _rng(*values: int) -> np.random.Generator:
+    """The generator ``np.random.default_rng([v & (2**64 - 1) for v in values])`` gives.
+
+    The one seeding path.  numpy turns each list entry into its 32-bit
+    words, low word first and the high word only when non-zero; handing it
+    those words as one uint32 array gives the same SeedSequence without its
+    per-int coercion.
+    """
+    words = []
+    for v in values:
+        v &= 0xFFFFFFFFFFFFFFFF
+        words.append(v & 0xFFFFFFFF)
+        if v >> 32:
+            words.append(v >> 32)
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
+
+
 def _bit_array(bits, what: str) -> BitString:
     """``bits`` as uint8; a ValueError unless it is a bool or integer array of 0s and 1s."""
     bits = np.asarray(bits)

@@ -3,7 +3,10 @@
 A sentence is a sequence of integer token ids.  The codec serializes
 tokens to bits and, on decode, substitutes each token independently with
 probability ``deviation_rate``, a controllable stand-in for the
-prediction deviations of a learned encoder/decoder pair.  Sentence
+prediction deviations of a learned encoder/decoder pair.  ``decode`` is
+bits to tokens followed by ``_substitute``, the one substitution draw,
+which a caller that holds the tokens (the key ceremony) applies to them
+directly instead of encoding and decoding them.  Sentence
 similarity is measured by clipped n-gram precision scores (orders 1-4)
 with a brevity penalty, quantized to 32 fractional bits so downstream
 key derivation is bit-exact.  ``bleu_scores_many`` is the one scorer: it
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString
+from .bits import BitString, _rng
 from .fields import check_fields
 
 TokenSequence = np.ndarray
@@ -99,8 +102,14 @@ def decode(bits: BitString, model: CodecModel, noise_seed: int) -> TokenSequence
         raise ValueError(f"bit length {bits.shape[-1]} not divisible by token_bits={model.token_bits}")
     fields = bits.reshape(*bits.shape[:-1], -1, model.token_bits).astype(np.int64)
     weights = 1 << np.arange(model.token_bits - 1, -1, -1, dtype=np.int64)
-    tokens = fields @ weights
-    rng = np.random.default_rng([model.codec_seed & 0xFFFFFFFFFFFFFFFF, noise_seed & 0xFFFFFFFFFFFFFFFF])
+    return _substitute(fields @ weights, model, noise_seed)
+
+
+def _substitute(tokens: TokenSequence, model: CodecModel, noise_seed: int) -> TokenSequence:
+    """``decode``'s substitution on tokens along the last axis: what
+    ``decode(encode(tokens, model), model, noise_seed)`` returns for ids in
+    the vocabulary."""
+    rng = _rng(model.codec_seed, noise_seed)
     n_tokens = tokens.shape[-1]
     substitute = rng.random(n_tokens) < model.deviation_rate
     # Uniform over the vocab minus the original token.
@@ -191,7 +200,7 @@ def make_corpus(
     """Deterministically generate a corpus of random sentences."""
     if min_len < 1 or max_len < min_len:
         raise ValueError("need 1 <= min_len <= max_len")
-    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x5EED])
+    rng = _rng(seed, 0x5EED)
     lengths = rng.integers(min_len, max_len + 1, size=n_sentences)
     return [rng.integers(0, model.vocab_size, size=int(n)) for n in lengths]
 

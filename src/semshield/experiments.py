@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import numbers
+import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bits import BitString, hex_from_bits, xor_bits
-from .codec import CodecModel, bleu_scores_many, decode, encode, make_corpus
+from .bits import BitString, _rng, hex_from_bits, xor_bits
+from .codec import CodecModel, _substitute, bleu_scores_many, decode, encode, make_corpus
 from .fields import check_fields, describe
 from .keying import (
     InsufficientEntropyError,
@@ -166,8 +167,7 @@ def derive_digest(master_seed: int, *parts) -> bytes:
 
 
 def derive_rng(master_seed: int, *parts) -> np.random.Generator:
-    words = np.frombuffer(derive_digest(master_seed, *parts), dtype="<u8")
-    return np.random.default_rng(words.tolist())
+    return _rng(*struct.unpack("<4Q", derive_digest(master_seed, *parts)))
 
 
 def derive_int(master_seed: int, *parts) -> int:
@@ -237,9 +237,11 @@ def _derive_key_materials(cfg: ExperimentConfig, scopes: list[tuple]) -> list[tu
 
     PLK from a channel trace (constant when static_channel), SKey from
     the n-gram scores of one reference sentence against its decoded
-    version, weights drawn from a PLK-seeded stream.  Every scope keeps
-    its own trace, noise, sentence and decode streams; the sentences of
-    all scopes are scored in one call.
+    version, weights drawn from a PLK-seeded stream.  The decoded version
+    is the codec's substitution applied to the sentence's tokens, the
+    tokens ``decode`` would return for the sentence's own bits.  Every
+    scope keeps its own trace, noise, sentence and substitution seeds; the
+    sentences of all scopes are scored in one call.
     """
     plks, infos, pairs = [], [], []
     for scope in scopes:
@@ -265,10 +267,7 @@ def _derive_key_materials(cfg: ExperimentConfig, scopes: list[tuple]) -> list[tu
         infos.append({"plk_entropy_estimate": entropy, "insufficient_entropy": insufficient})
 
         sentence = make_corpus(1, cfg.codec, derive_int(cfg.master_seed, *scope, "sentence"))[0]
-        decoded = decode(
-            encode(sentence, cfg.codec), cfg.codec,
-            noise_seed=derive_int(cfg.master_seed, *scope, "decode"),
-        )
+        decoded = _substitute(sentence, cfg.codec, derive_int(cfg.master_seed, *scope, "decode"))
         pairs.append((sentence, decoded))
 
     out = []

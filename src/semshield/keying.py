@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
-from .bits import BitString, _bit_array, bits_from_bytes, bytes_from_bits, int_from_bits, xor_bits
+from .bits import BitString, _bit_array, _rng, bits_from_bytes, bytes_from_bits, int_from_bits, xor_bits
 from .codec import BleuScores
 
 DEFAULT_KEY_BITS = 128
@@ -259,7 +259,11 @@ class ChannelTrace:
 
 def rayleigh_trace(n_probes: int, seed: int, coherence: int = 1, probe_noise_std: float = 0.0) -> ChannelTrace:
     """I.i.d. Rayleigh gain magnitudes, a dynamic-environment trace."""
-    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x7261])
+    if n_probes < 1:
+        raise ValueError("n_probes must be >= 1")
+    if coherence < 1:
+        raise ValueError("coherence must be >= 1")
+    rng = _rng(seed, 0x7261)
     n_values = -(-n_probes // coherence)
     samples = rng.rayleigh(scale=1.0 / math.sqrt(2.0), size=n_values)
     return ChannelTrace(samples, coherence=coherence, probe_noise_std=probe_noise_std)
@@ -287,8 +291,11 @@ def quantize_samples(samples: np.ndarray, guard_band: float) -> tuple[BitString,
 
     Emits 1 above median + guard_band*std, 0 below median - guard_band*std,
     and discards everything in between.  Returns (bits, kept_indices).
-    Raises ValueError when the samples' std is not finite.
+    Raises ValueError when the samples' std is not finite, or when
+    ``guard_band`` is negative or NaN.
     """
+    if not guard_band >= 0:  # NaN too: it would keep no bit
+        raise ValueError("guard_band must be >= 0")
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.size
     with np.errstate(over="ignore", invalid="ignore"):
@@ -361,13 +368,13 @@ def simulate_plk(
     """
     if target_bits < 1:
         raise ValueError("target_bits must be >= 1")
-    if guard_band < 0:
+    if not guard_band >= 0:  # NaN too: it would keep no bit
         raise ValueError("guard_band must be >= 0")
     probes = trace.probes()
     obs_a = obs_b = probes
     if trace.probe_noise_std:
-        rng_a = np.random.default_rng([noise_seed & 0xFFFFFFFFFFFFFFFF, 0xA11CE])
-        rng_b = np.random.default_rng([noise_seed & 0xFFFFFFFFFFFFFFFF, 0xB0B])
+        rng_a = _rng(noise_seed, 0xA11CE)
+        rng_b = _rng(noise_seed, 0xB0B)
         obs_a = probes + rng_a.normal(0.0, trace.probe_noise_std, size=probes.size)
         obs_b = probes + rng_b.normal(0.0, trace.probe_noise_std, size=probes.size)
 

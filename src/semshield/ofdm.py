@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, _bit_array
+from .bits import BitString, _bit_array, _rng
 
 N_FFT = 64
 CP_LEN = 16
@@ -106,7 +106,7 @@ def realize_taps(ch: ChannelModel) -> np.ndarray:
     """Impulse response for one frame; realized power is normalized to 1."""
     if ch.kind == KIND_AWGN:
         return np.ones(1, dtype=np.complex128)
-    rng = np.random.default_rng([ch.channel_seed & 0xFFFFFFFFFFFFFFFF, 0x74])
+    rng = _rng(ch.channel_seed, 0x74)
     n = 1 if ch.kind == KIND_RAYLEIGH_FLAT else ch.taps
     # exponential power-delay profile, 3 dB per tap
     pdp = 10.0 ** (-0.3 * np.arange(n))
@@ -132,7 +132,7 @@ def apply_channel(samples: np.ndarray, ch: ChannelModel) -> np.ndarray:
     # Es as np.mean takes it, without its Python wrapper: the same double.
     noise_var = float(np.add.reduce(buf) / buf.size) / (10.0 ** (ch.snr_db / 10.0))
     std = math.sqrt(noise_var / 2.0)
-    rng = np.random.default_rng([ch.channel_seed & 0xFFFFFFFFFFFFFFFF, 0x6E])
+    rng = _rng(ch.channel_seed, 0x6E)
     for part in (out.real, out.imag):
         rng.standard_normal(out=buf)
         buf *= std

@@ -13,6 +13,7 @@ from semshield.codec import (
     BleuScores,
     CodecModel,
     InvalidTokenError,
+    _substitute,
     bleu_scores,
     bleu_scores_many,
     decode,
@@ -140,6 +141,20 @@ def test_decode_stack_matches_each_row_alone(data, deviation_rate, vocab_size, n
     assert stacked.shape == (2, n)
     for got, bits in zip(stacked, rows):
         assert np.array_equal(got, decode(bits, model, noise_seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), deviation_rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       vocab_size=st.sampled_from([2, 16, 4096, 2**32]), codec_seed=st.integers(-2**70, 2**70),
+       noise_seed=st.integers(-2**70, 2**70))
+def test_substitute_is_decode_of_encode(data, deviation_rate, vocab_size, codec_seed, noise_seed):
+    # The key ceremony substitutes a sentence's tokens directly; it must get
+    # what the bits round trip gives.
+    model = CodecModel(vocab_size=vocab_size, deviation_rate=deviation_rate, codec_seed=codec_seed)
+    tokens = np.array(data.draw(st.lists(st.integers(0, vocab_size - 1), max_size=40)), dtype=np.int64)
+    got = _substitute(tokens, model, noise_seed)
+    want = decode(encode(tokens, model), model, noise_seed)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestBleuScores:

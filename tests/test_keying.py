@@ -498,6 +498,27 @@ class TestPlkSimulation:
         with pytest.raises(ValueError):
             simulate_plk(rayleigh_trace(100, seed=0), 10, -0.5)
 
+    def test_nan_guard_band_rejected(self):
+        # A NaN guard band used to keep no bit, so the ceremony fell back to
+        # the all-zero PLK without a word.
+        with pytest.raises(ValueError, match="guard_band"):
+            quantize_samples(np.arange(16.0), math.nan)
+        with pytest.raises(ValueError, match="guard_band"):
+            simulate_plk(rayleigh_trace(100, seed=0), 128, math.nan)
+        with pytest.raises(ValueError, match="guard_band"):
+            quantize_samples(np.arange(16.0), -0.5)
+
+    @pytest.mark.parametrize("coherence", [0, -2])
+    def test_rayleigh_trace_rejects_coherence_below_one(self, coherence):
+        # 0 used to raise ZeroDivisionError, -2 numpy's "negative dimensions".
+        with pytest.raises(ValueError, match="coherence must be >= 1"):
+            rayleigh_trace(4096, 1, coherence=coherence)
+
+    @pytest.mark.parametrize("n_probes", [0, -5])
+    def test_rayleigh_trace_rejects_n_probes_below_one(self, n_probes):
+        with pytest.raises(ValueError, match="n_probes must be >= 1"):
+            rayleigh_trace(n_probes, 1)
+
 
 # --- pinned key-ceremony bytes ----------------------------------------------
 

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import semshield
+from semshield import bits
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -49,3 +50,18 @@ def test_benchmark_names_resolve_to_traced_functions():
             if isinstance(member, (classmethod, staticmethod)):
                 member = member.__func__
         assert inspect.isfunction(member) and member.__module__ == module.__name__, name
+
+
+def test_one_seeding_path():
+    # Every numpy generator of the package comes from bits._rng, so how a seed
+    # becomes entropy words has one implementation.  A seeding call anywhere
+    # else, say np.random.default_rng([seed, tag]) or np.random.Generator(...),
+    # must fail here.
+    helper = inspect.getsource(bits._rng)
+    seeding = re.compile(r"default_rng\(|np\.random\.\w+\(|\b(?:PCG64|SeedSequence|RandomState)\(")
+    for path in sorted((ROOT / "src" / "semshield").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "bits.py":
+            assert text.count(helper) == 1
+            text = text.replace(helper, "")
+        assert not seeding.findall(text), path.name

@@ -1,5 +1,5 @@
 """Pinned draws of every seeded numpy generator at the seed values where the
-entropy words of a seed change shape.
+entropy words of a seed change shape, and the one seeding helper.
 
 A seed value is masked to 64 bits and split into 32-bit words: one word
 below 2**32, two from 2**32 up.  Each digest hashes one function's output
@@ -10,6 +10,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from semshield.bits import _rng
 
 from semshield.codec import CodecModel, decode, encode, make_corpus
 from semshield.experiments import derive_rng
@@ -90,3 +94,16 @@ def test_seed_edges_pinned(function):
 def test_negative_seed_is_its_64_bit_mask(function):
     for a, b in zip(function(-1), function(2**64 - 1)):
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from(SEEDS), st.integers(-2**70, 2**70),
+                                 st.integers(0, 2**32)), min_size=1, max_size=4))
+@example(values=[0])
+@example(values=[2**32, 0])
+@example(values=[2**64 + 7, -2**32])
+def test_rng_draws_what_default_rng_of_the_masked_list_draws(values):
+    want = np.random.default_rng([v & 0xFFFFFFFFFFFFFFFF for v in values])
+    got = _rng(*values)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.integers(0, 2**63, 4).tolist() == want.integers(0, 2**63, 4).tolist()
