@@ -39,6 +39,8 @@ def _bit_array(bits, what: str) -> BitString:
 def bits_from_bytes(data: bytes, nbits: int | None = None) -> BitString:
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     if nbits is not None:
+        if nbits < 0:
+            raise ValueError(f"requested {nbits} bits; a bit count must be >= 0")
         if nbits > bits.size:
             raise ValueError(f"requested {nbits} bits from {bits.size}-bit buffer")
         bits = bits[:nbits]

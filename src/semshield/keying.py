@@ -34,6 +34,14 @@ _WORD = 1 << 32
 _REFILL_BITS = 32768
 
 
+def _check_count(name: str, value) -> None:
+    """A ValueError unless ``value`` is an integer, not a bool, of at least 1."""
+    if not isinstance(value, int) or type(value) is bool:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def skey_hash(data: bytes, nbits: int) -> BitString:
     """SHA-256 truncated to ``nbits``, the hash behind all key derivation."""
     if nbits < 1 or nbits > 256:
@@ -235,7 +243,7 @@ class ChannelTrace:
     ``samples`` holds the underlying gain process; each value is observed
     for ``coherence`` consecutive probes.  Each party sees the probes plus
     its own Gaussian observation noise of std ``probe_noise_std``.  Samples
-    and noise std must be finite.
+    and noise std must be finite, and ``coherence`` an integer >= 1.
     """
 
     samples: np.ndarray
@@ -248,8 +256,7 @@ class ChannelTrace:
             raise ValueError("trace must contain at least one sample")
         if not np.isfinite(self.samples).all():
             raise ValueError("trace samples must be finite")
-        if self.coherence < 1:
-            raise ValueError("coherence must be >= 1")
+        _check_count("coherence", self.coherence)
         if not math.isfinite(self.probe_noise_std) or self.probe_noise_std < 0:
             raise ValueError("probe_noise_std must be finite and >= 0")
 
@@ -259,10 +266,8 @@ class ChannelTrace:
 
 def rayleigh_trace(n_probes: int, seed: int, coherence: int = 1, probe_noise_std: float = 0.0) -> ChannelTrace:
     """I.i.d. Rayleigh gain magnitudes, a dynamic-environment trace."""
-    if n_probes < 1:
-        raise ValueError("n_probes must be >= 1")
-    if coherence < 1:
-        raise ValueError("coherence must be >= 1")
+    _check_count("n_probes", n_probes)
+    _check_count("coherence", coherence)
     rng = _rng(seed, 0x7261)
     n_values = -(-n_probes // coherence)
     samples = rng.rayleigh(scale=1.0 / math.sqrt(2.0), size=n_values)
@@ -271,6 +276,7 @@ def rayleigh_trace(n_probes: int, seed: int, coherence: int = 1, probe_noise_std
 
 def constant_trace(n_probes: int, value: float = 1.0, probe_noise_std: float = 0.0) -> ChannelTrace:
     """A static-environment trace: one gain value held for the whole record."""
+    _check_count("n_probes", n_probes)
     return ChannelTrace(np.full(1, value), coherence=n_probes, probe_noise_std=probe_noise_std)
 
 
@@ -366,8 +372,7 @@ def simulate_plk(
     pre-amplification string.  Raises InsufficientEntropyError when fewer
     than 8 bits agree.
     """
-    if target_bits < 1:
-        raise ValueError("target_bits must be >= 1")
+    _check_count("target_bits", target_bits)
     if not guard_band >= 0:  # NaN too: it would keep no bit
         raise ValueError("guard_band must be >= 0")
     probes = trace.probes()

@@ -177,13 +177,8 @@ class ObfuscatedFrame:
         return tuple(units)
 
 
-def derive_seed2(seed: BitString) -> bytes:
-    """Second stream key for dummy data, bound to the frame seed."""
-    return _seed2(_seed_bytes(seed))
-
-
 def _seed2(packed: bytes) -> bytes:
-    """``derive_seed2`` of a seed already packed by ``_seed_bytes``."""
+    """Second stream key for dummy data, bound to the frame seed packed by ``_seed_bytes``."""
     return hashlib.sha256(packed + b"dummy").digest()
 
 

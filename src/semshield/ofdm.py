@@ -174,9 +174,3 @@ def measure_ber(tx: BitString, rx: BitString) -> float:
     if tx.size != rx.size or tx.size == 0:
         raise ValueError("bit strings must have equal nonzero length")
     return float(np.count_nonzero(tx != rx)) / tx.size
-
-
-def ber_16qam_awgn_theory(snr_db: float) -> float:
-    """Gray-16QAM AWGN approximation: (3/8) erfc(sqrt(SNR_lin / 10))."""
-    snr_lin = 10.0 ** (snr_db / 10.0)
-    return 0.375 * math.erfc(math.sqrt(snr_lin / 10.0))

@@ -2,19 +2,16 @@
 
 Every search-space quantity is an arbitrary-precision count with a
 derived log2, so "much larger" comparisons are strict integer
-inequalities instead of float hand-waving.  A brute-force subset
-enumerator serves as the oracle on tiny instances.
+inequalities instead of float hand-waving.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
-from .codec import Q32_ONE, CodecModel, bleu_scores_many, decode, encode
+from .codec import Q32_ONE, CodecModel, _substitute, bleu_scores_many
 from .keying import Keystream, generated_bleu, weight_generator
 
 
@@ -88,11 +85,6 @@ def _data(eq4: SearchSpaceReport, n_unit: int) -> SearchSpaceReport:
     return _report("eq5", _power("eq5", eq4.exact, n_unit), **eq4.inputs, n_unit=n_unit)
 
 
-def ss_data(s_max: int, k_max: int, n_d: int, n_unit: int) -> SearchSpaceReport:
-    """Per-unit placement count raised to the number of units."""
-    return _data(ss_dummy_location_dynamic(s_max, k_max, n_d), n_unit)
-
-
 def ss_weight(l_weight: int) -> SearchSpaceReport:
     if l_weight < 1:
         raise ValueError("l_weight must be >= 1")
@@ -130,33 +122,6 @@ def ss_seedkey_dynamic(s_max: int, k_max: int, n_unit: int, l: int) -> SearchSpa
 
 def _total(eq5: SearchSpaceReport, eq10: SearchSpaceReport) -> SearchSpaceReport:
     return _report("eq11", eq5.exact * eq10.exact, **eq5.inputs, l=eq10.inputs["l"])
-
-
-def ss_total(s_max: int, k_max: int, n_d: int, n_unit: int, l: int) -> SearchSpaceReport:
-    """Placement search space times the dynamic seed-key search space."""
-    return _total(ss_data(s_max, k_max, n_d, n_unit), ss_seedkey_dynamic(s_max, k_max, n_unit, l))
-
-
-_ENUM_BOUND = 24
-
-
-@lru_cache(maxsize=None)
-def _count_subsets(n: int, k: int) -> int:
-    return sum(1 for _ in combinations(range(n), k))
-
-
-def brute_force_placements(n_d: int, s: int, k: int) -> int:
-    """Count k-subsets of s*n_d positions by explicit enumeration (oracle).
-
-    The count depends only on (s*n_d, k), so repeated shapes are served
-    from a cache instead of re-enumerating.
-    """
-    n = s * n_d
-    if n > _ENUM_BOUND:
-        raise ValueError(f"enumeration limited to s*n_d <= {_ENUM_BOUND}")
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < s*n_d")
-    return _count_subsets(n, k)
 
 
 def analyze(
@@ -212,14 +177,16 @@ def histogram_entropy(counts) -> float:
 def bleu_dispersion_report(corpus, model: CodecModel, ks: Keystream) -> dict:
     """Per-channel spread of the four gram scores and the weighted sum.
 
-    Each sentence is encoded, decoded with its index as the noise seed,
-    scored against itself, and combined with a fresh weight draw.
+    Each sentence is scored against its decoded version, the codec's
+    substitution with the sentence's index as the noise seed (what
+    ``decode(encode(sentence))`` returns), and combined with a fresh
+    weight draw.
     """
     corpus = list(corpus)
     if len(corpus) < MIN_DISPERSION_SENTENCES:
         raise ValueError(f"need at least {MIN_DISPERSION_SENTENCES} sentences")
     raw = {"s1": [], "s2": [], "s3": [], "s4": [], "weighted_sum": []}
-    pairs = [(sentence, decode(encode(sentence, model), model, noise_seed=i)) for i, sentence in enumerate(corpus)]
+    pairs = [(sentence, _substitute(np.asarray(sentence), model, i)) for i, sentence in enumerate(corpus)]
     for scores in bleu_scores_many(pairs):
         w = weight_generator(ks)
         raw["s1"].append(scores.s1)

@@ -36,7 +36,6 @@ from semshield.ofdm import (
     N_FFT,
     ChannelModel,
     apply_channel,
-    ber_16qam_awgn_theory,
     measure_ber,
     ofdm_demodulate_equalize,
     ofdm_modulate,
@@ -44,14 +43,14 @@ from semshield.ofdm import (
     qam16_map,
 )
 from semshield.security import (
-    brute_force_placements,
-    ss_data,
+    analyze,
     ss_dummy_location,
     ss_dummy_location_dynamic,
     ss_seedkey_baseline,
     ss_seedkey_dynamic,
-    ss_total,
 )
+
+from spec import ber_16qam_awgn_theory, brute_force_placements
 
 CHACHA_ZERO_KEYSTREAM = (
     "76b8e0ada0f13d90405d6ae55386bd28bdd219b8a08ded1aa836efcc8b770dc7"
@@ -183,14 +182,16 @@ def test_acceptance_5_search_space_oracle():
         assert ss_dummy_location_dynamic(s_max, k_max, n_d).exact == total
     for s_max, k_max, n_d, n_unit in [(2, 2, 4, 3), (4, 10, 64, 16)]:
         dyn = ss_dummy_location_dynamic(s_max, k_max, n_d).exact
-        assert ss_data(s_max, k_max, n_d, n_unit).exact == dyn ** n_unit
-    combined = ss_total(4, 10, 64, 16, 128)
-    assert combined.exact == (ss_data(4, 10, 64, 16).exact
-                              * ss_seedkey_dynamic(4, 10, 16, 128).exact)
+        eq5 = analyze(s_max=s_max, k_max=k_max, n_d=n_d, n_unit=n_unit)["eq5"]
+        assert int(eq5["exact"]) == dyn ** n_unit
+    report = analyze(s_max=4, k_max=10, n_d=64, n_unit=16, l_seedkey=128)
+    combined = int(report["eq11"]["exact"])
+    assert combined == (int(report["eq5"]["exact"])
+                        * ss_seedkey_dynamic(4, 10, 16, 128).exact)
 
     # layered defaults strictly beat the fixed-parameter baseline
     baseline = ss_seedkey_baseline(4, 10, 128).exact
-    assert combined.exact > baseline
+    assert combined > baseline
     print(f"acceptance 5 (search-space oracle, {checked} shapes): PASS")
 
 

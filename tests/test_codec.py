@@ -1,7 +1,6 @@
 import hashlib
 import math
 import struct
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +22,8 @@ from semshield.codec import (
 )
 from semshield.keying import Keystream
 from semshield.obfuscation import generate_dummy_bits
+
+from spec import bleu_reference
 
 
 class TestQuantizeQ32:
@@ -212,24 +213,6 @@ class TestCorpus:
         assert all(4 <= len(s) <= 30 for s in corpus)
 
 
-def _bleu_reference(reference, hypothesis):
-    """Clipped n-gram precision (orders 1-4) with the brevity penalty, from
-    Counters of list slices."""
-    ref, hyp = list(reference), list(hypothesis)
-    bp = 1.0 if len(hyp) >= len(ref) else math.exp(1.0 - len(ref) / len(hyp))
-    raw = []
-    for n in range(1, 5):
-        hyp_counts = Counter(tuple(hyp[i:i + n]) for i in range(len(hyp) - n + 1))
-        ref_counts = Counter(tuple(ref[i:i + n]) for i in range(len(ref) - n + 1))
-        if not hyp_counts:
-            raw.append(0)
-            continue
-        clipped = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-        p = clipped / sum(hyp_counts.values())
-        raw.append(quantize_q32(bp * p) if p > 0.0 else 0)
-    return BleuScores(*raw)
-
-
 # A four-token vocabulary, so n-grams repeat within and across sentences.
 _SMALL_VOCAB_SENTENCE = st.lists(st.integers(0, 3), min_size=1, max_size=40)
 
@@ -238,7 +221,7 @@ _SMALL_VOCAB_SENTENCE = st.lists(st.integers(0, 3), min_size=1, max_size=40)
 @given(reference=_SMALL_VOCAB_SENTENCE, hypothesis=_SMALL_VOCAB_SENTENCE)
 def test_bleu_scores_match_reference(reference, hypothesis):
     assert bleu_scores(np.array(reference), np.array(hypothesis)) == \
-        _bleu_reference(reference, hypothesis)
+        bleu_reference(reference, hypothesis)
 
 
 # Tokens from {0..3}, so n-grams repeat within and across pairs, or from the
@@ -252,7 +235,7 @@ _WIDE_SENTENCE = st.lists(st.one_of(st.integers(0, 3), st.integers(2**32 - 4, 2*
 @given(pairs=st.lists(st.tuples(_SMALL_VOCAB_SENTENCE | _WIDE_SENTENCE, _WIDE_SENTENCE), max_size=30))
 def test_bleu_scores_many_match_reference(pairs):
     assert bleu_scores_many([(np.array(r), np.array(h)) for r, h in pairs]) == \
-        [_bleu_reference(r, h) for r, h in pairs]
+        [bleu_reference(r, h) for r, h in pairs]
 
 
 def test_bleu_scores_many_empty_input():

@@ -37,6 +37,8 @@ from semshield.fields import DESCRIBE_MAX_CHARS
 from semshield.obfuscation import ObfuscationParams
 from semshield.ofdm import BITS_PER_SYMBOL, N_FFT, qam16_map
 
+import spec
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -295,8 +297,25 @@ def _small_run(scenario):
     )
 
 
+# Each config that loads must write what the spec writes, byte for byte; one
+# example per scenario runs a config that loads.  The bleu_compare example
+# keys all of a point's frames alike (per_point), so its frames share a
+# stream key at different lengths, and its 6-dB point gives the encrypted
+# and plain copies of a sentence different bit errors.
 @settings(max_examples=150, deadline=None)
 @given(raw=st.sampled_from(sorted(SCENARIOS)).flatmap(_small_run))
+@example(raw={"scenario": "ber_sweep", "snr_list": [3.0, math.inf], "n_bits": 2000, "n_sentences": 1,
+              "channel_kind": "rayleigh_multipath", "obfuscation": {"n_d": 32}})
+@example(raw={"scenario": "bleu_compare", "snr_list": [6.0, 40.0], "n_bits": 1, "n_sentences": 8,
+              "key_refresh": "per_point", "n_probes": 512})
+@example(raw={"scenario": "constellation", "snr_list": [12.0], "n_bits": 1500, "n_sentences": 1,
+              "channel_kind": "rayleigh_flat"})
+@example(raw={"scenario": "keygen_demo", "snr_list": [0.0], "n_bits": 1, "n_sentences": 1,
+              "n_probes": 500, "probe_coherence": 3, "probe_noise_std": 0.3})
+@example(raw={"scenario": "search_space", "snr_list": [0.0], "n_bits": 1, "n_sentences": 1,
+              "obfuscation": {"s_max": 3, "k_max": 8, "n_d": 9}, "n_unit": 20})
+@example(raw={"scenario": "dispersion", "snr_list": [0.0], "n_bits": 1, "n_sentences": 100,
+              "codec": {"vocab_size": 16, "deviation_rate": 0.3}})
 def test_every_accepted_config_runs(raw):
     try:
         cfg = load_config(**raw)
@@ -306,8 +325,10 @@ def test_every_accepted_config_runs(raw):
         text = render_output(cfg)
     except ConfigError:  # a search space too large to write
         assert cfg.scenario == "search_space"
+        with pytest.raises(ConfigError):
+            spec.render(cfg)
         return
-    assert text
+    assert text == spec.render(cfg)
 
 
 class TestDerivation:
@@ -876,13 +897,15 @@ CHAIN_OUTPUT_SHA256 = {
 }
 
 
+def _chain_cfg(scenario, channel_kind):
+    if scenario == "constellation":
+        return _fast_cfg(scenario=scenario, snr_list=(12.0,), n_bits=4096, channel_kind=channel_kind)
+    return _fast_cfg(scenario=scenario, snr_list=(3.0, 40.0), n_bits=3000, channel_kind=channel_kind)
+
+
 @pytest.mark.parametrize("scenario,channel_kind", sorted(CHAIN_OUTPUT_SHA256))
 def test_chain_output_pinned(scenario, channel_kind):
-    if scenario == "constellation":
-        cfg = _fast_cfg(scenario=scenario, snr_list=(12.0,), n_bits=4096, channel_kind=channel_kind)
-    else:
-        cfg = _fast_cfg(scenario=scenario, snr_list=(3.0, 40.0), n_bits=3000, channel_kind=channel_kind)
-    digest = hashlib.sha256(render_output(cfg).encode("ascii")).hexdigest()
+    digest = hashlib.sha256(render_output(_chain_cfg(scenario, channel_kind)).encode("ascii")).hexdigest()
     assert digest == CHAIN_OUTPUT_SHA256[scenario, channel_kind]
 
 
@@ -897,15 +920,17 @@ PAD_OUTPUT_SHA256 = {
 }
 
 
+def _short_symbol_cfg(scenario):
+    if scenario == "ber_sweep":
+        return _fast_cfg(scenario=scenario, snr_list=(3.0, 40.0), n_bits=3000,
+                         obfuscation=ObfuscationParams(n_d=32))
+    return _fast_cfg(scenario=scenario, snr_list=(6.0, 40.0), n_sentences=8,
+                     obfuscation=ObfuscationParams(n_d=32))
+
+
 @pytest.mark.parametrize("scenario", sorted(PAD_OUTPUT_SHA256))
 def test_short_symbol_output_pinned(scenario):
-    if scenario == "ber_sweep":
-        cfg = _fast_cfg(scenario=scenario, snr_list=(3.0, 40.0), n_bits=3000,
-                        obfuscation=ObfuscationParams(n_d=32))
-    else:
-        cfg = _fast_cfg(scenario=scenario, snr_list=(6.0, 40.0), n_sentences=8,
-                        obfuscation=ObfuscationParams(n_d=32))
-    digest = hashlib.sha256(render_output(cfg).encode("ascii")).hexdigest()
+    digest = hashlib.sha256(render_output(_short_symbol_cfg(scenario)).encode("ascii")).hexdigest()
     assert digest == PAD_OUTPUT_SHA256[scenario]
 
 
@@ -934,3 +959,24 @@ def test_report_output_pinned(scenario, name):
     cfg = ExperimentConfig(scenario=scenario, **_REPORT_CONFIGS[name])
     digest = hashlib.sha256(render_output(cfg).encode("ascii")).hexdigest()
     assert digest == REPORT_OUTPUT_SHA256[scenario, name]
+
+
+# The spec against the pins above, so that it answers to the recorded bytes
+# and not only to src/.  The search space at (400, 200, 256, 1) is left out:
+# the spec sums its 80,000 binomials one math.comb call at a time (0.7 s).
+_SPEC_PINS = {
+    **{f"scoring-{name}": (_fast_cfg(**_SCORING_CONFIGS[name]), digest)
+       for name, digest in SCORING_OUTPUT_SHA256.items()},
+    **{f"{scenario}-{name}": (ExperimentConfig(scenario=scenario, **_REPORT_CONFIGS[name]), digest)
+       for (scenario, name), digest in REPORT_OUTPUT_SHA256.items() if name != "400,200,256,1"},
+    **{f"short_symbol-{scenario}": (_short_symbol_cfg(scenario), digest)
+       for scenario, digest in PAD_OUTPUT_SHA256.items()},
+    **{f"chain-{scenario}-{kind}": (_chain_cfg(scenario, kind), digest)
+       for (scenario, kind), digest in CHAIN_OUTPUT_SHA256.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPEC_PINS))
+def test_spec_output_pinned(name):
+    cfg, digest = _SPEC_PINS[name]
+    assert hashlib.sha256(spec.render(cfg).encode("ascii")).hexdigest() == digest

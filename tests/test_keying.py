@@ -32,6 +32,8 @@ from semshield.keying import (
     weight_generator,
 )
 
+from spec import RawReader, plk_reference
+
 DATA_DIR = Path(__file__).parent / "data"
 
 # Stream-cipher keystream for the all-zero 256-bit key and all-zero 96-bit
@@ -244,30 +246,6 @@ class TestKeystreamGeneration:
         assert np.array_equal(np.concatenate(reads), ref.bits(total))
 
 
-class _RawReader:
-    """Reference reader: bits and rejection draws taken straight from cipher bytes."""
-
-    def __init__(self, seed: bytes, label: str):
-        self._seed, self._nonce = seed, label_nonce(label.encode())
-        self._bits = np.zeros(0, dtype=np.uint8)
-        self.position = 0
-
-    def bits(self, n):
-        start = self.position
-        if start + n > self._bits.size:
-            raw = chacha20_stream(self._seed, self._nonce, 0, (start + n) // 4 + 64)
-            self._bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-        self.position += n
-        return self._bits[start:start + n]
-
-    def draw_uniform(self, m):
-        limit = (1 << 32) // m * m
-        while True:
-            word = int.from_bytes(np.packbits(self.bits(32)).tobytes(), "big")
-            if word < limit:
-                return word % m
-
-
 # m = 2^31 + 1 rejects about half of all words; m = 1 and m = 2^32 reject none.
 _DRAW_M = st.one_of(st.sampled_from([1, 2, 3, 10, 1 << 31, (1 << 31) + 1, 1 << 32]),
                     st.integers(1, 1 << 32))
@@ -315,7 +293,7 @@ _STREAM_OPS = st.lists(st.one_of(
 def test_interleaved_reads_follow_the_raw_stream(seed, label, position, ops):
     # Each stream reads and discards its first ``position`` bits.
     ks = Keystream(seed, label)
-    ref = _RawReader(seed, label)
+    ref = RawReader(seed, label)
     ks.bits(position)
     ref.bits(position)
     for op in ops:
@@ -394,6 +372,12 @@ class TestGeneratedBleuAndSkey:
         w = WeightVector(3, 5, 7, 11)
         flipped = BleuScores(12345 ^ (1 << 24), 678, 90, 4000)
         assert generated_bleu(base, w) != generated_bleu(flipped, w)
+
+    def test_bits_from_bytes_rejects_a_negative_count(self):
+        # -1 used to slice off the last bit and return 7.
+        with pytest.raises(ValueError, match=">= 0"):
+            bits_from_bytes(b"\xff", -1)
+        assert bits_from_bytes(b"\xff", 0).size == 0
 
     def test_skey_hash_range(self):
         with pytest.raises(ValueError):
@@ -497,6 +481,10 @@ class TestPlkSimulation:
             simulate_plk(rayleigh_trace(100, seed=0), 0, 0.1)
         with pytest.raises(ValueError):
             simulate_plk(rayleigh_trace(100, seed=0), 10, -0.5)
+        # 128.0 used to end in a slice TypeError.
+        for bad in (128.0, True):
+            with pytest.raises(ValueError, match="target_bits must be an integer"):
+                simulate_plk(rayleigh_trace(100, seed=0), bad, 0.2)
 
     def test_nan_guard_band_rejected(self):
         # A NaN guard band used to keep no bit, so the ceremony fell back to
@@ -519,10 +507,23 @@ class TestPlkSimulation:
         with pytest.raises(ValueError, match="n_probes must be >= 1"):
             rayleigh_trace(n_probes, 1)
 
+    # A float coherence or probe count used to give 2 probes for 2.5, or end
+    # in numpy's TypeError for rayleigh_trace's 1.5.
+    @pytest.mark.parametrize("name, make", [
+        ("coherence", lambda: ChannelTrace([1.0], coherence=2.5)),
+        ("coherence", lambda: ChannelTrace([1.0], coherence=True)),
+        ("n_probes", lambda: constant_trace(2.5)),
+        ("coherence", lambda: rayleigh_trace(64, 1, coherence=1.5)),
+        ("n_probes", lambda: rayleigh_trace(64.0, 1)),
+        ("n_probes", lambda: rayleigh_trace(True, 1)),
+    ], ids=["trace_coherence", "trace_bool_coherence", "constant_trace", "rayleigh_coherence",
+            "rayleigh_n_probes", "rayleigh_bool_n_probes"])
+    def test_counts_must_be_integers(self, name, make):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make()
+
 
 # --- pinned key-ceremony bytes ----------------------------------------------
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _plk_outcome(trace, target_bits, guard_band, noise_seed):
@@ -536,43 +537,6 @@ def _plk_outcome(trace, target_bits, guard_band, noise_seed):
             raise
         return "non-finite std", None, None
     return "key", plk.tolist(), entropy
-
-
-def _plk_reference(trace, target_bits, guard_band, noise_seed):
-    """By-hand distillation: noisy observations, guard-band quantization, index
-    intersection, 8-bit parity reconciliation and counter-mode SHA-256."""
-    probes = np.repeat(trace.samples, trace.coherence)
-    observed = []
-    for party in (0xA11CE, 0xB0B):
-        rng = np.random.default_rng([noise_seed & _MASK64, party])
-        noise = rng.normal(0.0, trace.probe_noise_std, size=probes.size)
-        observed.append(probes + noise if trace.probe_noise_std else probes)
-    bits, kept = [], []
-    for obs in observed:
-        with np.errstate(over="ignore", invalid="ignore"):
-            median, std = float(np.median(obs)), float(np.std(obs))
-        if not math.isfinite(std):
-            return "non-finite std", None, None
-        ones = obs > median + guard_band * std
-        k = np.flatnonzero(ones | (obs < median - guard_band * std))
-        bits.append(ones[k].astype(np.uint8))
-        kept.append(k)
-    _, idx_a, idx_b = np.intersect1d(kept[0], kept[1], return_indices=True)
-    a, b = bits[0][idx_a], bits[1][idx_b]
-    agreed = []
-    for i in range(0, a.size - 7, 8):
-        if a[i:i + 8].sum() % 2 == b[i:i + 8].sum() % 2:
-            agreed.extend(a[i:i + 8].tolist())
-    p = sum(agreed) / len(agreed) if agreed else 0.0
-    entropy = -p * math.log2(p) - (1 - p) * math.log2(1 - p) if 0 < p < 1 else 0.0
-    if len(agreed) < 8:
-        return "insufficient", len(agreed), entropy
-    material = struct.pack(">Q", len(agreed)) + bytes_from_bits(np.array(agreed, dtype=np.uint8))
-    out = []
-    for c in range(-(-target_bits // 256)):
-        block = hashlib.sha256(material + struct.pack(">I", c)).digest()
-        out.extend(bits_from_bytes(block, min(256, target_bits - 256 * c)).tolist())
-    return "key", out, entropy
 
 
 # SHA-256 over simulate_plk on 40 seeds x probe noise {0, 0.05, 0.5} x
@@ -642,4 +606,4 @@ def test_simulate_plk_matches_reference(samples, coherence, noise_std, guard_ban
                                         target_bits, noise_seed):
     trace = ChannelTrace(np.array(samples), coherence=coherence, probe_noise_std=noise_std)
     assert _plk_outcome(trace, target_bits, guard_band, noise_seed) == \
-        _plk_reference(trace, target_bits, guard_band, noise_seed)
+        plk_reference(trace, target_bits, guard_band, noise_seed)

@@ -19,7 +19,6 @@ from semshield.obfuscation import (
     ObfuscationParams,
     deobfuscate,
     derive_layout,
-    derive_seed2,
     deserialize_frame,
     draw_unit_params,
     dummy_locations,
@@ -30,6 +29,8 @@ from semshield.obfuscation import (
     serialize_frame,
 )
 from semshield.obfuscation import _capacity
+
+from spec import draw_by_draw
 
 MODEL = CodecModel(vocab_size=4096, deviation_rate=0.0)
 
@@ -256,19 +257,20 @@ class TestObfuscate:
         assert frame.tail_bits.size % (p.n_d * p.b) == 0
 
     def test_seed2_is_bound_to_seed(self):
-        seed = _seed(30)
-        expected = hashlib.sha256(bytes_from_bits(seed) + b"dummy").digest()
-        assert derive_seed2(seed) == expected
+        # The decoys come from the "dummy" stream keyed by SHA-256(packed seed || "dummy").
+        p, seed = ObfuscationParams(), _seed(30)
+        frame = obfuscate(np.ones(5000, dtype=np.uint8), seed, p, MODEL)
+        seed2 = hashlib.sha256(bytes_from_bits(seed) + b"dummy").digest()
+        decoys = generate_dummy_bits(Keystream(seed2, "dummy"), frame.k, p.b, MODEL)
+        slots = frame.air[:frame.unit_bits].reshape(-1, p.b)
+        assert np.array_equal(slots[frame.dummy_locations].ravel(), decoys)
 
     def test_ragged_seed_rejected(self):
         # packing would pad 127 bits with a 0 and collide with this 128-bit seed
         seed = _seed(31)
         seed[-1] = 0
         with pytest.raises(ValueError):
-            derive_seed2(seed[:127])
-        with pytest.raises(ValueError):
             obfuscate(np.ones(10, dtype=np.uint8), seed[:127], ObfuscationParams(), MODEL)
-        assert len(derive_seed2(seed)) == 32
 
     # [2, 0, 1]*100 used to pass: the wire round trip returned other bits
     # and qam16_map raised a bare IndexError on the frame's air.
@@ -282,8 +284,6 @@ class TestObfuscate:
 
     def test_non_bit_seed_rejected(self):
         for bad in (np.full(128, 2), np.full(128, 0.5)):
-            with pytest.raises(ValueError, match="seed must be"):
-                derive_seed2(bad)
             with pytest.raises(ValueError, match="seed must be"):
                 obfuscate(np.ones(300, dtype=np.uint8), bad, ObfuscationParams(), MODEL)
 
@@ -661,7 +661,7 @@ def test_derive_layout_is_the_frame_layout(draw):
         assert xbits.size == data.size
         assert np.array_equal(frame.s, s) and np.array_equal(frame.k, k)
         assert np.array_equal(frame.dummy_locations, locs)
-        assert (s.tolist(), k.tolist(), locs.tolist(), tail) == _draw_by_draw(seed, data.size, p)[:4]
+        assert (s.tolist(), k.tolist(), locs.tolist(), tail) == draw_by_draw(seed, data.size, p)[:4]
         assert sum(_capacity(u.s, u.k, p) for u in frame.units) + tail == data.size
         assert frame.tail_bits.size == -(-tail // p.symbol_bits) * p.symbol_bits
         assert np.array_equal(recover_bits(ota_bits(frame), frame.l_d, seed, p), data)
@@ -735,27 +735,6 @@ def test_layout_bytes_pinned(case):
 
 
 # --- rejected stream words --------------------------------------------------------
-
-def _draw_by_draw(seed, l_d, p):
-    """The layout replayed with draw_unit_params and dummy_locations, one draw
-    at a time, plus the word each unit's draws start at and, last, the word
-    the stopping draw starts at."""
-    ks = Keystream.from_seed_bits(seed, "xor")
-    ks.bits(l_d)
-    s_of, k_of, locs, first_word = [], [], [], []
-    remaining, offset = l_d, 0
-    while True:
-        word = (ks.position - l_d) // 32
-        s, k = draw_unit_params(ks, p)
-        if _capacity(s, k, p) > remaining:
-            return s_of, k_of, locs, remaining, first_word + [word]
-        locs += (offset + dummy_locations(ks, s, k, p.n_d)).tolist()
-        s_of.append(s)
-        k_of.append(k)
-        first_word.append(word)
-        remaining -= _capacity(s, k, p)
-        offset += s * p.n_d
-
 
 def _word_patches(seed, l_d, words):
     """Patches for ``_patch_stream`` that write ``words`` ({index: value})
@@ -847,12 +826,12 @@ def test_rejected_words_replay_like_single_draws(case):
     p, l_d, patches = REJECTION_CASES[case]
     seed = _seed(60)
     clean = derive_layout(seed, l_d, p)
-    _, k_of, _, _, first_word = _draw_by_draw(seed, l_d, p)
+    _, k_of, _, _, first_word = draw_by_draw(seed, l_d, p)
     words = {first_word[unit] + (draw if draw >= 0 else 2 + k_of[unit] + draw): word
              for unit, draw, word in patches}
     with _patch_stream(seed, b"xor", _word_patches(seed, l_d, words)):
         xbits, s, k, locs, tail = derive_layout(seed, l_d, p)
-        ref_s, ref_k, ref_locs, ref_tail, _ = _draw_by_draw(seed, l_d, p)
+        ref_s, ref_k, ref_locs, ref_tail, _ = draw_by_draw(seed, l_d, p)
     assert np.array_equal(xbits, clean[0])
     assert s.tolist() == ref_s and k.tolist() == ref_k
     assert locs.tolist() == ref_locs and tail == ref_tail
@@ -887,7 +866,7 @@ class TestLayoutMemo:
         p = ObfuscationParams()
         for seed in (_seed(63), _seed(64), _seed(63)):
             xbits, s, k, locs, tail = derive_layout(seed, 5000, p)
-            assert (s.tolist(), k.tolist(), locs.tolist(), tail) == _draw_by_draw(seed, 5000, p)[:4]
+            assert (s.tolist(), k.tolist(), locs.tolist(), tail) == draw_by_draw(seed, 5000, p)[:4]
             assert np.array_equal(xbits, Keystream.from_seed_bits(seed, "xor").bits(5000))
 
     def test_tampered_wire_frame_desyncs_after_obfuscate(self):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -9,6 +10,7 @@ from semshield import bits
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+SRC = ROOT / "src" / "semshield"
 
 # The names README.md imports from the package root.
 QUICK_START_NAMES = {
@@ -59,9 +61,31 @@ def test_one_seeding_path():
     # must fail here.
     helper = inspect.getsource(bits._rng)
     seeding = re.compile(r"default_rng\(|np\.random\.\w+\(|\b(?:PCG64|SeedSequence|RandomState)\(")
-    for path in sorted((ROOT / "src" / "semshield").glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         if path.name == "bits.py":
             assert text.count(helper) == 1
             text = text.replace(helper, "")
         assert not seeding.findall(text), path.name
+
+
+def test_every_public_definition_is_used():
+    # A public top-level def or class must be used somewhere in src/, be named
+    # in README.md, or be named by a per-layer benchmark metric: code that only
+    # tests call belongs under tests/, as the references of tests/spec.py do.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    used = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    named = set(re.findall(r"\w+", README.read_text(encoding="utf-8")))
+    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]:
+        named.update(metric["name"].split("."))
+    unused = [node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+              and node.name not in used | named]
+    assert unused == []

@@ -10,19 +10,24 @@ from semshield.security import (
     N_HISTOGRAM_BINS,
     analyze,
     bleu_dispersion_report,
-    brute_force_placements,
     histogram_entropy,
     score_histogram,
-    ss_data,
     ss_dummy_location,
     ss_dummy_location_dynamic,
     ss_seedkey,
     ss_seedkey_baseline,
     ss_seedkey_dynamic,
     ss_skey,
-    ss_total,
     ss_weight,
 )
+
+import spec
+from spec import brute_force_placements
+
+
+def _exact(formula, s_max, k_max, n_d, n_unit, l_seedkey=128):
+    """The exact count of one formula of ``analyze``."""
+    return int(analyze(s_max=s_max, k_max=k_max, n_d=n_d, n_unit=n_unit, l_seedkey=l_seedkey)[formula]["exact"])
 
 
 class TestPerUnitCounts:
@@ -73,16 +78,15 @@ class TestPerUnitCounts:
 
 class TestFrameCounts:
     def test_single_unit_equals_dynamic(self):
-        assert ss_data(3, 5, 32, 1).exact == \
-            ss_dummy_location_dynamic(3, 5, 32).exact
+        assert _exact("eq5", 3, 5, 32, 1) == ss_dummy_location_dynamic(3, 5, 32).exact
 
     def test_power_law(self):
-        assert ss_data(1, 1, 64, 2).exact == 64 ** 2 == 4096
-        assert ss_data(2, 2, 4, 3).exact == 46 ** 3 == 97336
+        assert _exact("eq5", 1, 1, 64, 2) == 64 ** 2 == 4096
+        assert _exact("eq5", 2, 2, 4, 3) == 46 ** 3 == 97336
 
     def test_log2_consistent(self):
-        r = ss_data(4, 10, 64, 16)
-        assert r.log2 == pytest.approx(math.log2(r.exact), rel=1e-12)
+        r = analyze()["eq5"]
+        assert r["log2"] == pytest.approx(math.log2(int(r["exact"])), rel=1e-12)
 
 
 class TestKeyCounts:
@@ -112,19 +116,20 @@ class TestKeyCounts:
         assert ss_seedkey_dynamic(2, 3, 3, 0).exact == 216
 
     def test_total_composition(self):
-        assert ss_total(1, 1, 64, 1, 0).exact == 64
-        assert ss_total(2, 2, 4, 1, 0).exact == 184
-        combined = ss_total(4, 10, 64, 16, 128)
-        assert combined.exact == (ss_data(4, 10, 64, 16).exact
-                                  * ss_seedkey_dynamic(4, 10, 16, 128).exact)
-        assert combined.log2 == pytest.approx(math.log2(combined.exact), rel=1e-12)
+        # analyze takes keys of at least one bit: eq10 = (s_max*k_max)**n_unit * 2.
+        assert _exact("eq11", 1, 1, 64, 1, l_seedkey=1) == 64 * 2
+        assert _exact("eq11", 2, 2, 4, 1, l_seedkey=1) == 46 * 8
+        combined = analyze()["eq11"]
+        assert int(combined["exact"]) == (_exact("eq5", 4, 10, 64, 16)
+                                          * ss_seedkey_dynamic(4, 10, 16, 128).exact)
+        assert combined["log2"] == pytest.approx(math.log2(int(combined["exact"])), rel=1e-12)
 
     def test_validation(self):
         for fn, args in [
             (ss_weight, (0,)),
             (ss_skey, (0,)),
             (ss_seedkey, (-1,)),
-            (ss_data, (1, 1, 64, 0)),
+            (analyze, (1, 1, 64, 0)),
             (ss_seedkey_dynamic, (0, 1, 5, 8)),
         ]:
             with pytest.raises(ValueError):
@@ -172,8 +177,8 @@ class TestAnalyze:
 
     def test_eq4_is_built_once(self, monkeypatch):
         # eq5 is built from eq4, and eq11 from the eq5 and eq10 already built.
-        expected = {"eq5": ss_data(4, 10, 64, 16).to_json_dict(),
-                    "eq11": ss_total(4, 10, 64, 16, 128).to_json_dict()}
+        report = spec.search_space(4, 10, 64, 16, 16, 128, 128)
+        expected = {eq: report[eq] for eq in ("eq5", "eq11")}
         calls = []
 
         def counting(*args):
