@@ -9,11 +9,13 @@ SNR tracks the configured value for every seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import BitString, _bit_array, _rng
+from .fields import check_fields, describe
 
 N_FFT = 64
 CP_LEN = 16
@@ -32,6 +34,12 @@ _KINDS = (KIND_AWGN, KIND_RAYLEIGH_FLAT, KIND_RAYLEIGH_MULTIPATH)
 # Largest finite |snr_db|: 10 ** (snr_db / 10) and the noise variance it
 # divides stay finite and non-zero.
 MAX_SNR_DB = 300.0
+# Per tap, sqrt(p / 2) of an exponential power-delay profile p falling
+# 3 dB per tap: the std of a realized tap's real and imaginary parts.
+_TAP_STD = np.sqrt(10.0 ** (-0.3 * np.arange(CP_LEN)) / 2.0)
+# Samples per block of _convolve: each float64 operand of a block is about
+# 128 KB, so all of them stay in L2.
+_BLOCK = 8192
 
 
 def qam16_map(bits: BitString) -> np.ndarray:
@@ -78,6 +86,14 @@ def ofdm_modulate(symbols: np.ndarray) -> np.ndarray:
     return with_cp.ravel()
 
 
+# The rules of the ChannelModel fields other than snr_db, which may be +inf.
+_CHANNEL_RULES = {
+    "kind": (_KINDS, None, None),
+    "taps": (int, 1, CP_LEN),
+    "channel_seed": (int, None, None),
+}
+
+
 @dataclass(frozen=True)
 class ChannelModel:
     """Block-fading channel configuration; taps are drawn per realization.
@@ -92,12 +108,11 @@ class ChannelModel:
     channel_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
+        check_fields(self, _CHANNEL_RULES)
+        if isinstance(self.snr_db, bool) or not isinstance(self.snr_db, numbers.Real):
+            raise ValueError(f"snr_db must be a real number, not {describe(self.snr_db)}")
         if not (abs(self.snr_db) <= MAX_SNR_DB or self.snr_db == math.inf):
             raise ValueError(f"snr_db must lie in [-{MAX_SNR_DB}, {MAX_SNR_DB}] or be +inf, not {self.snr_db}")
-        if not 1 <= self.taps <= CP_LEN:
-            raise ValueError(f"taps must lie in [1, {CP_LEN}]")
         if self.kind != KIND_RAYLEIGH_MULTIPATH and self.taps != 1:
             raise ValueError("multiple taps require the multipath kind")
 
@@ -106,12 +121,57 @@ def realize_taps(ch: ChannelModel) -> np.ndarray:
     """Impulse response for one frame; realized power is normalized to 1."""
     if ch.kind == KIND_AWGN:
         return np.ones(1, dtype=np.complex128)
-    rng = _rng(ch.channel_seed, 0x74)
     n = 1 if ch.kind == KIND_RAYLEIGH_FLAT else ch.taps
-    # exponential power-delay profile, 3 dB per tap
-    pdp = 10.0 ** (-0.3 * np.arange(n))
-    h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(pdp / 2.0)
-    return h / np.sqrt(np.sum(np.abs(h) ** 2))
+    # n real parts, then n imaginary parts
+    z = _rng(ch.channel_seed, 0x74).standard_normal(2 * n)
+    h = (z[:n] + 1j * z[n:]) * _TAP_STD[:n]
+    power = np.abs(h)
+    power *= power
+    return h / math.sqrt(np.add.reduce(power))
+
+
+def _convolve(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The first ``samples.size`` outputs of the convolution with ``taps``,
+    in float64 multiplies and adds only, the same doubles on every CPU.
+
+    ``samples`` is contiguous complex128.  Each tap ``a + ib`` adds
+    ``a * (re, im)`` and then ``b * (-im, re)`` into the output delayed by
+    its index, tap by tap in order; tap 0's a-term is written, not added.
+    The work runs in blocks of _BLOCK samples.
+    """
+    x = samples.view(np.float64)
+    out = np.empty_like(samples)
+    y = out.view(np.float64)
+    a, b = taps.real.tolist(), taps.imag.tolist()
+    reach = 2 * taps.size - 2  # floats of history a block reads
+    step = 2 * _BLOCK
+    swapped = np.empty(min(x.size, step + reach))
+    term = np.empty(min(x.size, step))
+    for start in range(0, x.size, step):
+        stop = min(start + step, x.size)
+        low = max(start - reach, 0)
+        src = x[low:stop]
+        # (-im, re) per sample of the block and its history
+        swap = swapped[:src.size]
+        np.negative(src[1::2], out=swap[0::2])
+        swap[1::2] = src[0::2]
+        dst, t = y[start:stop], term[:stop - start]
+        lag = start - low  # src[lag:] lines up with dst
+        np.multiply(src[lag:], a[0], out=dst)
+        np.multiply(swap[lag:], b[0], out=t)
+        dst += t
+        for k in range(1, taps.size):
+            lag -= 2
+            # Before the first sample no history exists: skip those outputs.
+            cut = max(-lag, 0)
+            if cut >= dst.size:
+                break
+            out_k, term_k, i = dst[cut:], t[cut:], lag + cut
+            np.multiply(src[i:i + term_k.size], a[k], out=term_k)
+            out_k += term_k
+            np.multiply(swap[i:i + term_k.size], b[k], out=term_k)
+            out_k += term_k
+    return out
 
 
 def apply_channel(samples: np.ndarray, ch: ChannelModel) -> np.ndarray:
@@ -120,10 +180,16 @@ def apply_channel(samples: np.ndarray, ch: ChannelModel) -> np.ndarray:
     Noise variance per sample is Es/SNR_lin with Es the mean energy of
     the input samples; snr_db = +inf disables noise.  The real parts of
     the noise are drawn first, then the imaginary parts, each added into
-    the output in place; the input is never written.
+    the output in place; the input is never written.  For every kind, a
+    ``samples`` that is not 1-D raises ValueError and an empty one comes
+    back as an empty array.
     """
     samples = np.asarray(samples, dtype=np.complex128)
-    out = samples.copy() if ch.kind == KIND_AWGN else np.convolve(samples, realize_taps(ch))[: samples.size]
+    if samples.ndim != 1:
+        raise ValueError(f"samples must be 1-D, not of shape {samples.shape}")
+    if not samples.size:
+        return samples.copy()
+    out = samples.copy() if ch.kind == KIND_AWGN else _convolve(np.ascontiguousarray(samples), realize_taps(ch))
     if ch.snr_db == math.inf:
         return out
     # One float buffer holds |samples|**2 for Es, then each half of the noise.

@@ -304,9 +304,30 @@ def ref_modulate(symbols):
     return np.concatenate([time[:, -CP_LEN:], time], axis=1).ravel()
 
 
+def ref_convolve(samples, taps):
+    """The first ``samples.size`` outputs of the convolution, tap by tap on
+    the real and imaginary parts: tap k = a + ib adds a*re - b*im to the
+    real part and a*im + b*re to the imaginary part, k samples later."""
+    re, im = samples.real.copy(), samples.imag.copy()
+    out_re, out_im = np.empty_like(re), np.empty_like(im)
+    n = samples.size
+    for k, (a, b) in enumerate(zip(taps.real[:n], taps.imag[:n])):
+        if k == 0:
+            out_re[:] = a * re
+            out_im[:] = a * im
+        else:
+            out_re[k:] += a * re[:n - k]
+            out_im[k:] += a * im[:n - k]
+        out_re[k:] += b * -im[:n - k]
+        out_im[k:] += b * re[:n - k]
+    out = np.empty(n, dtype=np.complex128)
+    out.real, out.imag = out_re, out_im
+    return out
+
+
 def ref_channel(samples, ch):
     h = realize_taps(ch)
-    out = np.convolve(samples, h)[: samples.size] if h.size > 1 or h[0] != 1.0 else samples.copy()
+    out = ref_convolve(samples, h) if h.size > 1 or h[0] != 1.0 else samples.copy()
     if ch.snr_db == math.inf:
         return out
     noise_var = float(np.mean(np.abs(samples) ** 2)) / (10.0 ** (ch.snr_db / 10.0))

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from semshield.experiments import load_config, render_output
 from semshield.ofdm import (
     BITS_PER_SYMBOL,
     CP_LEN,
@@ -18,6 +24,7 @@ from semshield.ofdm import (
     realize_taps,
 )
 
+import test_seed_pins
 from spec import ber_16qam_awgn_theory, ref_channel, ref_demap, ref_map, ref_modulate
 
 SCALE = 1.0 / np.sqrt(10.0)
@@ -62,6 +69,49 @@ class TestSameBytesAsReference:
         view = x[::2]
         ch = ChannelModel(kind="rayleigh_multipath", snr_db=4.0, taps=5, channel_seed=34)
         assert apply_channel(view, ch).tobytes() == ref_channel(view, ch).tobytes()
+
+
+def _kernel_probe():
+    """The apply_channel seed pin's digest and a small multipath ber_sweep."""
+    cfg = load_config(scenario="ber_sweep", channel_kind="rayleigh_multipath", n_bits=20_000,
+                      snr_list=(4.0, 12.0))
+    return test_seed_pins._digest(test_seed_pins._apply_channel) + "\n" + render_output(cfg)
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Nehalem"])
+def test_same_samples_under_every_blas_kernel(coretype):
+    # OpenBLAS picks its kernels from the CPU, or from OPENBLAS_CORETYPE: the
+    # same config must give the same samples and text under each of them.
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=path)
+    code = "import test_ofdm; print(test_ofdm._kernel_probe(), end='')"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert run.stdout == _kernel_probe()
+
+
+class TestShapes:
+    @pytest.mark.parametrize("ch", _CHANNELS, ids=lambda ch: f"{ch.kind}-{ch.snr_db}-{ch.channel_seed}")
+    def test_only_one_dimension(self, ch):
+        for shape in ((2, 80), (), (1, 1, 4)):
+            with pytest.raises(ValueError, match="1-D"):
+                apply_channel(np.ones(shape, dtype=np.complex128), ch)
+
+    @pytest.mark.parametrize("ch", _CHANNELS, ids=lambda ch: f"{ch.kind}-{ch.snr_db}-{ch.channel_seed}")
+    def test_empty_gives_empty(self, ch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_channel(np.zeros(0), ch)
+        assert out.dtype == np.complex128 and out.shape == (0,)
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 8191, 8192, 8193, 16384 + 5])
+    def test_channel_at_block_edges(self, n):
+        # Frames shorter than the taps, and frames ending at and just past a
+        # block of the convolution.
+        x = np.random.default_rng(n).standard_normal(2 * n).view(np.complex128)
+        ch = ChannelModel(kind="rayleigh_multipath", snr_db=6.0, taps=CP_LEN, channel_seed=n)
+        assert apply_channel(x, ch).tobytes() == ref_channel(x, ch).tobytes()
 
 
 class TestInputsUnchanged:
@@ -192,6 +242,18 @@ class TestChannelModel:
             ChannelModel(kind="rayleigh_multipath", taps=CP_LEN + 1)
         with pytest.raises(ValueError):
             ChannelModel(kind="awgn", taps=2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("taps", 2.5), ("taps", True), ("taps", "3"), ("channel_seed", 1.5), ("channel_seed", False),
+        ("channel_seed", None), ("snr_db", "10"), ("snr_db", True), ("snr_db", None), ("snr_db", 3j),
+    ])
+    def test_rejects_field_types(self, field, value):
+        # taps=2.5 used to build and fail in apply_channel with numpy's bare
+        # TypeError, and channel_seed=1.5 in the seeding helper.
+        fields = dict(kind="rayleigh_multipath", snr_db=10.0, taps=3, channel_seed=1)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            ChannelModel(**fields)
 
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
     def test_rejects_nan_and_negative_infinite_snr(self, snr_db):

@@ -69,6 +69,20 @@ def test_one_seeding_path():
         assert not seeding.findall(text), path.name
 
 
+def test_no_blas_routed_calls():
+    # For float and complex input numpy hands these to BLAS, which picks its
+    # kernel, and so its summation order, from the CPU: samples made with one
+    # would differ from machine to machine.  ofdm._convolve adds in one fixed
+    # order instead.
+    routed = {"convolve", "correlate", "dot", "vdot", "inner"}
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in routed and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in ("np", "numpy")]
+    assert calls == []
+
+
 def test_every_public_definition_is_used():
     # A public top-level def or class must be used somewhere in src/, be named
     # in README.md, or be named by a per-layer benchmark metric: code that only

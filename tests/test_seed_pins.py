@@ -78,7 +78,7 @@ PINS = {
     _simulate_plk:
         "e1f6456723f71a36ecc3d0a0829f76db2215dc053a35daa566930e88f77b141f",
     _apply_channel:
-        "1ceba88e64235a9ae1a4b07b3d905d7fcbbc4e6e075001c4799549a505832993",
+        "44a6ebeadd5a7c52ad7b14c4e81a67b1e719511ea0436f4c922919c8bcbacc2b",
     _derive_rng:
         "d66e6355d32eec745ba4b117fda09bc8170080bf1bdd8b2fbe2f02e92519e1c8",
 }
