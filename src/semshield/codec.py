@@ -77,12 +77,22 @@ class CodecModel:
 
 
 def encode(seq: TokenSequence, model: CodecModel) -> BitString:
-    """Serialize token ids to bits, big-endian, ``token_bits`` per token."""
-    tokens = np.asarray(seq, dtype=np.int64)
+    """Serialize token ids to bits, big-endian, ``token_bits`` per token.
+
+    Tokens that are not a 1-D bool or integer sequence (empty for no
+    tokens), or ids outside the vocabulary, raise InvalidTokenError.
+    """
+    tokens = np.asarray(seq)
+    if tokens.ndim != 1 or (tokens.size and tokens.dtype.kind not in "biu"):
+        raise InvalidTokenError(f"tokens must be a 1-D bool or integer sequence, not {tokens.dtype} of shape {tokens.shape}")
     if tokens.size and (int(tokens.min()) < 0 or int(tokens.max()) >= model.vocab_size):
         raise InvalidTokenError(f"token ids must lie in [0, {model.vocab_size})")
-    shifts = np.arange(model.token_bits - 1, -1, -1)
-    return ((tokens[:, None] >> shifts) & 1).astype(np.uint8).ravel()
+    # Every id fits 32 bits (vocab_size <= 2**32); wider tokens lead with zeros.
+    bits = np.unpackbits(tokens.astype(">u4").view(np.uint8)).reshape(-1, 32)
+    if model.token_bits > 32:
+        bits = np.concatenate([np.zeros((tokens.size, model.token_bits - 32), dtype=np.uint8), bits], axis=1)
+    # The last token_bits of each row as one element, copied out in one pass.
+    return bits[:, -model.token_bits:].view(np.dtype((np.void, model.token_bits))).ravel().view(np.uint8)
 
 
 def decode(bits: BitString, model: CodecModel, noise_seed: int) -> TokenSequence:

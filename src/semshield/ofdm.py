@@ -26,6 +26,15 @@ _SCALE = 1.0 / math.sqrt(10.0)
 _LEVEL_BY_VALUE = np.array([-3.0, -1.0, 3.0, 1.0])  # 00, 01, 10, 11
 # The point of the four bits b0 b1 b2 b3, at index 8*b0 + 4*b1 + 2*b2 + b3.
 _POINTS = _SCALE * (np.repeat(_LEVEL_BY_VALUE, 4) + 1j * np.tile(_LEVEL_BY_VALUE, 4))
+# The two points of each packed byte: its high nibble's, then its low nibble's.
+_POINT_PAIRS = _POINTS[np.arange(256)[:, None] >> np.array([4, 0]) & 15]
+# Per axis value x, the least doubles at which demap's z = (x/_SCALE + 4)/2
+# reaches 1, 2 and 3 in float64: -2*_SCALE, -_SCALE * 2**-52 (4 - 2**-52
+# rounds to 4, so the high bit is set a little below 0) and the double below
+# 2*_SCALE.
+_Z1 = float.fromhex("-0x1.43d136248490fp-1")
+_Z2 = float.fromhex("-0x1.43d136248490fp-54")
+_Z3 = float.fromhex("0x1.43d136248490ep-1")
 
 KIND_AWGN = "awgn"
 KIND_RAYLEIGH_FLAT = "rayleigh_flat"
@@ -50,8 +59,8 @@ def qam16_map(bits: BitString) -> np.ndarray:
     bits = _bit_array(bits, "bits")
     if bits.size % 4:
         raise ValueError("bit count must be divisible by 4")
-    quads = bits.reshape(-1, 4)
-    return _POINTS[8 * quads[:, 0] + 4 * quads[:, 1] + 2 * quads[:, 2] + quads[:, 3]]
+    # One table read per packed byte; an odd last nibble's partner is dropped.
+    return _POINT_PAIRS.take(np.packbits(bits), axis=0).ravel()[:bits.size // 4]
 
 
 def qam16_demap(symbols: np.ndarray) -> BitString:
@@ -59,20 +68,23 @@ def qam16_demap(symbols: np.ndarray) -> BitString:
 
     Per axis, with ``z = (x/_SCALE + 4)/2`` the nearest of the levels -3, -1,
     1, 3 (times _SCALE) has index ``clip(floor(z), 0, 3)``; its Gray bits are
-    ``z >= 2`` and ``1 <= z < 3``.  Raises ValueError for NaN or infinite
-    symbols, which have no nearest point.
+    ``z >= 2`` and ``1 <= z < 3``, read off ``x`` at the doubles _Z1-_Z3.
+    Symbols that are not 1-D, or NaN or infinite ones, raise ValueError.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
-    if not np.isfinite(symbols).all():
+    if symbols.ndim != 1:
+        raise ValueError(f"symbols must be 1-D, not of shape {symbols.shape}")
+    x = np.ascontiguousarray(symbols).view(np.float64)  # re, im, re, im, ...
+    if not np.isfinite(x).all():
         raise ValueError("symbols must be finite")
-    bits = np.empty((symbols.size, 4), dtype=np.uint8)
-    for col, x in ((0, symbols.real), (2, symbols.imag)):
-        z = x / _SCALE
-        z += 4.0
-        z /= 2.0
-        np.greater_equal(z, 2.0, out=bits[:, col])
-        np.logical_and(z >= 1.0, z < 3.0, out=bits[:, col + 1])
-    return bits.ravel()
+    low = x >= _Z1
+    low ^= x >= _Z3
+    # Per axis one little-endian uint16: the high bit in its first byte, the
+    # low bit in its second, so that its bytes are the axis's two bits.
+    bits = low.astype("<u2")
+    bits <<= 8
+    bits |= x >= _Z2
+    return bits.view(np.uint8)
 
 
 def ofdm_modulate(symbols: np.ndarray) -> np.ndarray:
@@ -80,10 +92,10 @@ def ofdm_modulate(symbols: np.ndarray) -> np.ndarray:
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.size % N_FFT:
         raise ValueError(f"symbol count must be divisible by {N_FFT}")
-    blocks = symbols.reshape(-1, N_FFT)
-    time = np.fft.ifft(blocks, norm="ortho", axis=1)
-    with_cp = np.concatenate([time[:, -CP_LEN:], time], axis=1)
-    return with_cp.ravel()
+    frame = np.empty((symbols.size // N_FFT, CP_LEN + N_FFT), dtype=np.complex128)
+    np.fft.ifft(symbols.reshape(-1, N_FFT), norm="ortho", axis=1, out=frame[:, CP_LEN:])
+    frame[:, :CP_LEN] = frame[:, N_FFT:]
+    return frame.ravel()
 
 
 # The rules of the ChannelModel fields other than snr_db, which may be +inf.

@@ -15,10 +15,11 @@ for any of the six scenarios, the slow and obvious way:
 
 Besides ``render``, the layer references here are what the tests compare
 the production layers with: ``RawReader`` for ``Keystream``,
-``plk_reference`` for ``simulate_plk``, ``bleu_reference`` for the
-scorer, ``ref_map``/``ref_modulate``/``ref_channel``/``ref_demap`` for
-the OFDM chain, and ``brute_force_placements`` and
-``ber_16qam_awgn_theory`` as oracles of the closed forms.  Configs are
+``plk_reference`` for ``simulate_plk``, ``ref_encode`` for ``encode``,
+``bleu_reference`` for the scorer,
+``ref_map``/``ref_modulate``/``ref_channel``/``ref_demap`` for the OFDM
+chain, and ``brute_force_placements`` and ``ber_16qam_awgn_theory`` as
+oracles of the closed forms.  Configs are
 the small ones of the tests: search spaces are built in full before
 they are checked against the limit.
 """
@@ -182,6 +183,12 @@ def plk_reference(trace, target_bits, guard_band, noise_seed):
         block = hashlib.sha256(material + struct.pack(">I", c)).digest()
         out.extend(bits_from_bytes(block, min(256, target_bits - 256 * c)).tolist())
     return "key", out, entropy
+
+
+def ref_encode(tokens, token_bits):
+    """Each token's ``token_bits`` bits, most significant first, one shift per bit."""
+    return np.array([(int(t) >> j) & 1 for t in tokens for j in range(token_bits - 1, -1, -1)],
+                    dtype=np.uint8)
 
 
 def bleu_reference(reference, hypothesis):

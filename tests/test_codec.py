@@ -23,7 +23,7 @@ from semshield.codec import (
 from semshield.keying import Keystream
 from semshield.obfuscation import generate_dummy_bits
 
-from spec import bleu_reference
+from spec import bleu_reference, ref_encode
 
 
 class TestQuantizeQ32:
@@ -79,6 +79,34 @@ class TestEncodeDecode:
     def test_token_out_of_vocab(self):
         with pytest.raises(InvalidTokenError):
             encode([16], CodecModel(vocab_size=16))
+
+    # A float was truncated (3.7 encoded 3), a string parsed ("7" encoded 7),
+    # a (2, 12) array gave 24 garbled bits and a (2, 2) one a bare numpy error.
+    @pytest.mark.parametrize("bad", [[3.7], np.array([1.0, 2.0]), ["7"], np.zeros((2, 12), dtype=np.int64),
+                                     np.zeros((2, 2), dtype=np.int64), 5, [1 + 0j]],
+                             ids=["float", "float_array", "string", "2x12", "2x2", "scalar", "complex"])
+    def test_rejects_tokens_that_are_not_1d_integers(self, bad):
+        with pytest.raises(InvalidTokenError, match="1-D bool or integer"):
+            encode(bad, CodecModel(vocab_size=16))
+
+    def test_accepts_bool_and_empty_tokens(self):
+        model = CodecModel(vocab_size=4)
+        assert encode(np.array([True, False]), model).tolist() == [0, 1, 0, 0]
+        for empty in ([], np.zeros(0), np.zeros(0, dtype=np.uint32)):
+            out = encode(empty, model)
+            assert out.dtype == np.uint8 and out.shape == (0,)
+
+    @pytest.mark.parametrize("token_bits", [1, 12, 16, 32, 33, 70])
+    def test_matches_the_shift_reference(self, token_bits):
+        vocab_size = min(2**token_bits, 2**32)
+        model = CodecModel(vocab_size=vocab_size, token_bits=token_bits)
+        rng = np.random.default_rng(token_bits)
+        tokens = np.concatenate([[0, 1, vocab_size - 1], rng.integers(0, vocab_size, 300)])
+        want = ref_encode(tokens, token_bits)
+        assert want.size == tokens.size * token_bits
+        for seq in (tokens, tokens.astype(np.uint64), tokens.astype(np.uint32), tokens.tolist()):
+            got = encode(seq, model)
+            assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
 
     def test_round_trip_without_deviation(self):
         model = CodecModel(vocab_size=4096, deviation_rate=0.0)

@@ -78,17 +78,30 @@ def _kernel_probe():
     return test_seed_pins._digest(test_seed_pins._apply_channel) + "\n" + render_output(cfg)
 
 
+def _probe_in_subprocess(**env):
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+    code = "import test_ofdm; print(test_ofdm._kernel_probe(), end='')"
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path, **env),
+                         capture_output=True, text=True, timeout=120, check=True)
+    return run.stdout
+
+
 @pytest.mark.parametrize("coretype", ["Haswell", "Nehalem"])
 def test_same_samples_under_every_blas_kernel(coretype):
     # OpenBLAS picks its kernels from the CPU, or from OPENBLAS_CORETYPE: the
     # same config must give the same samples and text under each of them.
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=path)
-    code = "import test_ofdm; print(test_ofdm._kernel_probe(), end='')"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=120, check=True)
-    assert run.stdout == _kernel_probe()
+    assert _probe_in_subprocess(OPENBLAS_CORETYPE=coretype) == _kernel_probe()
+
+
+def test_same_samples_without_simd_dispatch():
+    # numpy picks SIMD loops for its ufuncs from the CPU; with every target it
+    # dispatches to here turned off, the baseline loops must give the same text.
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    targets = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("numpy dispatches to no SIMD target on this CPU")
+    assert _probe_in_subprocess(NPY_DISABLE_CPU_FEATURES=" ".join(targets)) == _kernel_probe()
 
 
 class TestShapes:
@@ -112,6 +125,11 @@ class TestShapes:
         x = np.random.default_rng(n).standard_normal(2 * n).view(np.complex128)
         ch = ChannelModel(kind="rayleigh_multipath", snr_db=6.0, taps=CP_LEN, channel_seed=n)
         assert apply_channel(x, ch).tobytes() == ref_channel(x, ch).tobytes()
+
+    def test_demap_only_one_dimension(self):
+        for shape in ((2, 80), (), (1, 1, 4)):
+            with pytest.raises(ValueError, match="1-D"):
+                qam16_demap(np.ones(shape, dtype=np.complex128))
 
 
 class TestInputsUnchanged:
@@ -166,6 +184,34 @@ class TestQam16Map:
             qam16_map(bad)
 
 
+def _ordered(x):
+    """An integer per double that orders like the doubles (both zeros give 0)."""
+    i = int(np.float64(x).view(np.int64))
+    return i if i >= 0 else -(i & (2**63 - 1))
+
+
+def _double(i):
+    """The double of ``_ordered``'s integer ``i``."""
+    return math.copysign(float(np.int64(abs(i)).view(np.float64)), i)
+
+
+def _flip_point(lo, hi):
+    """The least double in (lo, hi] whose axis bits differ from lo's, by
+    bisection over the doubles in between; lo's and hi's bits must differ."""
+    def axis_bits(i):
+        return ref_demap(np.array([complex(_double(i))]))[:2].tolist()
+
+    a, b = _ordered(lo), _ordered(hi)
+    assert axis_bits(a) != axis_bits(b)
+    while b - a > 1:
+        mid = (a + b) // 2
+        if axis_bits(mid) == axis_bits(a):
+            a = mid
+        else:
+            b = mid
+    return _double(b)
+
+
 class TestQam16Demap:
     def test_identity_on_clean_symbols(self):
         bits = _bits(4000, 1)
@@ -186,9 +232,13 @@ class TestQam16Demap:
                               np.array([1, 0, 1, 0, 0, 0, 0, 0], dtype=np.uint8))
 
     def test_matches_the_per_axis_rule(self):
-        # The demap against the per-axis decision, at the decision edges, just
-        # past them and far out.
+        # The demap against the per-axis decision, at the decision edges, at
+        # the doubles where float64 rounding flips a bit (one of them a little
+        # below 0), just past them and far out.
         edges = SCALE * np.array([0.0, 2.0, -2.0, 4.0, -4.0, 1e9, -1e9])
+        flips = [_flip_point(lo * SCALE, hi * SCALE) for lo, hi in ((-3, -1), (-1, 1), (1, 3))]
+        assert flips[1] < 0.0
+        edges = np.concatenate([edges, flips])
         axis_values = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
         rng = np.random.default_rng(6)
         syms = np.concatenate([
