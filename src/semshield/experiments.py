@@ -384,9 +384,9 @@ def emit_constellation(cfg: ExperimentConfig) -> np.ndarray:
 def run_keygen_demo(cfg: ExperimentConfig) -> dict:
     """One full key ceremony plus the SKey transport round trip."""
     [(km, info)] = _derive_key_materials(cfg, [("keygen", 0)])
-    transport = xor_bits(km.skey, Keystream.from_seed_bits(km.plk, "skey-transport").bits(cfg.l_skey))
-    skey_rx = xor_bits(transport, Keystream.from_seed_bits(km.plk, "skey-transport").bits(cfg.l_skey))
-    seed_rx = KeyMaterial(km.plk, skey_rx).seed_key
+    pad = Keystream.from_seed_bits(km.plk, "skey-transport").bits(cfg.l_skey)
+    transport = xor_bits(km.skey, pad)
+    seed_rx = KeyMaterial(km.plk, xor_bits(transport, pad)).seed_key
     return {
         "scenario": "keygen_demo",
         "static_channel": cfg.static_channel,

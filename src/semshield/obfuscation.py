@@ -49,7 +49,7 @@ import numpy as np
 
 from .bits import BitString, _bit_array, xor_bits
 from .codec import CodecModel, encode
-from .fields import check_fields
+from .fields import check_fields, describe
 from .keying import Keystream, _seed_bytes, _stream_key, expand_seed
 
 _WORD = 1 << 32
@@ -100,6 +100,17 @@ def _subcarriers(bits: np.ndarray, b: int) -> np.ndarray:
     return bits.view(np.dtype((np.void, b)))
 
 
+def _payload_length(l_d, low: int) -> int:
+    """``l_d`` as a Python int, or ValueError unless it is an integer >= ``low``.
+
+    One isinstance: Python and numpy ints pass, and bool, an int subclass,
+    does not.  The cast keeps a small numpy int from overflowing later sums.
+    """
+    if not isinstance(l_d, (int, np.integer)) or type(l_d) is bool or l_d < low:
+        raise ValueError(f"l_d must be an integer >= {low}, not {describe(l_d)}")
+    return int(l_d)
+
+
 def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Indices of consecutive runs: ``starts[i]`` up to ``starts[i] + lengths[i]``, run after run."""
     shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
@@ -126,7 +137,8 @@ class DataUnit:
 
 @dataclass(frozen=True, eq=False)
 class ObfuscatedFrame:
-    """A frame: its layout as arrays plus one on-air bit array.
+    """A frame of an ``l_d``-bit payload (an integer >= 1): its layout as
+    arrays plus one on-air bit array.
 
     ``s`` and ``k`` hold each unit's symbol and dummy counts in stream
     order.  ``dummy_locations`` holds every dummy's frame-level subcarrier
@@ -146,6 +158,7 @@ class ObfuscatedFrame:
     air: BitString
 
     def __post_init__(self):
+        object.__setattr__(self, "l_d", _payload_length(self.l_d, 1))
         for name, dtype in (("s", np.int64), ("k", np.int64), ("dummy_locations", np.int64), ("air", np.uint8)):
             value = np.asarray(getattr(self, name))
             # The cast below would truncate floats; an empty list is float64.
@@ -493,12 +506,11 @@ def recover_bits(ota: BitString, l_d: int, seed: BitString, p: ObfuscationParams
     Unlike deobfuscate there is no metadata to cross-check: the layout is
     taken entirely from the seed, short input is zero padded and excess
     ignored, so demodulation bit errors (or a wrong seed) degrade the
-    output instead of aborting it.  Values other than 0 and 1 in ``ota``
-    raise ValueError.
+    output instead of aborting it.  Values other than 0 and 1 in ``ota``,
+    and an ``l_d`` that is not an integer >= 0, raise ValueError.
     """
     ota = np.ascontiguousarray(_bit_array(ota, "ota"))
-    if l_d < 0:
-        raise ValueError("l_d must be >= 0")
+    l_d = _payload_length(l_d, 0)
     xbits, s, k, locs, tail = derive_layout(seed, l_d, p)
     n_sub = _unit_subcarriers(s, p)
     n_air = n_sub * p.b + tail

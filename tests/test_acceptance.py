@@ -42,13 +42,7 @@ from semshield.ofdm import (
     qam16_demap,
     qam16_map,
 )
-from semshield.security import (
-    analyze,
-    ss_dummy_location,
-    ss_dummy_location_dynamic,
-    ss_seedkey_baseline,
-    ss_seedkey_dynamic,
-)
+from semshield.security import analyze
 
 from spec import ber_16qam_awgn_theory, brute_force_placements
 
@@ -166,31 +160,32 @@ def test_acceptance_5_search_space_oracle():
     for n_d in range(1, 25):
         for s in range(1, 24 // n_d + 1):
             for k in range(1, s * n_d):
-                assert ss_dummy_location(s, k, n_d).exact == \
+                assert int(analyze(s_max=s, k_max=k, n_d=n_d)["eq3"]["exact"]) == \
                     brute_force_placements(n_d, s, k)
                 checked += 1
+            # a unit cannot hold s*n_d dummies or more
+            with pytest.raises(ValueError, match=r"k_max < s_max\*n_d"):
+                analyze(s_max=s, k_max=s * n_d, n_d=n_d)
     assert checked > 500
 
-    # compositional identities as exact integers
-    for s_max, k_max, n_d in [(2, 2, 4), (3, 7, 16), (4, 10, 64)]:
+    # compositional identities as exact big integers
+    for s_max, k_max, n_d in [(2, 2, 4), (3, 7, 16), (4, 10, 64), (3, 5, 2)]:
         total = sum(
-            ss_dummy_location(s, k, n_d).exact
+            int(analyze(s_max=s, k_max=k, n_d=n_d)["eq3"]["exact"])
             for s in range(1, s_max + 1)
             for k in range(1, k_max + 1)
             if k < s * n_d
         )
-        assert ss_dummy_location_dynamic(s_max, k_max, n_d).exact == total
+        assert int(analyze(s_max=s_max, k_max=k_max, n_d=n_d)["eq4"]["exact"]) == total
     for s_max, k_max, n_d, n_unit in [(2, 2, 4, 3), (4, 10, 64, 16)]:
-        dyn = ss_dummy_location_dynamic(s_max, k_max, n_d).exact
-        eq5 = analyze(s_max=s_max, k_max=k_max, n_d=n_d, n_unit=n_unit)["eq5"]
-        assert int(eq5["exact"]) == dyn ** n_unit
+        report = analyze(s_max=s_max, k_max=k_max, n_d=n_d, n_unit=n_unit)
+        assert int(report["eq5"]["exact"]) == int(report["eq4"]["exact"]) ** n_unit
     report = analyze(s_max=4, k_max=10, n_d=64, n_unit=16, l_seedkey=128)
     combined = int(report["eq11"]["exact"])
-    assert combined == (int(report["eq5"]["exact"])
-                        * ss_seedkey_dynamic(4, 10, 16, 128).exact)
+    assert combined == int(report["eq5"]["exact"]) * int(report["eq10"]["exact"])
 
     # layered defaults strictly beat the fixed-parameter baseline
-    baseline = ss_seedkey_baseline(4, 10, 128).exact
+    baseline = int(report["eq9"]["exact"])
     assert combined > baseline
     print(f"acceptance 5 (search-space oracle, {checked} shapes): PASS")
 

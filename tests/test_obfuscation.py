@@ -335,6 +335,22 @@ class TestFrame:
         with pytest.raises(ValueError, match=f"frame {name} must be"):
             _frame_with(frame, **{name: getattr(frame, name).astype(float)})
 
+    # A float l_d built and then failed in deobfuscate with a TypeError; 0, -4
+    # and True failed there with a misleading DesyncError or "nbits must be
+    # non-negative".
+    @pytest.mark.parametrize("l_d", [3000.0, 0, -4, True], ids=["float", "zero", "negative", "bool"])
+    def test_l_d_must_be_a_positive_integer(self, l_d):
+        frame = obfuscate(np.ones(3000, dtype=np.uint8), _seed(29), ObfuscationParams(), MODEL)
+        with pytest.raises(ValueError, match="l_d must be an integer >= 1"):
+            _frame_with(frame, l_d=l_d)
+
+    def test_numpy_int_l_d_accepted(self):
+        seed, p = _seed(29), ObfuscationParams()
+        data = np.random.default_rng(29).integers(0, 2, 3000).astype(np.uint8)
+        frame = _frame_with(obfuscate(data, seed, p, MODEL), l_d=np.uint16(3000))
+        assert type(frame.l_d) is int
+        assert np.array_equal(deobfuscate(frame, seed, p), data)
+
     def test_empty_lists_build_a_tail_only_frame(self):
         seed, p = _seed(28), ObfuscationParams()
         data = np.random.default_rng(28).integers(0, 2, 100).astype(np.uint8)
@@ -447,6 +463,21 @@ class TestRecoverBits:
         air[7] = bad
         with pytest.raises(ValueError, match="ota must be"):
             recover_bits(air, frame.l_d, seed, p)
+
+    # A float l_d raised a bare TypeError, and True recovered one bit.
+    @pytest.mark.parametrize("l_d", [3000.0, True, -1, "3000"], ids=["float", "bool", "negative", "string"])
+    def test_l_d_must_be_a_non_negative_integer(self, l_d):
+        p, seed = ObfuscationParams(), _seed(39)
+        air = ota_bits(obfuscate(np.ones(3000, dtype=np.uint8), seed, p, MODEL))
+        with pytest.raises(ValueError, match="l_d must be an integer >= 0"):
+            recover_bits(air, l_d, seed, p)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint16])
+    def test_numpy_int_l_d_accepted(self, kind):
+        p, seed = ObfuscationParams(), _seed(39)
+        data = np.random.default_rng(39).integers(0, 2, 3000).astype(np.uint8)
+        air = ota_bits(obfuscate(data, seed, p, MODEL))
+        assert np.array_equal(recover_bits(air, kind(3000), seed, p), data)
 
     def test_exact_recovery_from_clean_air(self):
         p = ObfuscationParams()

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semshield.codec import Q32_MAX, CodecModel, bleu_scores, make_corpus
-from semshield import security
+from semshield.experiments import ConfigError
 from semshield.keying import Keystream
 from semshield.security import (
     N_HISTOGRAM_BINS,
@@ -12,77 +13,73 @@ from semshield.security import (
     bleu_dispersion_report,
     histogram_entropy,
     score_histogram,
-    ss_dummy_location,
-    ss_dummy_location_dynamic,
-    ss_seedkey,
-    ss_seedkey_baseline,
-    ss_seedkey_dynamic,
-    ss_skey,
-    ss_weight,
 )
 
 import spec
 from spec import brute_force_placements
 
 
-def _exact(formula, s_max, k_max, n_d, n_unit, l_seedkey=128):
+def _exact(formula, **params):
     """The exact count of one formula of ``analyze``."""
-    return int(analyze(s_max=s_max, k_max=k_max, n_d=n_d, n_unit=n_unit, l_seedkey=l_seedkey)[formula]["exact"])
+    return int(analyze(**params)[formula]["exact"])
 
 
 class TestPerUnitCounts:
     def test_single_dummy_single_symbol(self):
-        r = ss_dummy_location(1, 1, 64)
-        assert r.exact == 64
-        assert r.log2 == pytest.approx(6.0)
+        r = analyze(s_max=1, k_max=1, n_d=64)["eq3"]
+        assert r["exact"] == "64"
+        assert r["log2"] == pytest.approx(6.0)
 
     def test_known_binomial(self):
-        assert ss_dummy_location(2, 2, 64).exact == math.comb(128, 2) == 8128
+        assert _exact("eq3", s_max=2, k_max=2, n_d=64) == math.comb(128, 2) == 8128
 
     def test_matches_exhaustive_enumeration(self):
-        assert ss_dummy_location(1, 3, 4).exact == brute_force_placements(4, 1, 3)
-        assert ss_dummy_location(1, 3, 4).exact == 4
+        assert _exact("eq3", s_max=1, k_max=3, n_d=4) == brute_force_placements(4, 1, 3)
+        assert _exact("eq3", s_max=1, k_max=3, n_d=4) == 4
 
     def test_rejects_overfull(self):
-        with pytest.raises(ValueError):
-            ss_dummy_location(1, 4, 4)
+        with pytest.raises(ValueError, match=r"k_max < s_max\*n_d"):
+            analyze(s_max=1, k_max=4, n_d=4)
 
     def test_dynamic_small_cases(self):
-        assert ss_dummy_location_dynamic(1, 1, 64).exact == 64
+        assert _exact("eq4", s_max=1, k_max=1, n_d=64) == 64
         # sum over s in 1..2, k in 1..2 of C(4s, k)
-        assert ss_dummy_location_dynamic(2, 2, 4).exact == 46
+        assert _exact("eq4", s_max=2, k_max=2, n_d=4) == 46
 
     def test_dynamic_equals_binomial_sum(self):
-        # k_max reaches past s*n_d for the small units, where k < s*n_d drops terms.
+        # k_max reaches past s*n_d for the small units, where k < s*n_d drops
+        # terms; a k_max that no unit can hold is refused.
         for s_max in (1, 2, 3):
             for k_max in (1, 2, 5, 9):
                 for n_d in (1, 2, 3, 8):
+                    if k_max >= s_max * n_d:
+                        with pytest.raises(ValueError, match=r"k_max < s_max\*n_d"):
+                            analyze(s_max=s_max, k_max=k_max, n_d=n_d)
+                        continue
                     total = sum(math.comb(s * n_d, k) for s in range(1, s_max + 1)
                                 for k in range(1, k_max + 1) if k < s * n_d)
-                    if total:
-                        assert ss_dummy_location_dynamic(s_max, k_max, n_d).exact == total
-                    else:
-                        with pytest.raises(ValueError, match=">= 1"):
-                            ss_dummy_location_dynamic(s_max, k_max, n_d)
+                    assert _exact("eq4", s_max=s_max, k_max=k_max, n_d=n_d) == total
 
     def test_dynamic_past_4300_digits_refused(self):
-        # The running sum passes 10**4300 at k = 1,286, long before k = 2**19.
+        # eq3 is C(2**19 + 1, 2**19) = 2**19 + 1, but the running sum of eq4
+        # passes 10**4300 at k = 1,436, long before k = 2**19.
         with pytest.raises(ValueError, match="eq4 has more than 4300 decimal digits"):
-            ss_dummy_location_dynamic(1, 2**19, 2**20)
+            analyze(s_max=1, k_max=2**19, n_d=2**19 + 1)
 
     def test_dynamic_monotone_in_bounds(self):
-        base = ss_dummy_location_dynamic(2, 3, 16).exact
-        assert ss_dummy_location_dynamic(3, 3, 16).exact > base
-        assert ss_dummy_location_dynamic(2, 4, 16).exact > base
+        base = _exact("eq4", s_max=2, k_max=3, n_d=16)
+        assert _exact("eq4", s_max=3, k_max=3, n_d=16) > base
+        assert _exact("eq4", s_max=2, k_max=4, n_d=16) > base
 
 
 class TestFrameCounts:
     def test_single_unit_equals_dynamic(self):
-        assert _exact("eq5", 3, 5, 32, 1) == ss_dummy_location_dynamic(3, 5, 32).exact
+        report = analyze(s_max=3, k_max=5, n_d=32, n_unit=1)
+        assert report["eq5"]["exact"] == report["eq4"]["exact"]
 
     def test_power_law(self):
-        assert _exact("eq5", 1, 1, 64, 2) == 64 ** 2 == 4096
-        assert _exact("eq5", 2, 2, 4, 3) == 46 ** 3 == 97336
+        assert _exact("eq5", s_max=1, k_max=1, n_d=64, n_unit=2) == 64 ** 2 == 4096
+        assert _exact("eq5", s_max=2, k_max=2, n_d=4, n_unit=3) == 46 ** 3 == 97336
 
     def test_log2_consistent(self):
         r = analyze()["eq5"]
@@ -91,49 +88,44 @@ class TestFrameCounts:
 
 class TestKeyCounts:
     def test_weights(self):
-        assert ss_weight(1).exact == 16
-        assert ss_weight(16).exact == 2 ** 64
+        assert _exact("eq6", l_weight=1) == 16
+        assert _exact("eq6", l_weight=16) == 2 ** 64
         for lw in (1, 5, 16, 32):
-            assert ss_weight(lw).log2 == pytest.approx(4.0 * lw)
+            assert analyze(l_weight=lw)["eq6"]["log2"] == pytest.approx(4.0 * lw)
 
     def test_semantic_key(self):
-        assert ss_skey(1).exact == 2
-        assert ss_skey(128).exact == 2 ** 128
-        assert ss_skey(128).log2 == pytest.approx(128.0)
+        assert _exact("eq7", l_skey=1) == 2
+        assert _exact("eq7", l_skey=128) == 2 ** 128
+        assert analyze(l_skey=128)["eq7"]["log2"] == pytest.approx(128.0)
 
     def test_seed_key(self):
-        assert ss_seedkey(1).exact == 2
-        assert ss_seedkey(256).log2 == pytest.approx(256.0)
+        assert _exact("eq8", l_seedkey=1) == 2
+        assert analyze(l_seedkey=256)["eq8"]["log2"] == pytest.approx(256.0)
 
     def test_baseline_single_layer(self):
-        assert ss_seedkey_baseline(1, 1, 7).exact == 2 ** 7
-        assert ss_seedkey_baseline(3, 4, 0).exact == 12
-        assert ss_seedkey_baseline(4, 10, 128).exact == 40 * 2 ** 128
+        # analyze takes keys of at least one bit.
+        assert _exact("eq9", s_max=1, k_max=1, l_seedkey=7) == 2 ** 7
+        assert _exact("eq9", s_max=3, k_max=4, l_seedkey=1) == 24
+        assert _exact("eq9", s_max=4, k_max=10, l_seedkey=128) == 40 * 2 ** 128
 
     def test_dynamic_seedkey_layer(self):
-        assert ss_seedkey_dynamic(1, 1, 5, 8).exact == 2 ** 8
-        assert ss_seedkey_dynamic(4, 10, 2, 128).exact == 1600 * 2 ** 128
-        assert ss_seedkey_dynamic(2, 3, 3, 0).exact == 216
+        assert _exact("eq10", s_max=1, k_max=1, n_unit=5, l_seedkey=8) == 2 ** 8
+        assert _exact("eq10", s_max=4, k_max=10, n_unit=2, l_seedkey=128) == 1600 * 2 ** 128
+        assert _exact("eq10", s_max=2, k_max=3, n_unit=3, l_seedkey=1) == 216 * 2
 
     def test_total_composition(self):
-        # analyze takes keys of at least one bit: eq10 = (s_max*k_max)**n_unit * 2.
-        assert _exact("eq11", 1, 1, 64, 1, l_seedkey=1) == 64 * 2
-        assert _exact("eq11", 2, 2, 4, 1, l_seedkey=1) == 46 * 8
-        combined = analyze()["eq11"]
-        assert int(combined["exact"]) == (_exact("eq5", 4, 10, 64, 16)
-                                          * ss_seedkey_dynamic(4, 10, 16, 128).exact)
+        # eq10 = (s_max*k_max)**n_unit * 2 with one-bit keys.
+        assert _exact("eq11", s_max=1, k_max=1, n_d=64, n_unit=1, l_seedkey=1) == 64 * 2
+        assert _exact("eq11", s_max=2, k_max=2, n_d=4, n_unit=1, l_seedkey=1) == 46 * 8
+        report = analyze()
+        combined = report["eq11"]
+        assert int(combined["exact"]) == int(report["eq5"]["exact"]) * int(report["eq10"]["exact"])
         assert combined["log2"] == pytest.approx(math.log2(int(combined["exact"])), rel=1e-12)
 
     def test_validation(self):
-        for fn, args in [
-            (ss_weight, (0,)),
-            (ss_skey, (0,)),
-            (ss_seedkey, (-1,)),
-            (analyze, (1, 1, 64, 0)),
-            (ss_seedkey_dynamic, (0, 1, 5, 8)),
-        ]:
-            with pytest.raises(ValueError):
-                fn(*args)
+        for bad in (dict(l_weight=0), dict(l_skey=0), dict(l_seedkey=-1), dict(n_unit=0), dict(s_max=0)):
+            with pytest.raises(ValueError, match="need every parameter >= 1"):
+                analyze(**bad)
 
 
 class TestBruteForce:
@@ -144,8 +136,7 @@ class TestBruteForce:
 
     def test_agrees_with_closed_form(self):
         for n_d, s, k in [(3, 2, 4), (8, 3, 5), (12, 2, 7)]:
-            assert brute_force_placements(n_d, s, k) == \
-                ss_dummy_location(s, k, n_d).exact
+            assert brute_force_placements(n_d, s, k) == _exact("eq3", s_max=s, k_max=k, n_d=n_d)
 
     def test_enumeration_bound(self):
         with pytest.raises(ValueError):
@@ -175,20 +166,23 @@ class TestAnalyze:
         # eq11 = eq5 * eq10 = 46 * ((2*2)^1 * 2^1)
         assert report["eq11"]["exact"] == str(46 * 8)
 
-    def test_eq4_is_built_once(self, monkeypatch):
-        # eq5 is built from eq4, and eq11 from the eq5 and eq10 already built.
-        report = spec.search_space(4, 10, 64, 16, 16, 128, 128)
-        expected = {eq: report[eq] for eq in ("eq5", "eq11")}
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return ss_dummy_location_dynamic(*args)
-
-        monkeypatch.setattr(security, "ss_dummy_location_dynamic", counting)
-        report = analyze()
-        assert calls == [(4, 10, 64)]
-        assert {key: report[key] for key in expected} == expected
+    # Small shapes, with unit counts and key lengths that reach past 4300
+    # digits now and then, so both sides sometimes refuse.
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), s_max=st.integers(1, 6), n_d=st.integers(1, 64), n_unit=st.integers(1, 400),
+           l_weight=st.integers(1, 3700), l_skey=st.integers(1, 14500), l_seedkey=st.integers(1, 14500))
+    def test_equals_the_spec(self, data, s_max, n_d, n_unit, l_weight, l_skey, l_seedkey):
+        if s_max * n_d == 1:
+            n_d = 2
+        k_max = data.draw(st.integers(1, min(s_max * n_d - 1, 80)))
+        params = (s_max, k_max, n_d, n_unit, l_weight, l_skey, l_seedkey)
+        try:
+            want = spec.search_space(*params)
+        except ConfigError:
+            with pytest.raises(ValueError, match=r"search space eq\d+ has more than 4300 decimal digits"):
+                analyze(*params)
+            return
+        assert analyze(*params) == want
 
 
 class TestDispersion:
