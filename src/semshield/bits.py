@@ -54,8 +54,6 @@ def bytes_from_bits(bits: BitString) -> bytes:
 
 def int_from_bits(bits: BitString) -> int:
     bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size == 0:
-        return 0
     packed = np.packbits(bits)
     return int.from_bytes(packed.tobytes(), "big") >> (packed.size * 8 - bits.size)
 

@@ -419,7 +419,7 @@ def run_search_space(cfg: ExperimentConfig) -> dict:
 def run_dispersion(cfg: ExperimentConfig) -> dict:
     corpus = make_corpus(cfg.n_sentences, cfg.codec, derive_int(cfg.master_seed, "dispersion", "corpus"))
     ks = Keystream(derive_digest(cfg.master_seed, "dispersion", "weights"), "weights")
-    report = security.bleu_dispersion_report(corpus, cfg.codec, ks)
+    report = security.bleu_dispersion_report(corpus, cfg.codec, ks, cfg.l_weight)
     report["scenario"] = "dispersion"
     report["master_seed"] = cfg.master_seed
     return report

@@ -28,10 +28,6 @@ from .codec import BleuScores
 DEFAULT_KEY_BITS = 128
 CHACHA_BLOCK_BYTES = 64
 _WORD = 1 << 32
-# Largest step a keystream grows by: the first generation covers the first
-# request in whole cipher blocks, and each later one is at least twice the
-# one before, up to this many bits.
-_REFILL_BITS = 32768
 
 
 def _check_count(name: str, value) -> None:
@@ -106,6 +102,11 @@ class Keystream:
     advances past them.  ``draw_uniform`` reads its 32-bit words through
     ``bits`` and reads no further than its last accepted word, so any
     interleaving of the two reads the stream in order.
+
+    A stream keeps only the cipher blocks its last generation made.  A
+    read that ends inside them slices them; any other read generates
+    exactly the blocks that cover it, from the block counter of
+    ``position``, and keeps those instead.
     """
 
     def __init__(self, seed: bytes, label: bytes | str, nonce: bytes | None = None):
@@ -116,11 +117,9 @@ class Keystream:
         self.seed = seed
         self.position = 0
         self._nonce = nonce if nonce is not None else label_nonce(label)
-        # Generated keystream bytes, from bit offset _base; they always end
-        # on a cipher block boundary, so the next block counter follows.
-        self._base = 0
-        self._raw = b""
-        self._grow = 0  # fewest bits the next generation makes
+        # The last generated cipher blocks, from bit offset _at.
+        self._at = 0
+        self._raw = np.zeros(0, dtype=np.uint8)
 
     @classmethod
     def from_seed_bits(cls, seed_bits: BitString, label: bytes | str) -> "Keystream":
@@ -130,21 +129,17 @@ class Keystream:
         """Return the next ``nbits`` of the stream and advance the position."""
         if nbits < 0:
             raise ValueError("nbits must be non-negative")
-        start = self.position - self._base
-        stop = start + nbits
-        if stop > 8 * len(self._raw):
-            counter = (self._base // 8 + len(self._raw)) // CHACHA_BLOCK_BYTES
-            n_blocks = -(-max(stop - 8 * len(self._raw), self._grow) // (8 * CHACHA_BLOCK_BYTES))
-            fresh = chacha20_stream(self.seed, self._nonce, counter, n_blocks * CHACHA_BLOCK_BYTES)
-            self._grow = min(2 * 8 * len(fresh), _REFILL_BITS)
-            drop = start // 8
-            self._raw = self._raw[drop:] + fresh
-            self._base += 8 * drop
-            start -= 8 * drop
-            stop -= 8 * drop
-        self.position += nbits
-        raw = np.frombuffer(self._raw, dtype=np.uint8)[start // 8:(stop + 7) // 8]
-        return np.unpackbits(raw)[start % 8:start % 8 + nbits]
+        stop = self.position + nbits
+        if stop > self._at + 8 * self._raw.size:
+            block_bits = 8 * CHACHA_BLOCK_BYTES
+            first = self.position // block_bits
+            n_blocks = -(-stop // block_bits) - first
+            fresh = chacha20_stream(self.seed, self._nonce, first, n_blocks * CHACHA_BLOCK_BYTES)
+            self._raw = np.frombuffer(fresh, dtype=np.uint8)
+            self._at = first * block_bits
+        start = self.position - self._at
+        self.position = stop
+        return np.unpackbits(self._raw[start // 8:(start + nbits + 7) // 8])[start % 8:start % 8 + nbits]
 
     def draw_uniform(self, m: int, n: int | None = None) -> int | list[int]:
         """Unbiased draws from [0, m) by rejection on 32-bit stream words.
@@ -341,8 +336,6 @@ def empirical_bit_entropy(bits: BitString) -> float:
 def _amplify(agreed: BitString, target_bits: int) -> BitString:
     # skey_hash in counter mode over the agreed bits (length-prefixed).
     material = struct.pack(">Q", len(agreed)) + bytes_from_bits(agreed)
-    if target_bits <= 256:  # one block, as every config key length is
-        return skey_hash(material + struct.pack(">I", 0), target_bits)
     chunks = []
     produced = 0
     counter = 0

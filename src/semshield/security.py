@@ -110,13 +110,13 @@ def histogram_entropy(counts) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def bleu_dispersion_report(corpus, model: CodecModel, ks: Keystream) -> dict:
+def bleu_dispersion_report(corpus, model: CodecModel, ks: Keystream, l_weight: int = 16) -> dict:
     """Per-channel spread of the four gram scores and the weighted sum.
 
     Each sentence is scored against its decoded version, the codec's
     substitution with the sentence's index as the noise seed (what
     ``decode(encode(sentence))`` returns), and combined with a fresh
-    weight draw.
+    draw of ``l_weight``-bit weights.
     """
     corpus = list(corpus)
     if len(corpus) < MIN_DISPERSION_SENTENCES:
@@ -124,7 +124,7 @@ def bleu_dispersion_report(corpus, model: CodecModel, ks: Keystream) -> dict:
     raw = {"s1": [], "s2": [], "s3": [], "s4": [], "weighted_sum": []}
     pairs = [(sentence, _substitute(np.asarray(sentence), model, i)) for i, sentence in enumerate(corpus)]
     for scores in bleu_scores_many(pairs):
-        w = weight_generator(ks)
+        w = weight_generator(ks, l_weight)
         raw["s1"].append(scores.s1)
         raw["s2"].append(scores.s2)
         raw["s3"].append(scores.s3)

@@ -491,7 +491,7 @@ def _dispersion(cfg):
     for i, sentence in enumerate(corpus):
         scores = bleu_reference(sentence, decode(encode(sentence, cfg.codec), cfg.codec, noise_seed=i))
         for name, value in zip(raw, (scores.s1, scores.s2, scores.s3, scores.s4,
-                                     generated_bleu(scores, weight_generator(weights)))):
+                                     generated_bleu(scores, weight_generator(weights, cfg.l_weight)))):
             raw[name].append(value)
     channels = {}
     for name, values in raw.items():

@@ -523,6 +523,14 @@ class TestDispersionScenario:
         assert parsed["n_sentences"] == 100
         assert set(parsed["channels"]) == {"s1", "s2", "s3", "s4", "weighted_sum"}
 
+    def test_weights_have_the_configured_width(self):
+        texts = []
+        for l_weight in (16, 8, 3):
+            cfg = ExperimentConfig(scenario="dispersion", n_sentences=100, l_weight=l_weight)
+            texts.append(render_output(cfg))
+            assert texts[-1] == spec.render(cfg)
+        assert len(set(texts)) == 3
+
 
 class TestOutput:
     def test_run_to_file_creates_parents(self, tmp_path):

@@ -12,7 +12,6 @@ from semshield.bits import bits_from_bytes, bytes_from_bits, hex_from_bits, int_
 from semshield.codec import BleuScores, quantize_q32
 from semshield import keying
 from semshield.keying import (
-    _REFILL_BITS,
     ChannelTrace,
     InsufficientEntropyError,
     KeyMaterial,
@@ -108,6 +107,8 @@ class TestKeystream:
         first_byte = chacha20_stream(bytes(32), nonce, 0, 1)[0]
         got = ks.bits(8)
         assert int_from_bits(got) == first_byte
+        assert int_from_bits(got[:3]) == first_byte >> 5
+        assert int_from_bits(got[:0]) == 0
 
     def test_distinct_labels_disagree(self):
         labels = ["xor", "dummy", "pad", "weights", "skey-transport"]
@@ -214,36 +215,60 @@ class TestDrawUniform:
 
 
 class TestKeystreamGeneration:
-    """How much cipher output a stream generates, counted at chacha20_stream."""
+    """Which cipher blocks a stream generates, counted at chacha20_stream."""
 
     @pytest.fixture
     def generated(self, monkeypatch):
-        sizes = []
+        calls = []  # (block counter, bytes) of each generation
 
-        def counting(*args):
-            out = chacha20_stream(*args)
-            sizes.append(len(out))
-            return out
+        def counting(key, nonce, counter, nbytes):
+            calls.append((counter, nbytes))
+            return chacha20_stream(key, nonce, counter, nbytes)
 
         monkeypatch.setattr(keying, "chacha20_stream", counting)
-        return sizes
+        return calls
 
     def test_short_read_generates_one_block(self, generated):
         Keystream(bytes(32), "weights").bits(64)
-        assert generated == [64]
+        assert generated == [(0, 64)]
 
-    def test_long_stream_read_in_small_pieces(self, generated):
-        # 1 Mbit in 1000-bit reads: generations double from one block up to
-        # the largest refill, so they make at most about six extra calls.
+    def test_read_that_ends_inside_the_kept_blocks_generates_nothing(self, generated):
         ks = Keystream(bytes(32), "xor")
         ks.bits(3)
-        reads = [ks.bits(1000) for _ in range(1049)]
-        total = 1000 * len(reads)
-        assert len(generated) <= -(-total // _REFILL_BITS) + 6
-        assert total <= 8 * sum(generated) < total + _REFILL_BITS + 512
+        ks.bits(500)
+        ks.bits(9)  # ends on the block boundary
+        ks.bits(0)
+        assert generated == [(0, 64)]
+        assert ks.draw_uniform(1 << 32) == int_from_bits(
+            bits_from_bytes(chacha20_stream(bytes(32), label_nonce(b"xor"), 1, 4)))
+        assert generated == [(0, 64), (1, 64)]
+
+    @pytest.mark.parametrize("first,n,call", [
+        (3, 1000, (0, 128)),       # ends in block 1, starts again at block 0
+        (512, 1, (1, 64)),         # starts on a block boundary
+        (1003, 600, (1, 192)),     # blocks 1 to 3
+        (1003, 70_001, (1, 8832)),  # blocks 1 to 138
+    ])
+    def test_read_past_the_kept_blocks_generates_exactly_the_covering_blocks(self, generated, first, n, call):
+        ks = Keystream(bytes(32), "xor")
+        ks.bits(first)
+        generated.clear()
+        out = ks.bits(n)
+        assert generated == [call]
+        raw = bits_from_bytes(chacha20_stream(bytes(32), label_nonce(b"xor"), *call))
+        offset = first - 512 * call[0]
+        assert np.array_equal(out, raw[offset:offset + n])
+
+    def test_long_stream_read_in_small_pieces(self, generated):
+        # 1 Mbit in 1000-bit reads: each read runs past the blocks of the
+        # one before, so each makes one call.
+        ks = Keystream(bytes(32), "xor")
+        ks.bits(3)
+        reads = [ks.bits(1000) for _ in range(1000)]
+        assert len(generated) == 1 + len(reads)
         ref = Keystream(bytes(32), "xor")
         ref.bits(3)
-        assert np.array_equal(np.concatenate(reads), ref.bits(total))
+        assert np.array_equal(np.concatenate(reads), ref.bits(1000 * len(reads)))
 
 
 # m = 2^31 + 1 rejects about half of all words; m = 1 and m = 2^32 reject none.
@@ -259,13 +284,13 @@ _STREAM_OPS = st.lists(st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(seed=st.binary(min_size=32, max_size=32), label=st.sampled_from(["xor", "dummy", "pad"]),
        position=st.one_of(st.integers(0, 100), st.integers(0, 70_000)), ops=_STREAM_OPS)
-# From an odd offset: 1100 full-range words run past the largest, 32768-bit
-# refill, then a bit read and more draws read on from position.
+# From an odd offset: 1100 single full-range draws cross 69 cipher blocks,
+# then a bit read and more draws read on from position.
 @example(seed=bytes(32), label="xor", position=3,
          ops=[("draw", 1 << 32, 1100), ("bits", 5), ("draw", (1 << 31) + 1, 1200),
               ("bits", 40_000), ("draw", 1, 3)])
-# From odd positions, reads that cross the first growth steps: the
-# first generation is one block, and each later one doubles.
+# From odd positions, reads that end inside the last read's cipher blocks
+# and reads that cross past them, by one block and by many.
 @example(seed=bytes(32), label="xor", position=517,
          ops=[("bits", 3), ("bits", 600), ("draw", 1 << 32, 40), ("bits", 2100),
               ("draws", 641, 300), ("bits", 9000)])
@@ -274,7 +299,8 @@ _STREAM_OPS = st.lists(st.one_of(
 # Reads on from inside the first cipher block, by whole bytes and not.
 @example(seed=bytes(32), label="pad", position=8, ops=[("bits", 5), ("draw", 10, 20), ("bits", 9)])
 @example(seed=bytes(32), label="pad", position=19, ops=[("draw", 3, 40), ("bits", 70)])
-# One bit read longer than two refills, from an odd offset, after single draws.
+# One bit read across more than 136 cipher blocks, from an odd offset, after
+# single draws.
 @example(seed=bytes(32), label="dummy", position=77,
          ops=[("draw", 10, 5), ("bits", 70_001), ("draw", 1 << 32, 3)])
 # Empty reads at an odd position, before and between other reads.

@@ -583,10 +583,21 @@ class TestSerialization:
     def test_truncated_buffers_rejected(self):
         p = ObfuscationParams()
         data = np.random.default_rng(20).integers(0, 2, 9000).astype(np.uint8)
-        blob = serialize_frame(obfuscate(data, _seed(45), p, MODEL))
+        frame = obfuscate(data, _seed(45), p, MODEL)
+        blob = serialize_frame(frame)
         for cut in (0, 4, 10, 16, 20, 40, len(blob) - 1):
             with pytest.raises(FrameFormatError):
                 deserialize_frame(blob[:cut], p)
+        # A cut inside unit i's 4-byte (s, k) header names the header, one
+        # right after it the body.
+        assert frame.s.size >= 3
+        off = 17  # unit 0's header, after the frame header
+        for i, (s, k) in enumerate(zip(frame.s[:3].tolist(), frame.k[:3].tolist())):
+            with pytest.raises(FrameFormatError, match=f"the header of unit {i}$"):
+                deserialize_frame(blob[:off + 3], p)
+            with pytest.raises(FrameFormatError, match=f"the body of unit {i}$"):
+                deserialize_frame(blob[:off + 4], p)
+            off += 4 + 4 * k + (s * p.symbol_bits + 7) // 8
 
     def test_every_truncation_of_a_small_frame_rejected(self):
         p = ObfuscationParams(s_max=2, k_max=3, n_d=8, b=2)
