@@ -232,7 +232,20 @@ def _corpus_bits(cfg: ExperimentConfig, n_bits: int, rng: np.random.Generator) -
     return encode(tokens, cfg.codec)[:n_bits]
 
 
-def _derive_key_materials(cfg: ExperimentConfig, scopes: list[tuple]) -> list[tuple[KeyMaterial, dict]]:
+@dataclass(frozen=True)
+class KeyCeremony:
+    """One frame scope's key ceremony: its keys and the PLK's health.
+
+    ``insufficient_entropy`` marks a scope whose probes gave too little
+    entropy; its PLK is then all zeros.
+    """
+
+    keys: KeyMaterial
+    plk_entropy_estimate: float
+    insufficient_entropy: bool
+
+
+def _key_ceremonies(cfg: ExperimentConfig, scopes: list[tuple]) -> list[KeyCeremony]:
     """Run the whole keying ceremony for each frame scope.
 
     PLK from a channel trace (constant when static_channel), SKey from
@@ -240,22 +253,23 @@ def _derive_key_materials(cfg: ExperimentConfig, scopes: list[tuple]) -> list[tu
     version, weights drawn from a PLK-seeded stream.  The decoded version
     is the codec's substitution applied to the sentence's tokens, the
     tokens ``decode`` would return for the sentence's own bits.  Every
-    scope keeps its own trace, noise, sentence and substitution seeds; the
-    sentences of all scopes are scored in one call.
+    draw of a scope comes from its own seed, so the sentences of all
+    scopes are drawn first and scored in one call.
     """
-    plks, infos, pairs = [], [], []
+    m = cfg.master_seed
+    pairs = []
     for scope in scopes:
+        sentence = make_corpus(1, cfg.codec, derive_int(m, *scope, "sentence"))[0]
+        pairs.append((sentence, _substitute(sentence, cfg.codec, derive_int(m, *scope, "decode"))))
+    out = []
+    for scope, scores in zip(scopes, bleu_scores_many(pairs)):
         if cfg.static_channel:
             trace = constant_trace(cfg.n_probes, 1.0, cfg.probe_noise_std)
         else:
-            trace = rayleigh_trace(
-                cfg.n_probes,
-                derive_int(cfg.master_seed, *scope, "trace"),
-                cfg.probe_coherence,
-                cfg.probe_noise_std,
-            )
+            trace = rayleigh_trace(cfg.n_probes, derive_int(m, *scope, "trace"), cfg.probe_coherence,
+                                   cfg.probe_noise_std)
         # simulate_plk reads the noise seed only for noisy probes.
-        noise_seed = derive_int(cfg.master_seed, *scope, "probe-noise") if cfg.probe_noise_std else 0
+        noise_seed = derive_int(m, *scope, "probe-noise") if cfg.probe_noise_std else 0
         try:
             plk, entropy = simulate_plk(trace, cfg.l_seedkey, cfg.guard_band, noise_seed=noise_seed)
             insufficient = False
@@ -263,17 +277,8 @@ def _derive_key_materials(cfg: ExperimentConfig, scopes: list[tuple]) -> list[tu
             plk = np.zeros(cfg.l_seedkey, dtype=np.uint8)
             entropy = exc.entropy_estimate
             insufficient = True
-        plks.append(plk)
-        infos.append({"plk_entropy_estimate": entropy, "insufficient_entropy": insufficient})
-
-        sentence = make_corpus(1, cfg.codec, derive_int(cfg.master_seed, *scope, "sentence"))[0]
-        decoded = _substitute(sentence, cfg.codec, derive_int(cfg.master_seed, *scope, "decode"))
-        pairs.append((sentence, decoded))
-
-    out = []
-    for plk, info, scores in zip(plks, infos, bleu_scores_many(pairs)):
         weights = weight_generator(Keystream.from_seed_bits(plk, "weights"), cfg.l_weight)
-        out.append((KeyMaterial(plk, generate_skey(scores, weights, cfg.l_skey)), info))
+        out.append(KeyCeremony(KeyMaterial(plk, generate_skey(scores, weights, cfg.l_skey)), entropy, insufficient))
     return out
 
 
@@ -288,7 +293,8 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[dict]:
         scope = ("ber_sweep", i)
         data = _corpus_bits(cfg, cfg.n_bits, derive_rng(cfg.master_seed, *scope, "data"))
 
-        [(km, _)] = _derive_key_materials(cfg, [scope])
+        [ceremony] = _key_ceremonies(cfg, [scope])
+        km = ceremony.keys
         frame = obfuscate(data, km.seed_key, p, cfg.codec)
         ota = ota_bits(frame)
         tx = _transmit(cfg.master_seed, [ota], [(*scope, "pad")])
@@ -341,9 +347,9 @@ def run_bleu_compare(cfg: ExperimentConfig) -> list[dict]:
     for i, snr in enumerate(cfg.snr_list):
         scope = ("bleu_compare", i)
         if cfg.key_refresh == "per_point":
-            keys = [km.seed_key for km, _ in _derive_key_materials(cfg, [scope])] * n
+            keys = [c.keys.seed_key for c in _key_ceremonies(cfg, [scope])] * n
         else:
-            keys = [km.seed_key for km, _ in _derive_key_materials(cfg, [(*scope, j) for j in range(n)])]
+            keys = [c.keys.seed_key for c in _key_ceremonies(cfg, [(*scope, j) for j in range(n)])]
         frames = [obfuscate(bits, key, p, cfg.codec) for bits, key in zip(plain, keys)]
         # The n encrypted frames, then the n plain ones.
         sent = [ota_bits(frame) for frame in frames] + plain
@@ -383,15 +389,16 @@ def emit_constellation(cfg: ExperimentConfig) -> np.ndarray:
 
 def run_keygen_demo(cfg: ExperimentConfig) -> dict:
     """One full key ceremony plus the SKey transport round trip."""
-    [(km, info)] = _derive_key_materials(cfg, [("keygen", 0)])
+    [ceremony] = _key_ceremonies(cfg, [("keygen", 0)])
+    km = ceremony.keys
     pad = Keystream.from_seed_bits(km.plk, "skey-transport").bits(cfg.l_skey)
     transport = xor_bits(km.skey, pad)
     seed_rx = KeyMaterial(km.plk, xor_bits(transport, pad)).seed_key
     return {
         "scenario": "keygen_demo",
         "static_channel": cfg.static_channel,
-        "plk_entropy_estimate": info["plk_entropy_estimate"],
-        "insufficient_entropy": info["insufficient_entropy"],
+        "plk_entropy_estimate": ceremony.plk_entropy_estimate,
+        "insufficient_entropy": ceremony.insufficient_entropy,
         "plk_hex": hex_from_bits(km.plk),
         "skey_hex": hex_from_bits(km.skey),
         "seed_hex": hex_from_bits(km.seed_key),
@@ -484,7 +491,11 @@ _CONFIG_RULES = {
     "codec": (CodecModel, None, None),
     "static_channel": (bool, None, None),
     "output_path": ((str, type(None)), None, None),
-    **dict.fromkeys(("n_bits", "n_sentences", "n_unit", "l_weight", "n_probes", "probe_coherence"), (int, 1, None)),
+    **dict.fromkeys(("n_bits", "n_sentences", "n_unit", "n_probes", "probe_coherence"), (int, 1, None)),
+    # Each weight draw reads 4 * l_weight stream bits at once; 3571 is the
+    # largest l_weight whose eq6 count, 2**(4 * l_weight), search_space can
+    # write in 4300 decimal digits.
+    "l_weight": (int, 1, 3571),
     **dict.fromkeys(("l_skey", "l_seedkey"), (int, 1, 256)),
     **dict.fromkeys(("channel_taps", "master_seed"), (int, None, None)),
     "guard_band": (float, 0, None),

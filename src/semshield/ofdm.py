@@ -218,20 +218,18 @@ def apply_channel(samples: np.ndarray, ch: ChannelModel) -> np.ndarray:
     return out
 
 
-def ofdm_demodulate_equalize(samples: np.ndarray, ch, n_symbols=None) -> np.ndarray:
+def ofdm_demodulate_equalize(samples: np.ndarray, ch, n_symbols) -> np.ndarray:
     """Strip CP, unitary FFT, divide by the genie channel response per bin.
 
-    ``ch`` is one ChannelModel for every OFDM symbol, or a sequence of them
-    where ``ch[i]`` covers the next ``n_symbols[i]`` symbols: frames sent
-    back to back, each through its own channel.
+    ``ch`` is a sequence of ChannelModels where ``ch[i]`` covers the next
+    ``n_symbols[i]`` OFDM symbols: frames sent back to back, each through
+    its own channel.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     sym_len = N_FFT + CP_LEN
     if samples.size % sym_len:
         raise ValueError(f"sample count must be divisible by {sym_len}")
     freq = np.fft.fft(samples.reshape(-1, sym_len)[:, CP_LEN:], norm="ortho", axis=1)
-    if n_symbols is None:
-        ch, n_symbols = (ch,), (len(freq),)
     if sum(n_symbols) != len(freq) or len(n_symbols) != len(ch):
         raise ValueError("the channels' symbol counts must add up to the symbols received")
     # Every channel's zero-padded taps in one array, for one FFT.

@@ -484,6 +484,31 @@ class TestKeygenDemo:
         assert t != 0
 
 
+class TestKeyCeremonies:
+    SCOPES = [("bleu_compare", 0, j) for j in range(40)]
+
+    def _assert_equal_to_spec(self, cfg):
+        records = experiments._key_ceremonies(cfg, self.SCOPES)
+        assert len(records) == len(self.SCOPES)
+        for scope, record in zip(self.SCOPES, records):
+            km, entropy, insufficient = spec._ceremony(cfg, scope)
+            assert record.keys.plk.tobytes() == km.plk.tobytes(), scope
+            assert record.keys.skey.tobytes() == km.skey.tobytes(), scope
+            assert record.keys.seed_key.tobytes() == km.seed_key.tobytes(), scope
+            assert record.plk_entropy_estimate == entropy, scope
+            assert record.insufficient_entropy is insufficient, scope
+        return [record.insufficient_entropy for record in records]
+
+    def test_fading_batch_equals_the_spec_with_both_outcomes(self):
+        # 10 probes are few enough that some scopes fall back to the zero PLK.
+        flags = self._assert_equal_to_spec(_fast_cfg(scenario="bleu_compare", n_probes=10))
+        assert True in flags and False in flags
+
+    def test_static_batch_equals_the_spec_all_fallbacks(self):
+        flags = self._assert_equal_to_spec(_fast_cfg(scenario="bleu_compare", static_channel=True))
+        assert all(flags)
+
+
 class TestSearchSpaceScenario:
     def test_default_log2_identity(self):
         cfg = ExperimentConfig(scenario="search_space")
@@ -506,12 +531,29 @@ class TestSearchSpaceScenario:
         report = json.loads(render_output(ExperimentConfig(scenario="search_space", **largest)))
         assert max(len(r["exact"]) for k, r in report.items() if k.startswith("eq")) <= 4300
 
-    @pytest.mark.parametrize("too_large", [dict(n_unit=224), dict(n_unit=10**9), dict(l_weight=3572),
-                                           dict(l_weight=10**12)])
+    @pytest.mark.parametrize("too_large", [dict(n_unit=224), dict(n_unit=10**9)])
     def test_count_past_4300_digits_is_a_config_error(self, too_large):
         # The huge ones are refused before the power is built.
         with pytest.raises(ConfigError, match="more than 4300 decimal digits"):
             run_search_space(ExperimentConfig(scenario="search_space", **too_large))
+
+    # Each weight draw reads 4 * l_weight stream bits at once, so an
+    # unbounded l_weight of 10**12 used to be accepted by keygen_demo and
+    # bleu_compare, which would then generate terabits; the config now
+    # refuses every l_weight whose eq6 count search_space cannot write.
+    @pytest.mark.parametrize("scenario", ["keygen_demo", "bleu_compare", "search_space"])
+    @pytest.mark.parametrize("l_weight", [3572, 10**12])
+    def test_l_weight_past_the_writable_count_is_refused(self, scenario, l_weight):
+        with pytest.raises(ConfigError, match="l_weight must be <= 3571"):
+            ExperimentConfig(scenario=scenario, l_weight=l_weight)
+
+    def test_l_weight_past_the_writable_count_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"l_weight": 3572}), encoding="utf-8")
+        rc = main(["keygen_demo", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "config error: l_weight must be <= 3571" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestDispersionScenario:

@@ -362,14 +362,14 @@ class TestDemodulate:
     def test_unitary_round_trip(self):
         syms = qam16_map(_bits(N_FFT * 4 * 3, 12))
         rx = ofdm_demodulate_equalize(ofdm_modulate(syms),
-                                      ChannelModel(kind="awgn"))
+                                      [ChannelModel(kind="awgn")], [3])
         assert np.max(np.abs(rx - syms)) < 1e-9
 
     def test_noiseless_multipath_equalizes_exactly(self):
         bits = _bits(N_FFT * 4 * 8, 13)
         syms = qam16_map(bits)
         ch = ChannelModel(kind="rayleigh_multipath", taps=6, channel_seed=14)
-        rx = ofdm_demodulate_equalize(apply_channel(ofdm_modulate(syms), ch), ch)
+        rx = ofdm_demodulate_equalize(apply_channel(ofdm_modulate(syms), ch), [ch], [8])
         assert np.array_equal(qam16_demap(rx), bits)
 
     def test_frames_back_to_back_match_one_call_each(self):
@@ -380,7 +380,8 @@ class TestDemodulate:
         n_symbols = [2, 5, 1]
         rx = [apply_channel(ofdm_modulate(qam16_map(_bits(N_FFT * 4 * n, 20 + n))), ch)
               for n, ch in zip(n_symbols, chs)]
-        one_by_one = np.concatenate([ofdm_demodulate_equalize(r, ch) for r, ch in zip(rx, chs)])
+        one_by_one = np.concatenate([ofdm_demodulate_equalize(r, [ch], [n])
+                                     for r, ch, n in zip(rx, chs, n_symbols)])
         assert np.array_equal(ofdm_demodulate_equalize(np.concatenate(rx), chs, n_symbols), one_by_one)
 
     @pytest.mark.parametrize("n_symbols", [[2, 2], [1, 1, 1], [3]])
@@ -394,7 +395,7 @@ class TestDemodulate:
         bits = _bits(n_sym * 4, 15)
         syms = qam16_map(bits)
         ch = ChannelModel(kind="rayleigh_flat", snr_db=24.0, channel_seed=16)
-        rx = ofdm_demodulate_equalize(apply_channel(ofdm_modulate(syms), ch), ch)
+        rx = ofdm_demodulate_equalize(apply_channel(ofdm_modulate(syms), ch), [ch], [156])
         hard = qam16_map(qam16_demap(rx))
         ser = np.mean(np.abs(hard - syms) > 1e-9)
         assert ser < 0.01
@@ -403,7 +404,7 @@ class TestDemodulate:
         with pytest.raises(ValueError):
             ofdm_demodulate_equalize(np.zeros(N_FFT + CP_LEN + 1,
                                               dtype=np.complex128),
-                                     ChannelModel(kind="awgn"))
+                                     [ChannelModel(kind="awgn")], [1])
 
 
 class TestBerHelpers:
@@ -428,7 +429,7 @@ class TestBerHelpers:
         syms = qam16_map(bits)
         ch = ChannelModel(kind="awgn", snr_db=snr_db, channel_seed=18)
         out = qam16_demap(ofdm_demodulate_equalize(
-            apply_channel(ofdm_modulate(syms), ch), ch))
+            apply_channel(ofdm_modulate(syms), ch), [ch], [4096]))
         ber = measure_ber(bits, out)
         theory = ber_16qam_awgn_theory(snr_db)
         assert abs(ber - theory) <= 0.25 * theory
