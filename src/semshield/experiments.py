@@ -32,21 +32,22 @@ from .keying import (
     simulate_plk,
     weight_generator,
 )
-from .obfuscation import ObfuscationParams, obfuscate, ota_bits, recover_bits
+from .obfuscation import ObfuscationParams, obfuscate, recover_bits
 from .ofdm import (
     BITS_PER_SYMBOL,
-    CP_LEN,
     KIND_RAYLEIGH_MULTIPATH,
     N_FFT,
+    SYMBOL_LEN,
     ChannelModel,
-    apply_channel,
+    _channel_blocks,
     measure_ber,
     ofdm_demodulate_equalize,
     ofdm_modulate,
     qam16_demap,
     qam16_map,
+    realize_taps,
 )
-from . import security
+from . import ofdm, security
 
 DEFAULT_SNR_GRID = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0)
 # How often the key ceremony reruns: once per frame or once per SNR point.
@@ -177,22 +178,24 @@ def derive_int(master_seed: int, *parts) -> int:
 # --- shared chain pieces ------------------------------------------------------
 
 
+SYMBOL_BITS = N_FFT * BITS_PER_SYMBOL
+
+
 def _n_symbols(nbits: int) -> int:
     """OFDM symbols that carry ``nbits`` bits, the last one padded."""
-    return -(-nbits // (N_FFT * BITS_PER_SYMBOL))
+    return -(-nbits // SYMBOL_BITS)
 
 
-def _pad_to_grid(bits: BitString, master_seed: int, pad_scope: tuple) -> np.ndarray:
-    """Extend a bit string with random filler so it fills whole OFDM symbols.
+def _filler(nbits: int, master_seed: int, pad_scope: tuple) -> np.ndarray:
+    """The random bits that pad ``nbits`` bits to whole OFDM symbols.
 
-    The filler is drawn from the substream of ``pad_scope``, which is built
-    only when filler is needed.
+    They are drawn from the substream of ``pad_scope``, which is built only
+    when filler is needed.
     """
-    total = _n_symbols(bits.size) * N_FFT * BITS_PER_SYMBOL
-    if total == bits.size:
-        return bits
-    filler = derive_rng(master_seed, *pad_scope).integers(0, 2, total - bits.size).astype(np.uint8)
-    return np.concatenate([bits, filler])
+    n = -nbits % SYMBOL_BITS
+    if not n:
+        return np.zeros(0, dtype=np.uint8)
+    return derive_rng(master_seed, *pad_scope).integers(0, 2, n).astype(np.uint8)
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:
@@ -201,27 +204,55 @@ def _join(parts: list[np.ndarray]) -> np.ndarray:
 
 
 def _transmit(master_seed: int, frames: list[BitString], pad_scopes: list[tuple]) -> np.ndarray:
-    """Pad each frame with filler from its own substream; map and modulate them back to back."""
-    padded = [_pad_to_grid(bits, master_seed, scope) for bits, scope in zip(frames, pad_scopes)]
-    return ofdm_modulate(qam16_map(_join(padded)))
+    """Pad each frame with filler from its own substream; map and modulate
+    them back to back into one array, a block of OFDM symbols at a time."""
+    tx = np.empty(sum(_n_symbols(bits.size) for bits in frames) * SYMBOL_LEN, dtype=np.complex128)
+    rows = tx.reshape(-1, SYMBOL_LEN)
+    block = np.empty(ofdm._BLOCK_SYMBOLS * SYMBOL_BITS, dtype=np.uint8)
+    fill = row = 0  # bits waiting in block; symbols written
+    for bits, scope in zip(frames, pad_scopes):
+        for piece in (bits, _filler(bits.size, master_seed, scope)):
+            while piece.size:
+                take = min(piece.size, block.size - fill)
+                block[fill:fill + take] = piece[:take]
+                piece, fill = piece[take:], fill + take
+                if fill == block.size:
+                    ofdm_modulate(qam16_map(block), out=rows[row:row + ofdm._BLOCK_SYMBOLS])
+                    fill, row = 0, row + ofdm._BLOCK_SYMBOLS
+    ofdm_modulate(qam16_map(block[:fill]), out=rows[row:])
+    return tx
 
 
-def _equalize(tx: np.ndarray, channels: list[ChannelModel], sizes: list[int]) -> np.ndarray:
-    """Pass each frame of ``sizes[i]`` bits in ``tx`` through its own channel;
-    return the equalized symbols of all frames."""
-    n_symbols = [_n_symbols(n) for n in sizes]
-    parts, start = [], 0
-    for ch, m in zip(channels, n_symbols):
-        stop = start + m * (N_FFT + CP_LEN)
-        parts.append(apply_channel(tx[start:stop], ch))
+def _equalized_blocks(tx: np.ndarray, channels: list[ChannelModel], sizes: list[int]):
+    """Yield the equalized symbols of the frames of ``sizes[i]`` bits sent
+    back to back in ``tx``, frame i through ``channels[i]``, in order.
+
+    Each frame's taps are realized once.  The channel's blocks are
+    demodulated as they come, small frames grouped up to one block.
+    """
+    blocks, taps, counts, pending = [], [], [], 0
+    start = 0
+    for ch, nbits in zip(channels, sizes):
+        h = realize_taps(ch)
+        stop = start + _n_symbols(nbits) * SYMBOL_LEN
+        for block in _channel_blocks(tx[start:stop], ch, h):
+            blocks.append(block)
+            taps.append(h)
+            counts.append(block.size // SYMBOL_LEN)
+            pending += counts[-1]
+            del block  # only the list holds it, so it goes once it is demodulated
+            if pending >= ofdm._BLOCK_SYMBOLS:
+                yield ofdm_demodulate_equalize(_join(blocks), taps, counts)
+                blocks, taps, counts, pending = [], [], [], 0
         start = stop
-    return ofdm_demodulate_equalize(_join(parts), channels, n_symbols)
+    if blocks:
+        yield ofdm_demodulate_equalize(_join(blocks), taps, counts)
 
 
 def _receive(tx: np.ndarray, channels: list[ChannelModel], sizes: list[int]) -> list[BitString]:
-    """The received bits of each frame in ``tx``, as ``_equalize`` sees them."""
-    bits = qam16_demap(_equalize(tx, channels, sizes))
-    starts = np.cumsum([0] + [_n_symbols(n) for n in sizes]) * N_FFT * BITS_PER_SYMBOL
+    """The received bits of each frame in ``tx``, as ``_equalized_blocks`` sees them."""
+    bits = _join([qam16_demap(symbols) for symbols in _equalized_blocks(tx, channels, sizes)])
+    starts = np.cumsum([0] + [_n_symbols(n) for n in sizes]) * SYMBOL_BITS
     return [bits[start:start + n] for start, n in zip(starts, sizes)]
 
 
@@ -296,17 +327,16 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[dict]:
         [ceremony] = _key_ceremonies(cfg, [scope])
         km = ceremony.keys
         frame = obfuscate(data, km.seed_key, p, cfg.codec)
-        ota = ota_bits(frame)
-        tx = _transmit(cfg.master_seed, [ota], [(*scope, "pad")])
+        tx = _transmit(cfg.master_seed, [frame.air], [(*scope, "pad")])
 
         ch_legit = cfg.channel(snr, derive_int(cfg.master_seed, *scope, "ch-legit"))
-        [rx_legit] = _receive(tx, [ch_legit], [ota.size])
+        [rx_legit] = _receive(tx, [ch_legit], [frame.air.size])
         ber_legit = measure_ber(data, recover_bits(rx_legit, frame.l_d, km.seed_key, p))
 
         # Eavesdropper: own independent channel, correct demodulation,
         # uniformly random wrong seed.
         ch_eve = cfg.channel(snr, derive_int(cfg.master_seed, *scope, "ch-eve"))
-        [rx_eve] = _receive(tx, [ch_eve], [ota.size])
+        [rx_eve] = _receive(tx, [ch_eve], [frame.air.size])
         wrong_seed = derive_rng(cfg.master_seed, *scope, "eve-seed").integers(
             0, 2, cfg.l_seedkey).astype(np.uint8)
         if np.array_equal(wrong_seed, km.seed_key):
@@ -352,7 +382,7 @@ def run_bleu_compare(cfg: ExperimentConfig) -> list[dict]:
             keys = [c.keys.seed_key for c in _key_ceremonies(cfg, [(*scope, j) for j in range(n)])]
         frames = [obfuscate(bits, key, p, cfg.codec) for bits, key in zip(plain, keys)]
         # The n encrypted frames, then the n plain ones.
-        sent = [ota_bits(frame) for frame in frames] + plain
+        sent = [frame.air for frame in frames] + plain
         roles = [(j, role) for role in ("", "-plain") for j in range(n)]
         tx = _transmit(cfg.master_seed, sent, [(*scope, j, "pad" + r) for j, r in roles])
         channels = [cfg.channel(snr, derive_int(cfg.master_seed, *scope, j, "ch" + r)) for j, r in roles]
@@ -384,7 +414,7 @@ def emit_constellation(cfg: ExperimentConfig) -> np.ndarray:
     bits = _corpus_bits(cfg, cfg.n_bits, derive_rng(cfg.master_seed, *scope, "data"))
     tx = _transmit(cfg.master_seed, [bits], [(*scope, "pad")])
     ch = cfg.channel(snr, derive_int(cfg.master_seed, *scope, "ch"))
-    return _equalize(tx, [ch], [bits.size])
+    return _join(list(_equalized_blocks(tx, [ch], [bits.size])))
 
 
 def run_keygen_demo(cfg: ExperimentConfig) -> dict:

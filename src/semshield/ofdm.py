@@ -5,6 +5,12 @@ unitary FFT -> genie one-tap zero-forcing equalizer -> hard-decision
 demap.  All 64 subcarriers carry data and the channel is constant within
 a frame; realized tap power is normalized to exactly 1 so the per-bin
 SNR tracks the configured value for every seed.
+
+The channel runs in blocks of _BLOCK_SYMBOLS = 102 OFDM symbols (8,160
+samples), and the experiments stream the whole chain in those blocks.
+The noise of a frame has one fixed order: all its real parts are drawn
+first, then the imaginary parts block by block, from one generator.
+Blocks change no output byte.
 """
 from __future__ import annotations
 
@@ -19,6 +25,7 @@ from .fields import check_fields, describe
 
 N_FFT = 64
 CP_LEN = 16
+SYMBOL_LEN = N_FFT + CP_LEN
 BITS_PER_SYMBOL = 4
 
 _SCALE = 1.0 / math.sqrt(10.0)
@@ -46,9 +53,9 @@ MAX_SNR_DB = 300.0
 # Per tap, sqrt(p / 2) of an exponential power-delay profile p falling
 # 3 dB per tap: the std of a realized tap's real and imaginary parts.
 _TAP_STD = np.sqrt(10.0 ** (-0.3 * np.arange(CP_LEN)) / 2.0)
-# Samples per block of _convolve: each float64 operand of a block is about
-# 128 KB, so all of them stay in L2.
-_BLOCK = 8192
+# OFDM symbols per block of the streamed chain, 102 (8,160 samples): each
+# complex array of a block is about 128 KB, so a block's arrays stay in L2.
+_BLOCK_SYMBOLS = 8192 // SYMBOL_LEN
 
 
 def qam16_map(bits: BitString) -> np.ndarray:
@@ -87,12 +94,22 @@ def qam16_demap(symbols: np.ndarray) -> BitString:
     return bits.view(np.uint8)
 
 
-def ofdm_modulate(symbols: np.ndarray) -> np.ndarray:
-    """Unitary 64-point IFFT per block with a 16-sample cyclic prefix."""
+def ofdm_modulate(symbols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unitary 64-point IFFT per OFDM symbol with a 16-sample cyclic prefix.
+
+    The samples are written into ``out`` when it is given: a complex128
+    array of one row of SYMBOL_LEN samples per OFDM symbol.
+    """
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.size % N_FFT:
         raise ValueError(f"symbol count must be divisible by {N_FFT}")
-    frame = np.empty((symbols.size // N_FFT, CP_LEN + N_FFT), dtype=np.complex128)
+    shape = (symbols.size // N_FFT, SYMBOL_LEN)
+    if out is None:
+        frame = np.empty(shape, dtype=np.complex128)
+    elif out.shape == shape and out.dtype == np.complex128:
+        frame = out
+    else:
+        raise ValueError(f"out must be a complex128 array of shape {shape}")
     np.fft.ifft(symbols.reshape(-1, N_FFT), norm="ortho", axis=1, out=frame[:, CP_LEN:])
     frame[:, :CP_LEN] = frame[:, N_FFT:]
     return frame.ravel()
@@ -142,48 +159,80 @@ def realize_taps(ch: ChannelModel) -> np.ndarray:
     return h / math.sqrt(np.add.reduce(power))
 
 
-def _convolve(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """The first ``samples.size`` outputs of the convolution with ``taps``,
-    in float64 multiplies and adds only, the same doubles on every CPU.
+def _convolve(samples: np.ndarray, start: int, stop: int, taps: np.ndarray) -> np.ndarray:
+    """Outputs ``start`` to ``stop`` of the convolution of ``samples`` with
+    ``taps``, in float64 multiplies and adds only, the same doubles on every
+    CPU and for every split into blocks.
 
     ``samples`` is contiguous complex128.  Each tap ``a + ib`` adds
     ``a * (re, im)`` and then ``b * (-im, re)`` into the output delayed by
     its index, tap by tap in order; tap 0's a-term is written, not added.
-    The work runs in blocks of _BLOCK samples.
     """
     x = samples.view(np.float64)
-    out = np.empty_like(samples)
-    y = out.view(np.float64)
-    a, b = taps.real.tolist(), taps.imag.tolist()
-    reach = 2 * taps.size - 2  # floats of history a block reads
-    step = 2 * _BLOCK
-    swapped = np.empty(min(x.size, step + reach))
-    term = np.empty(min(x.size, step))
-    for start in range(0, x.size, step):
-        stop = min(start + step, x.size)
-        low = max(start - reach, 0)
-        src = x[low:stop]
-        # (-im, re) per sample of the block and its history
-        swap = swapped[:src.size]
-        np.negative(src[1::2], out=swap[0::2])
-        swap[1::2] = src[0::2]
-        dst, t = y[start:stop], term[:stop - start]
-        lag = start - low  # src[lag:] lines up with dst
-        np.multiply(src[lag:], a[0], out=dst)
-        np.multiply(swap[lag:], b[0], out=t)
-        dst += t
-        for k in range(1, taps.size):
-            lag -= 2
-            # Before the first sample no history exists: skip those outputs.
-            cut = max(-lag, 0)
-            if cut >= dst.size:
-                break
-            out_k, term_k, i = dst[cut:], t[cut:], lag + cut
-            np.multiply(src[i:i + term_k.size], a[k], out=term_k)
-            out_k += term_k
-            np.multiply(swap[i:i + term_k.size], b[k], out=term_k)
-            out_k += term_k
+    out = np.empty(stop - start, dtype=np.complex128)
+    dst = out.view(np.float64)
+    low = max(2 * start - 2 * taps.size + 2, 0)  # the history the block reads
+    src = x[low:2 * stop]
+    t = np.empty_like(dst)
+    lag = 2 * start - low  # src[lag:] lines up with dst
+    for k, (a, b) in enumerate(zip(taps.real.tolist(), taps.imag.tolist())):
+        # Before the first sample no history exists: skip those outputs.
+        cut = max(-lag, 0)
+        if cut >= dst.size:
+            break
+        y, term, x_k = dst[cut:], t[cut:], src[lag + cut:lag + dst.size]
+        if k:
+            np.multiply(x_k, a, out=term)
+            y += term
+        else:
+            np.multiply(x_k, a, out=y)
+        # b * (-im, re), added as y.re - b*im and y.im + b*re: the same doubles
+        np.multiply(x_k, b, out=term)
+        y[0::2] -= term[1::2]
+        y[1::2] += term[0::2]
+        lag -= 2
     return out
+
+
+def _add_noise(out: np.ndarray, real: np.ndarray, imag: np.ndarray, std: float) -> None:
+    """Add ``std * real`` into the real parts of ``out``, then ``std * imag``
+    into its imaginary parts; the draws are scaled in place and let go of
+    on return."""
+    real *= std
+    out.real += real
+    imag *= std
+    out.imag += imag
+
+
+def _channel_blocks(samples: np.ndarray, ch: ChannelModel, taps: np.ndarray):
+    """Yield the channel output of ``samples`` block by block.
+
+    ``samples`` is 1-D contiguous complex128, ``taps`` the realized taps of
+    ``ch``.  Each block holds _BLOCK_SYMBOLS symbols' samples, the last one
+    fewer.  Es is the mean of |samples|**2 over all of them.  Every real
+    part of the noise is drawn first, one array per block that goes with
+    its block; each block draws its imaginary parts as it is made.  The
+    generator lets go of a block before it makes the next one.
+    """
+    step = _BLOCK_SYMBOLS * SYMBOL_LEN
+    starts = range(0, samples.size, step)
+    noisy = ch.snr_db != math.inf
+    if noisy:
+        power = np.abs(samples)
+        power *= power
+        # Es as np.mean takes it, without its Python wrapper: the same double.
+        noise_var = float(np.add.reduce(power) / power.size) / (10.0 ** (ch.snr_db / 10.0))
+        del power  # the real parts of the noise take its place
+        std = math.sqrt(noise_var / 2.0)
+        rng = _rng(ch.channel_seed, 0x6E)
+        reals = [rng.standard_normal(min(step, samples.size - start)) for start in starts]
+    for start in starts:
+        stop = min(start + step, samples.size)
+        out = samples[start:stop].copy() if ch.kind == KIND_AWGN else _convolve(samples, start, stop, taps)
+        if noisy:
+            _add_noise(out, reals.pop(0), rng.standard_normal(stop - start), std)
+        yield out
+        del out
 
 
 def apply_channel(samples: np.ndarray, ch: ChannelModel) -> np.ndarray:
@@ -191,52 +240,35 @@ def apply_channel(samples: np.ndarray, ch: ChannelModel) -> np.ndarray:
 
     Noise variance per sample is Es/SNR_lin with Es the mean energy of
     the input samples; snr_db = +inf disables noise.  The real parts of
-    the noise are drawn first, then the imaginary parts, each added into
-    the output in place; the input is never written.  For every kind, a
-    ``samples`` that is not 1-D raises ValueError and an empty one comes
-    back as an empty array.
+    the noise are drawn first, then the imaginary parts; the input is
+    never written.  For every kind, a ``samples`` that is not 1-D raises
+    ValueError and an empty one comes back as an empty array.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     if samples.ndim != 1:
         raise ValueError(f"samples must be 1-D, not of shape {samples.shape}")
     if not samples.size:
         return samples.copy()
-    out = samples.copy() if ch.kind == KIND_AWGN else _convolve(np.ascontiguousarray(samples), realize_taps(ch))
-    if ch.snr_db == math.inf:
-        return out
-    # One float buffer holds |samples|**2 for Es, then each half of the noise.
-    buf = np.abs(samples)
-    buf *= buf
-    # Es as np.mean takes it, without its Python wrapper: the same double.
-    noise_var = float(np.add.reduce(buf) / buf.size) / (10.0 ** (ch.snr_db / 10.0))
-    std = math.sqrt(noise_var / 2.0)
-    rng = _rng(ch.channel_seed, 0x6E)
-    for part in (out.real, out.imag):
-        rng.standard_normal(out=buf)
-        buf *= std
-        part += buf
-    return out
+    return np.concatenate(list(_channel_blocks(np.ascontiguousarray(samples), ch, realize_taps(ch))))
 
 
-def ofdm_demodulate_equalize(samples: np.ndarray, ch, n_symbols) -> np.ndarray:
+def ofdm_demodulate_equalize(samples: np.ndarray, taps, n_symbols) -> np.ndarray:
     """Strip CP, unitary FFT, divide by the genie channel response per bin.
 
-    ``ch`` is a sequence of ChannelModels where ``ch[i]`` covers the next
-    ``n_symbols[i]`` OFDM symbols: frames sent back to back, each through
-    its own channel.
+    ``taps`` is a sequence of realized impulse responses (realize_taps)
+    where ``taps[i]`` covers the next ``n_symbols[i]`` OFDM symbols: frames
+    sent back to back, each through its own channel.
     """
     samples = np.asarray(samples, dtype=np.complex128)
-    sym_len = N_FFT + CP_LEN
-    if samples.size % sym_len:
-        raise ValueError(f"sample count must be divisible by {sym_len}")
-    freq = np.fft.fft(samples.reshape(-1, sym_len)[:, CP_LEN:], norm="ortho", axis=1)
-    if sum(n_symbols) != len(freq) or len(n_symbols) != len(ch):
+    if samples.size % SYMBOL_LEN:
+        raise ValueError(f"sample count must be divisible by {SYMBOL_LEN}")
+    freq = np.fft.fft(samples.reshape(-1, SYMBOL_LEN)[:, CP_LEN:], norm="ortho", axis=1)
+    if sum(n_symbols) != len(freq) or len(n_symbols) != len(taps):
         raise ValueError("the channels' symbol counts must add up to the symbols received")
     # Every channel's zero-padded taps in one array, for one FFT.
-    responses = np.zeros((len(ch), N_FFT), dtype=np.complex128)
-    for row, c in zip(responses, ch):
-        taps = realize_taps(c)
-        row[:taps.size] = taps
+    responses = np.zeros((len(taps), N_FFT), dtype=np.complex128)
+    for row, h in zip(responses, taps):
+        row[:h.size] = h
     start = 0
     for response, n in zip(np.fft.fft(responses, axis=1), n_symbols):
         freq[start:start + n] /= response

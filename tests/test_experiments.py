@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semshield import experiments
+from semshield import experiments, ofdm
 from semshield.cli import build_parser, main
 from semshield.codec import CodecModel, encode, make_corpus
 from semshield.experiments import (
@@ -35,7 +36,7 @@ from semshield.experiments import (
 )
 from semshield.fields import DESCRIBE_MAX_CHARS
 from semshield.obfuscation import ObfuscationParams
-from semshield.ofdm import BITS_PER_SYMBOL, N_FFT, qam16_map
+from semshield.ofdm import BITS_PER_SYMBOL, N_FFT, ChannelModel, qam16_map, realize_taps
 
 import spec
 
@@ -752,8 +753,8 @@ class TestCli:
 
     def test_non_finite_symbols_exit_three(self, tmp_path, capsys, monkeypatch):
         # A channel that returns NaN samples reaches the demapper, a runtime failure.
-        monkeypatch.setattr("semshield.experiments.apply_channel",
-                            lambda samples, ch: np.full(np.shape(samples), np.nan, dtype=complex))
+        monkeypatch.setattr("semshield.experiments._channel_blocks",
+                            lambda samples, ch, taps: iter([np.full(samples.shape, np.nan, dtype=complex)]))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n_bits": 2000, "n_probes": 512}), encoding="utf-8")
         rc = main(["ber_sweep", "--config", str(cfg_path), "--snr", "30",
@@ -957,6 +958,63 @@ def _chain_cfg(scenario, channel_kind):
 def test_chain_output_pinned(scenario, channel_kind):
     digest = hashlib.sha256(render_output(_chain_cfg(scenario, channel_kind)).encode("ascii")).hexdigest()
     assert digest == CHAIN_OUTPUT_SHA256[scenario, channel_kind]
+
+
+# Configs whose frames end inside a block of 3 OFDM symbols (the plain
+# 2,500-bit frame is 10 symbols) and whose 16 multipath taps read history
+# across every block edge; the 50,000-bit frames span several default blocks,
+# and bleu_compare's 1- and 2-symbol frames are grouped into blocks.
+_BLOCK_EDGE_CONFIGS = {
+    **{f"ber_sweep-{kind}": dict(scenario="ber_sweep", snr_list=(3.0, 40.0), n_bits=2500, channel_kind=kind,
+                                 channel_taps=16)
+       for kind in ("awgn", "rayleigh_flat", "rayleigh_multipath")},
+    "ber_sweep-long": dict(scenario="ber_sweep", snr_list=(6.0,), n_bits=50_000,
+                           channel_kind="rayleigh_multipath"),
+    "bleu_compare": dict(scenario="bleu_compare", snr_list=(6.0, 40.0), n_sentences=8,
+                         channel_kind="rayleigh_multipath"),
+    "constellation": dict(scenario="constellation", snr_list=(12.0,), n_bits=4000,
+                          channel_kind="rayleigh_multipath"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_EDGE_CONFIGS))
+def test_same_bytes_at_every_block_size(monkeypatch, name):
+    cfg = _fast_cfg(**_BLOCK_EDGE_CONFIGS[name])
+    text = render_output(cfg)
+    assert text == spec.render(cfg)
+    for symbols in (1, 3):
+        monkeypatch.setattr(ofdm, "_BLOCK_SYMBOLS", symbols)
+        assert render_output(cfg) == text, symbols
+
+
+def test_each_frame_realizes_its_taps_once(monkeypatch):
+    calls = []
+
+    def counted(ch, realize=ofdm.realize_taps):
+        calls.append(ch)
+        return realize(ch)
+
+    for module in (ofdm, experiments):
+        monkeypatch.setattr(module, "realize_taps", counted)
+    render_output(_fast_cfg(**_BLOCK_EDGE_CONFIGS["bleu_compare"]))
+    # 8 encrypted and 8 plain frames at each of 2 points, each its own channel
+    assert len(calls) == len(set(calls)) == 32
+
+
+def test_receive_holds_less_than_one_frame_array():
+    # The streamed receive of one 200,000-bit frame holds at most its real
+    # noise parts (8 bytes a sample), the received bits (3.2 bytes a sample)
+    # and one block's arrays, but no full-frame complex array.
+    bits = np.random.default_rng(7).integers(0, 2, 200_000).astype(np.uint8)
+    tx = experiments._transmit(0, [bits], [("memory", "pad")])
+    ch = ChannelModel("rayleigh_multipath", 6.0, 3, channel_seed=8)
+    tracemalloc.start()
+    try:
+        experiments._receive(tx, [ch], [bits.size])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * tx.size
 
 
 # SHA-256 of render_output for small ber_sweep and bleu_compare configs with

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -8,12 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semshield import ofdm
 from semshield.experiments import load_config, render_output
 from semshield.ofdm import (
     BITS_PER_SYMBOL,
     CP_LEN,
     MAX_SNR_DB,
     N_FFT,
+    SYMBOL_LEN,
     ChannelModel,
     apply_channel,
     measure_ber,
@@ -28,6 +31,8 @@ import test_seed_pins
 from spec import ber_16qam_awgn_theory, ref_channel, ref_demap, ref_map, ref_modulate
 
 SCALE = 1.0 / np.sqrt(10.0)
+# Samples per block of the channel.
+_BLOCK_LEN = ofdm._BLOCK_SYMBOLS * SYMBOL_LEN
 
 
 def _bits(n, seed):
@@ -54,6 +59,16 @@ class TestSameBytesAsReference:
         syms = ref_map(_bits(n_blocks * N_FFT * 4, 31 + n_blocks))
         assert ofdm_modulate(syms).tobytes() == ref_modulate(syms).tobytes()
 
+    def test_modulate_into_out(self):
+        syms = ref_map(_bits(3 * N_FFT * 4, 38))
+        out = np.empty((3, SYMBOL_LEN), dtype=np.complex128)
+        frame = ofdm_modulate(syms, out=out)
+        assert np.shares_memory(frame, out) and frame.tobytes() == ref_modulate(syms).tobytes()
+        for bad in (np.empty((2, SYMBOL_LEN), dtype=np.complex128), np.empty(3 * SYMBOL_LEN, dtype=np.complex128),
+                    np.empty((3, SYMBOL_LEN))):
+            with pytest.raises(ValueError, match="out must be"):
+                ofdm_modulate(syms, out=bad)
+
     @pytest.mark.parametrize("ch", _CHANNELS, ids=lambda ch: f"{ch.kind}-{ch.snr_db}-{ch.channel_seed}")
     def test_channel(self, ch):
         # 25 symbols, and the 1- and 2-symbol frames (80 and 160 samples) of
@@ -72,8 +87,9 @@ class TestSameBytesAsReference:
 
 
 def _kernel_probe():
-    """The apply_channel seed pin's digest and a small multipath ber_sweep."""
-    cfg = load_config(scenario="ber_sweep", channel_kind="rayleigh_multipath", n_bits=20_000,
+    """The apply_channel seed pin's digest and a multipath ber_sweep whose
+    frames span at least three blocks of the streamed chain."""
+    cfg = load_config(scenario="ber_sweep", channel_kind="rayleigh_multipath", n_bits=50_000,
                       snr_list=(4.0, 12.0))
     return test_seed_pins._digest(test_seed_pins._apply_channel) + "\n" + render_output(cfg)
 
@@ -118,13 +134,24 @@ class TestShapes:
             out = apply_channel(np.zeros(0), ch)
         assert out.dtype == np.complex128 and out.shape == (0,)
 
-    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 8191, 8192, 8193, 16384 + 5])
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 8191, 8192, 8193, 16384 + 5,
+                                   _BLOCK_LEN - 1, _BLOCK_LEN, _BLOCK_LEN + 1, 2 * _BLOCK_LEN + 5])
     def test_channel_at_block_edges(self, n):
         # Frames shorter than the taps, and frames ending at and just past a
-        # block of the convolution.
+        # block of the channel.
         x = np.random.default_rng(n).standard_normal(2 * n).view(np.complex128)
         ch = ChannelModel(kind="rayleigh_multipath", snr_db=6.0, taps=CP_LEN, channel_seed=n)
         assert apply_channel(x, ch).tobytes() == ref_channel(x, ch).tobytes()
+
+    @pytest.mark.parametrize("ch", _CHANNELS, ids=lambda ch: f"{ch.kind}-{ch.snr_db}-{ch.channel_seed}")
+    def test_channel_at_every_block_size(self, monkeypatch, ch):
+        # Blocks of 1 and 3 symbols: the taps read history across every edge,
+        # and the last block is short.
+        x = np.random.default_rng(37).standard_normal(2 * 7 * SYMBOL_LEN - 10).view(np.complex128)
+        wide = dataclasses.replace(ch, taps=CP_LEN) if ch.kind == "rayleigh_multipath" else ch
+        for symbols in (1, 3):
+            monkeypatch.setattr(ofdm, "_BLOCK_SYMBOLS", symbols)
+            assert apply_channel(x, wide).tobytes() == ref_channel(x, wide).tobytes(), symbols
 
     def test_demap_only_one_dimension(self):
         for shape in ((2, 80), (), (1, 1, 4)):
@@ -362,14 +389,14 @@ class TestDemodulate:
     def test_unitary_round_trip(self):
         syms = qam16_map(_bits(N_FFT * 4 * 3, 12))
         rx = ofdm_demodulate_equalize(ofdm_modulate(syms),
-                                      [ChannelModel(kind="awgn")], [3])
+                                      [realize_taps(ChannelModel(kind="awgn"))], [3])
         assert np.max(np.abs(rx - syms)) < 1e-9
 
     def test_noiseless_multipath_equalizes_exactly(self):
         bits = _bits(N_FFT * 4 * 8, 13)
         syms = qam16_map(bits)
         ch = ChannelModel(kind="rayleigh_multipath", taps=6, channel_seed=14)
-        rx = ofdm_demodulate_equalize(apply_channel(ofdm_modulate(syms), ch), [ch], [8])
+        rx = ofdm_demodulate_equalize(apply_channel(ofdm_modulate(syms), ch), [realize_taps(ch)], [8])
         assert np.array_equal(qam16_demap(rx), bits)
 
     def test_frames_back_to_back_match_one_call_each(self):
@@ -380,22 +407,23 @@ class TestDemodulate:
         n_symbols = [2, 5, 1]
         rx = [apply_channel(ofdm_modulate(qam16_map(_bits(N_FFT * 4 * n, 20 + n))), ch)
               for n, ch in zip(n_symbols, chs)]
-        one_by_one = np.concatenate([ofdm_demodulate_equalize(r, [ch], [n])
-                                     for r, ch, n in zip(rx, chs, n_symbols)])
-        assert np.array_equal(ofdm_demodulate_equalize(np.concatenate(rx), chs, n_symbols), one_by_one)
+        taps = [realize_taps(ch) for ch in chs]
+        one_by_one = np.concatenate([ofdm_demodulate_equalize(r, [h], [n])
+                                     for r, h, n in zip(rx, taps, n_symbols)])
+        assert np.array_equal(ofdm_demodulate_equalize(np.concatenate(rx), taps, n_symbols), one_by_one)
 
     @pytest.mark.parametrize("n_symbols", [[2, 2], [1, 1, 1], [3]])
     def test_rejects_symbol_counts_that_do_not_fit(self, n_symbols):
         rx = ofdm_modulate(qam16_map(_bits(N_FFT * 4 * 3, 21)))
         with pytest.raises(ValueError, match="symbol counts"):
-            ofdm_demodulate_equalize(rx, [ChannelModel(kind="awgn")] * 2, n_symbols)
+            ofdm_demodulate_equalize(rx, [realize_taps(ChannelModel(kind="awgn"))] * 2, n_symbols)
 
     def test_flat_fade_high_snr_symbol_errors_rare(self):
         n_sym = 156 * N_FFT  # 9984 symbols
         bits = _bits(n_sym * 4, 15)
         syms = qam16_map(bits)
         ch = ChannelModel(kind="rayleigh_flat", snr_db=24.0, channel_seed=16)
-        rx = ofdm_demodulate_equalize(apply_channel(ofdm_modulate(syms), ch), [ch], [156])
+        rx = ofdm_demodulate_equalize(apply_channel(ofdm_modulate(syms), ch), [realize_taps(ch)], [156])
         hard = qam16_map(qam16_demap(rx))
         ser = np.mean(np.abs(hard - syms) > 1e-9)
         assert ser < 0.01
@@ -404,7 +432,7 @@ class TestDemodulate:
         with pytest.raises(ValueError):
             ofdm_demodulate_equalize(np.zeros(N_FFT + CP_LEN + 1,
                                               dtype=np.complex128),
-                                     [ChannelModel(kind="awgn")], [1])
+                                     [realize_taps(ChannelModel(kind="awgn"))], [1])
 
 
 class TestBerHelpers:
@@ -429,7 +457,7 @@ class TestBerHelpers:
         syms = qam16_map(bits)
         ch = ChannelModel(kind="awgn", snr_db=snr_db, channel_seed=18)
         out = qam16_demap(ofdm_demodulate_equalize(
-            apply_channel(ofdm_modulate(syms), ch), [ch], [4096]))
+            apply_channel(ofdm_modulate(syms), ch), [realize_taps(ch)], [4096]))
         ber = measure_ber(bits, out)
         theory = ber_16qam_awgn_theory(snr_db)
         assert abs(ber - theory) <= 0.25 * theory
