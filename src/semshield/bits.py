@@ -28,8 +28,10 @@ def _rng(*values: int) -> np.random.Generator:
 
 
 def _bit_array(bits, what: str) -> BitString:
-    """``bits`` as uint8; a ValueError unless it is a bool or integer array of 0s and 1s."""
+    """``bits`` as uint8; a ValueError unless it is a 1-D bool or integer array of 0s and 1s."""
     bits = np.asarray(bits)
+    if bits.ndim != 1:
+        raise ValueError(f"{what} must be 1-D, not of shape {bits.shape}")
     # One reduction: the OR of every value lies in [0, 1] only when each value does.
     if bits.dtype.kind not in "biu" or not 0 <= np.bitwise_or.reduce(bits, axis=None) <= 1:
         raise ValueError(f"{what} must be a bool or integer array of 0s and 1s")

@@ -109,14 +109,14 @@ class Keystream:
     ``position``, and keeps those instead.
     """
 
-    def __init__(self, seed: bytes, label: bytes | str, nonce: bytes | None = None):
+    def __init__(self, seed: bytes, label: bytes | str):
         if len(seed) != 32:
             raise ValueError("seed must be 32 bytes; use Keystream.from_seed_bits for bit strings")
         if isinstance(label, str):
             label = label.encode("utf-8")
         self.seed = seed
         self.position = 0
-        self._nonce = nonce if nonce is not None else label_nonce(label)
+        self._nonce = label_nonce(label)
         # The last generated cipher blocks, from bit offset _at.
         self._at = 0
         self._raw = np.zeros(0, dtype=np.uint8)
@@ -366,8 +366,6 @@ def simulate_plk(
     than 8 bits agree.
     """
     _check_count("target_bits", target_bits)
-    if not guard_band >= 0:  # NaN too: it would keep no bit
-        raise ValueError("guard_band must be >= 0")
     probes = trace.probes()
     obs_a = obs_b = probes
     if trace.probe_noise_std:

@@ -18,15 +18,15 @@ unit loop.  Every draw is a ``Keystream.draw_uniform`` draw: one 32-bit
 word, skipped when it is at or above the largest multiple of the range.
 ``draw_unit_params`` and ``dummy_locations`` make these draws one at a
 time; ``derive_layout``, the one replay the frame functions use, must
-equal them.  Its one plain-int loop walks the units: each unit's s, k
-and capacity, then the next unit's start.  No draw rejects a word below
-safe = min(lim_s, lim_k, 2**32 - s_max*n_d + 1), lim_s and lim_k being
-the (s, k) draws' limits, so the exact checks run only for a unit whose
-2 + k_max words reach a word at or above safe: they drop each rejected
-word and draw that unit again.  Then it runs the partial Fisher-Yates
-shuffles (Knuth's Algorithm P) of all units at once.  A payload shorter
-than the smallest unit, (n_d - k_max)*b bits, reads only its encryption
-bits: every (s, k) draw would stop the loop.
+equal them.  Its one plain-int loop walks the units with no rejection
+check: each unit's s, k and capacity, then the next unit's start.  Then it
+runs the partial Fisher-Yates shuffles (Knuth's Algorithm P) of all units
+at once.  No draw rejects a word below safe = min(lim_s, lim_k, 2**32 -
+s_max*n_d + 1), lim_s and lim_k being the (s, k) draws' limits, so one
+max over the words the draws read shows whether the walk holds; a frame
+that reads a word at or above safe is replayed with the single draws.
+A payload shorter than the smallest unit, (n_d - k_max)*b bits, reads
+only its encryption bits: every (s, k) draw would stop the loop.
 Dummy bits come from a second stream keyed by seed2 (label "dummy"),
 every unit's tokens in unit order; tail padding from a "pad" stream.
 Deviating from this order desynchronizes the two ends.
@@ -254,15 +254,12 @@ def derive_layout(seed: BitString, l_d: int, p: ObfuscationParams) -> tuple:
     subcarrier indices, and the number of encrypted bits left for the
     tail.  The unit loop stops at the first drawn (s, k) whose capacity
     exceeds what is left; that stopping draw is consumed but makes no unit.
-    A rejected word is dropped and its unit drawn again from the same
-    place, as ``draw_unit_params`` and ``dummy_locations`` skip it.
 
-    No draw rejects a word below ``safe`` (module docstring), so the loop
-    walks the units with no rejection check.  One max per read of the
-    stream finds the words at or above ``safe``, and the exact checks run
-    only for a unit whose 2 + k_max words reach one.  A payload shorter
-    than the smallest unit, (n_d - k_max)*b bits, holds no unit and reads
-    only its encryption bits.
+    The loop walks the units with no rejection check.  If a word its draws
+    read is at or above ``safe`` (module docstring), the frame is replayed
+    with ``draw_unit_params`` and ``dummy_locations`` instead, which skip
+    rejected words.  A payload shorter than the smallest unit,
+    (n_d - k_max)*b bits, holds no unit and reads only its encryption bits.
 
     The last layout derived is kept (module docstring), so the receiving
     end of a frame just sent reads only the encryption bits; the arrays
@@ -297,32 +294,15 @@ def _layout(key: bytes, l_d: int, p: ObfuscationParams) -> tuple:
     chunk = int(l_d / mean_cap * (k_max + 5) / 2) + 2 * (k_max + 2)
     more = chunk // 4 + k_max + 2
     first = ks.bits(l_d + 32 * chunk)
-    arr, words, hot = _words(first[l_d:], 0, safe)
-    chunks = [arr]
-    span = 2 + k_max  # the most words one unit's draws read
-    remaining, s_of, k_of, dropped = l_d, [], [], []
+    chunks = [_words(first[l_d:])]
+    words = chunks[0].tolist()
+    remaining, s_of, k_of = l_d, [], []
     i = 0  # next word, counted from the end of the encryption bits
-    clear = 0  # words[i:clear] are read and all below safe
     while True:
-        if i + span > clear:
-            while len(words) < i + span:
-                arr, fresh, fresh_hot = _words(ks.bits(32 * more), len(words), safe)
-                chunks.append(arr)
-                words += fresh
-                hot += fresh_hot
-            while hot and hot[0] < i:
-                del hot[0]
-            clear = hot[0] if hot else len(words)
-            # The stopping draw counts too: a rejected word there moves the stop.
-            j = _first_rejected(words, i, remaining, p) if i + span > clear else None
-            if j is not None:
-                # Drops land at non-decreasing places in ``words``, so j plus
-                # the count of earlier drops is the word's index in the stream.
-                dropped.append(j + len(dropped))
-                del words[j]
-                at = hot.index(j)  # a rejected word is at or above safe
-                hot[at:] = [h - 1 for h in hot[at + 1:]]
-                continue
+        # The most words one unit's draws read, 2 + k_max, are always there.
+        if len(words) < i + 2 + k_max:
+            chunks.append(_words(ks.bits(32 * more)))
+            words += chunks[-1].tolist()
         s, k = 1 + words[i] % s_max, 1 + words[i + 1] % k_max
         cap = (s * n_d - k) * b
         if cap > remaining:
@@ -332,50 +312,51 @@ def _layout(key: bytes, l_d: int, p: ObfuscationParams) -> tuple:
         s_of.append(s)
         k_of.append(k)
 
-    # A frame too short for one unit has no shuffle to run, and
-    # _place_dummies needs at least one unit.
-    if not s_of:
-        s = k = locs = _NO_UNITS
+    stream = np.concatenate(chunks)
+    # stream[:i + 2] holds every word the walk read as a draw, the stopping
+    # (s, k) draw's too.  No draw rejects a word below safe, so the walk
+    # equals the single draws unless one of those words reaches it.
+    if stream[:i + 2].max() >= safe:
+        layout = _single_draws(key, l_d, p)
+    elif not s_of:
+        layout = _NO_UNITS, _NO_UNITS, _NO_UNITS, remaining
     else:
         s, k = np.array(s_of), np.array(k_of)
-        stream = np.concatenate(chunks)
-        # np.delete costs microseconds even with nothing to delete; most frames drop nothing.
-        if dropped:
-            stream = np.delete(stream, dropped)
-        # Each unit's words follow the last unit's, 2 + k of them, once the
-        # dropped words are gone; its locations start at its third.
-        locs = _place_dummies(stream, np.cumsum(k + 2) - k, s, k, max(k_of), p)
-        # Frames keep these arrays without a copy, and the memo hands them out again.
-        for arr in (s, k, locs):
-            arr.flags.writeable = False
-    _last_layout = (memo_key, (s, k, locs, remaining))
-    return first[:l_d], s, k, locs, remaining
+        # Each unit's words follow the last unit's, 2 + k of them; its
+        # locations start at its third.
+        layout = s, k, _place_dummies(stream, np.cumsum(k + 2) - k, s, k, max(k_of), p), remaining
+    # Frames keep these arrays without a copy, and the memo hands them out again.
+    for arr in layout[:3]:
+        arr.flags.writeable = False
+    _last_layout = (memo_key, layout)
+    return (first[:l_d], *layout)
 
 
-def _words(bits: BitString, offset: int, safe: int) -> tuple[np.ndarray, list, list]:
-    """The 32-bit words of ``bits`` as a native uint32 array and as ints,
-    and the indices, counted from ``offset``, of those at or above ``safe``.
-    Such words are rare (about 1e-7 per word at the default params), so
-    one max per read finds none."""
-    chunk = np.packbits(bits).view(">u4").astype(np.uint32)
-    hot = (offset + np.flatnonzero(chunk >= safe)).tolist() if chunk.max() >= safe else []
-    return chunk, chunk.tolist(), hot
+def _words(bits: BitString) -> np.ndarray:
+    """The 32-bit words of ``bits`` as a native uint32 array."""
+    return np.packbits(bits).view(">u4").astype(np.uint32)
 
 
-def _first_rejected(words: list, i: int, remaining: int, p: ObfuscationParams) -> int | None:
-    """Index of the first word that the draws of the unit at ``words[i]``
-    reject, or None: its (s, k) draw, then, unless that draw stops the
-    unit loop with ``remaining`` bits left, its k location draws."""
-    ws, wk = words[i], words[i + 1]
-    if ws >= _WORD - _WORD % p.s_max:
-        return i
-    if wk >= _WORD - _WORD % p.k_max:
-        return i + 1
-    s, k = 1 + ws % p.s_max, 1 + wk % p.k_max
-    if _capacity(s, k, p) > remaining:
-        return None
-    n = s * p.n_d
-    return next((i + 2 + t for t in range(k) if words[i + 2 + t] >= _WORD - _WORD % (n - t)), None)
+def _single_draws(key: bytes, l_d: int, p: ObfuscationParams) -> tuple:
+    """``derive_layout``'s s, k, dummy locations and tail, replayed with
+    ``draw_unit_params`` and ``dummy_locations`` from past the l_d
+    encryption bits: the layout of a frame whose draws read a word at or
+    above safe, about one 1e6-bit frame in 1,400 at the default params."""
+    ks = Keystream(key, "xor")
+    ks.bits(l_d)
+    s_of, k_of, locs = [], [], [_NO_UNITS]
+    remaining, offset = l_d, 0
+    while True:
+        s, k = draw_unit_params(ks, p)
+        cap = _capacity(s, k, p)
+        if cap > remaining:
+            s, k = np.array(s_of, dtype=np.int64), np.array(k_of, dtype=np.int64)
+            return s, k, np.concatenate(locs), remaining
+        remaining -= cap
+        locs.append(offset + dummy_locations(ks, s, k, p.n_d))
+        offset += s * p.n_d
+        s_of.append(s)
+        k_of.append(k)
 
 
 def _place_dummies(words, loc_word, s, k, k_hi, p) -> np.ndarray:
@@ -506,8 +487,9 @@ def recover_bits(ota: BitString, l_d: int, seed: BitString, p: ObfuscationParams
     Unlike deobfuscate there is no metadata to cross-check: the layout is
     taken entirely from the seed, short input is zero padded and excess
     ignored, so demodulation bit errors (or a wrong seed) degrade the
-    output instead of aborting it.  Values other than 0 and 1 in ``ota``,
-    and an ``l_d`` that is not an integer >= 0, raise ValueError.
+    output instead of aborting it.  An ``ota`` that is not 1-D or holds
+    values other than 0 and 1, and an ``l_d`` that is not an integer >= 0,
+    raise ValueError.
     """
     ota = np.ascontiguousarray(_bit_array(ota, "ota"))
     l_d = _payload_length(l_d, 0)

@@ -61,7 +61,7 @@ _BLOCK_SYMBOLS = 8192 // SYMBOL_LEN
 def qam16_map(bits: BitString) -> np.ndarray:
     """Gray-mapped 16QAM: per 4 bits, I from the first pair, Q from the second.
 
-    Values other than 0 and 1 raise ValueError.
+    Bits that are not 1-D, or values other than 0 and 1, raise ValueError.
     """
     bits = _bit_array(bits, "bits")
     if bits.size % 4:

@@ -287,6 +287,16 @@ class TestObfuscate:
             with pytest.raises(ValueError, match="seed must be"):
                 obfuscate(np.ones(300, dtype=np.uint8), bad, ObfuscationParams(), MODEL)
 
+    # A (2, 2500) payload used to fail in xor_bits with "length mismatch:
+    # 5000 vs 5000", and a (16, 8) seed was flattened into a 128-bit seed.
+    def test_payload_must_be_1d(self):
+        with pytest.raises(ValueError, match="data must be 1-D"):
+            obfuscate(np.ones((2, 2500), dtype=np.uint8), _seed(32), ObfuscationParams(), MODEL)
+
+    def test_seed_must_be_1d(self):
+        with pytest.raises(ValueError, match="seed must be 1-D"):
+            obfuscate(np.ones(300, dtype=np.uint8), _seed(32).reshape(16, 8), ObfuscationParams(), MODEL)
+
     def test_bool_payload_is_its_uint8_bits(self):
         data = np.random.default_rng(33).integers(0, 2, 3000).astype(np.uint8)
         seed, p = _seed(33), ObfuscationParams()
@@ -463,6 +473,13 @@ class TestRecoverBits:
         air[7] = bad
         with pytest.raises(ValueError, match="ota must be"):
             recover_bits(air, frame.l_d, seed, p)
+
+    # A (2, 5000) air raised numpy's bare IndexError, and a (2, 150) air
+    # with l_d 200 said "length mismatch: 300 vs 200".
+    @pytest.mark.parametrize("shape, l_d", [((2, 5000), 5000), ((2, 150), 200)])
+    def test_air_must_be_1d(self, shape, l_d):
+        with pytest.raises(ValueError, match="ota must be 1-D"):
+            recover_bits(np.zeros(shape, dtype=np.uint8), l_d, _seed(35), ObfuscationParams())
 
     # A float l_d raised a bare TypeError, and True recovered one bit.
     @pytest.mark.parametrize("l_d", [3000.0, True, -1, "3000"], ids=["float", "bool", "negative", "string"])
@@ -838,8 +855,8 @@ REJECTION_CASES = {
     "s_and_k_draw": (_RAGGED, 3000, [(3, 0, 0xFFFFFFFF), (3, 1, 0xFFFFFFFF)]),
     "first_location": (_RAGGED, 3000, [(3, 2, 0xFFFFFFFF)]),
     "last_location": (_RAGGED, 3000, [(6, -1, 0xFFFFFFFF)]),
-    # Unit 10 has k = k_max: its last location is the last word of the
-    # 2 + k_max words derive_layout checks for it.
+    # Unit 10 has k = k_max: its last location is the last word its draws
+    # read, so the last word derive_layout tests against its safe bound.
     "last_location_of_a_full_unit": (_RAGGED, 3000, [(10, -1, 0xFFFFFFFF)]),
     "two_in_a_row": (_RAGGED, 3000, [(8, 2, 0xFFFFFFFF), (8, 3, 0xFFFFFFFF)]),
     "several_units": (_RAGGED, 3000, [(2, 1, 0xFFFFFFFF), (6, 2, 0xFFFFFFFF),
@@ -847,8 +864,8 @@ REJECTION_CASES = {
     # Units 91 to 101 draw from words past derive_layout's first read of
     # the stream; it reads them in later chunks.
     "past_the_first_read": (_RAGGED, 3000, [(95, 0, 0xFFFFFFFF), (97, -1, 0xFFFFFFFF)]),
-    # 2**32 - 20 is _RAGGED's safe bound, so the unit takes the exact
-    # checks, but no draw of _RAGGED rejects it.
+    # 2**32 - 20 is _RAGGED's safe bound, so the frame is replayed with the
+    # single draws, though no draw of _RAGGED rejects it.
     "kept_at_the_safe_bound": (_RAGGED, 3000, [(3, 2, 2**32 - 20)]),
     # The next words then draw a unit that fits the tail, so the loop goes on.
     "stopping_s_draw": (_RAGGED, 288, [(-1, 0, 0xFFFFFFFF)]),
@@ -863,15 +880,22 @@ REJECTION_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(REJECTION_CASES))
-def test_rejected_words_replay_like_single_draws(case):
+def _planted(seed, case):
+    """``_patch_stream`` patches that plant REJECTION_CASES[case]'s words in
+    ``seed``'s "xor" stream."""
     p, l_d, patches = REJECTION_CASES[case]
-    seed = _seed(60)
-    clean = derive_layout(seed, l_d, p)
     _, k_of, _, _, first_word = draw_by_draw(seed, l_d, p)
     words = {first_word[unit] + (draw if draw >= 0 else 2 + k_of[unit] + draw): word
              for unit, draw, word in patches}
-    with _patch_stream(seed, b"xor", _word_patches(seed, l_d, words)):
+    return _word_patches(seed, l_d, words)
+
+
+@pytest.mark.parametrize("case", sorted(REJECTION_CASES))
+def test_rejected_words_replay_like_single_draws(case):
+    p, l_d, _ = REJECTION_CASES[case]
+    seed = _seed(60)
+    clean = derive_layout(seed, l_d, p)
+    with _patch_stream(seed, b"xor", _planted(seed, case)):
         xbits, s, k, locs, tail = derive_layout(seed, l_d, p)
         ref_s, ref_k, ref_locs, ref_tail, _ = draw_by_draw(seed, l_d, p)
     assert np.array_equal(xbits, clean[0])
@@ -881,6 +905,28 @@ def test_rejected_words_replay_like_single_draws(case):
     moved = (s.tolist(), k.tolist(), locs.tolist()) != \
         (clean[1].tolist(), clean[2].tolist(), clean[3].tolist())
     assert moved == (case != "below_the_smallest_unit")
+
+
+def test_clean_frames_make_no_single_draw():
+    # A replay that fell back to the single draws on every frame would keep
+    # every byte, so only a count sees it; at 64 kbit it costs about 50x.
+    real, calls = obfuscation.draw_unit_params, []
+
+    def counting(ks, p):
+        calls.append(p)
+        return real(ks, p)
+
+    with mock.patch.object(obfuscation, "draw_unit_params", counting):
+        for tag in (66, 67, 68):
+            for l_d in (64_000, 10**6):
+                _forget_layout()
+                derive_layout(_seed(tag), l_d, _DEFAULT)
+        assert not calls
+        p, l_d, _ = REJECTION_CASES["first_location"]
+        seed = _seed(60)
+        with _patch_stream(seed, b"xor", _planted(seed, "first_location")):
+            derive_layout(seed, l_d, p)
+    assert calls
 
 
 # --- the layout memo ------------------------------------------------------------

@@ -153,6 +153,12 @@ class TestShapes:
             monkeypatch.setattr(ofdm, "_BLOCK_SYMBOLS", symbols)
             assert apply_channel(x, wide).tobytes() == ref_channel(x, wide).tobytes(), symbols
 
+    def test_map_only_one_dimension(self):
+        # A (2, 8) input used to be mapped as its 16 flattened bits.
+        for shape in ((2, 8), (), (1, 1, 4)):
+            with pytest.raises(ValueError, match="bits must be 1-D"):
+                qam16_map(np.ones(shape, dtype=np.uint8))
+
     def test_demap_only_one_dimension(self):
         for shape in ((2, 80), (), (1, 1, 4)):
             with pytest.raises(ValueError, match="1-D"):
