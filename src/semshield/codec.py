@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, _rng
+from .bits import BitString, _bit_array, _rng
 from .fields import check_fields
 
 TokenSequence = np.ndarray
@@ -76,15 +76,21 @@ class CodecModel:
             raise ValueError(f"token_bits={self.token_bits} cannot hold ids below {self.vocab_size}")
 
 
+def _tokens(seq) -> TokenSequence:
+    """``seq`` as an array; InvalidTokenError unless a 1-D bool or integer sequence."""
+    tokens = np.asarray(seq)
+    if tokens.ndim != 1 or (tokens.size and tokens.dtype.kind not in "biu"):
+        raise InvalidTokenError(f"tokens must be a 1-D bool or integer sequence, not {tokens.dtype} of shape {tokens.shape}")
+    return tokens
+
+
 def encode(seq: TokenSequence, model: CodecModel) -> BitString:
     """Serialize token ids to bits, big-endian, ``token_bits`` per token.
 
     Tokens that are not a 1-D bool or integer sequence (empty for no
     tokens), or ids outside the vocabulary, raise InvalidTokenError.
     """
-    tokens = np.asarray(seq)
-    if tokens.ndim != 1 or (tokens.size and tokens.dtype.kind not in "biu"):
-        raise InvalidTokenError(f"tokens must be a 1-D bool or integer sequence, not {tokens.dtype} of shape {tokens.shape}")
+    tokens = _tokens(seq)
     if tokens.size and (int(tokens.min()) < 0 or int(tokens.max()) >= model.vocab_size):
         raise InvalidTokenError(f"token ids must lie in [0, {model.vocab_size})")
     # Every id fits 32 bits (vocab_size <= 2**32); wider tokens lead with zeros.
@@ -105,9 +111,11 @@ def decode(bits: BitString, model: CodecModel, noise_seed: int) -> TokenSequence
 
     Bits are decoded along the last axis: a stack of equal-length rows,
     shape ``(rows, n_bits)``, gives ``(rows, n_tokens)`` tokens, and every
-    row is decoded with the one draw sequence, exactly as if alone.
+    row is decoded with the one draw sequence, exactly as if alone.  Bits
+    that are not a bool or integer array of 0s and 1s raise ValueError.
     """
-    bits = np.atleast_1d(np.asarray(bits, dtype=np.uint8))
+    bits = np.atleast_1d(bits)
+    bits = _bit_array(bits.ravel(), "bits").reshape(bits.shape)
     if bits.shape[-1] % model.token_bits:
         raise ValueError(f"bit length {bits.shape[-1]} not divisible by token_bits={model.token_bits}")
     fields = bits.reshape(*bits.shape[:-1], -1, model.token_bits).astype(np.int64)
@@ -159,8 +167,11 @@ def bleu_scores_many(pairs) -> list[BleuScores]:
     square of the token count, so int64 holds them for any call under
     about 3e9 tokens.  Counting the ids on each side, clipping and summing
     per pair gives every clipped count at once.
+
+    A sequence that is empty raises ValueError, and one that is not 1-D
+    bool or integer InvalidTokenError.
     """
-    seqs = [np.asarray(s).ravel() for pair in pairs for s in pair]  # ref 0, hyp 0, ref 1, ...
+    seqs = [_tokens(s) for pair in pairs for s in pair]  # ref 0, hyp 0, ref 1, ...
     if not seqs:
         return []
     lengths = np.array([s.size for s in seqs])

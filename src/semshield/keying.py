@@ -238,7 +238,7 @@ class ChannelTrace:
     ``samples`` holds the underlying gain process; each value is observed
     for ``coherence`` consecutive probes.  Each party sees the probes plus
     its own Gaussian observation noise of std ``probe_noise_std``.  Samples
-    and noise std must be finite, and ``coherence`` an integer >= 1.
+    must be 1-D and finite, noise std finite, ``coherence`` an integer >= 1.
     """
 
     samples: np.ndarray
@@ -247,8 +247,8 @@ class ChannelTrace:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        if self.samples.size == 0:
-            raise ValueError("trace must contain at least one sample")
+        if self.samples.ndim != 1 or self.samples.size == 0:
+            raise ValueError(f"trace samples must be 1-D and non-empty, not of shape {self.samples.shape}")
         if not np.isfinite(self.samples).all():
             raise ValueError("trace samples must be finite")
         _check_count("coherence", self.coherence)
@@ -292,12 +292,14 @@ def quantize_samples(samples: np.ndarray, guard_band: float) -> tuple[BitString,
 
     Emits 1 above median + guard_band*std, 0 below median - guard_band*std,
     and discards everything in between.  Returns (bits, kept_indices).
-    Raises ValueError when the samples' std is not finite, or when
-    ``guard_band`` is negative or NaN.
+    Raises ValueError when the samples are not 1-D or their std is not
+    finite, or when ``guard_band`` is negative or NaN.
     """
     if not guard_band >= 0:  # NaN too: it would keep no bit
         raise ValueError("guard_band must be >= 0")
     samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 1:
+        raise ValueError(f"samples must be 1-D, not of shape {samples.shape}")
     n = samples.size
     with np.errstate(over="ignore", invalid="ignore"):
         # The median as np.median takes it: the middle value, or the mean of

@@ -119,7 +119,7 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DataUnit:
-    """One obfuscated unit under ``params``: s OFDM symbols with k dummy subcarriers.
+    """One obfuscated unit: s OFDM symbols with k dummy subcarriers.
 
     ``dummy_locations`` are the unit's own subcarrier indices, and
     ``payload_bits`` is its full on-air content, s*n_d*b bits with dummy
@@ -132,7 +132,6 @@ class DataUnit:
     k: int
     dummy_locations: np.ndarray
     payload_bits: BitString
-    params: ObfuscationParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,13 +180,9 @@ class ObfuscatedFrame:
         p = self.params
         n = self.s * p.n_d
         local = self.dummy_locations - np.repeat(np.cumsum(n) - n, self.k)
-        units, loc, bit = [], 0, 0
-        for s, k in zip(self.s.tolist(), self.k.tolist()):
-            nbits = s * p.symbol_bits
-            units.append(DataUnit(s, k, local[loc:loc + k], self.air[bit:bit + nbits], p))
-            loc += k
-            bit += nbits
-        return tuple(units)
+        locs = np.split(local, np.cumsum(self.k)[:-1])
+        bits = np.split(self.air[:self.unit_bits], np.cumsum(self.s * p.symbol_bits)[:-1])
+        return tuple(map(DataUnit, self.s.tolist(), self.k.tolist(), locs, bits))
 
 
 def _seed2(packed: bytes) -> bytes:
@@ -520,13 +515,12 @@ def serialize_frame(frame: ObfuscatedFrame) -> bytes:
     p, s, k = frame.params, frame.s, frame.k
     header = _HEADER.pack(_MAGIC, _VERSION, frame.l_d, s.size)
     bits = s * p.symbol_bits
+    pay = -(-bits // 8)
     if p.symbol_bits % 8 == 0:
         # Every unit is whole bytes: pack the units and the tail at once.
         # The padding path below takes 2-5x as long on the default geometry.
-        pay = bits // 8
         body = np.packbits(frame.air)
     else:
-        pay = -(-bits // 8)
         padded = np.zeros(8 * int(pay.sum()), dtype=np.uint8)
         padded[_runs(8 * (np.cumsum(pay) - pay), bits)] = frame.air[: frame.unit_bits]
         body = np.concatenate([np.packbits(padded), np.packbits(frame.tail_bits)])

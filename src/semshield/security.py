@@ -121,15 +121,11 @@ def bleu_dispersion_report(corpus, model: CodecModel, ks: Keystream, l_weight: i
     corpus = list(corpus)
     if len(corpus) < MIN_DISPERSION_SENTENCES:
         raise ValueError(f"need at least {MIN_DISPERSION_SENTENCES} sentences")
-    raw = {"s1": [], "s2": [], "s3": [], "s4": [], "weighted_sum": []}
     pairs = [(sentence, _substitute(np.asarray(sentence), model, i)) for i, sentence in enumerate(corpus)]
-    for scores in bleu_scores_many(pairs):
-        w = weight_generator(ks, l_weight)
-        raw["s1"].append(scores.s1)
-        raw["s2"].append(scores.s2)
-        raw["s3"].append(scores.s3)
-        raw["s4"].append(scores.s4)
-        raw["weighted_sum"].append(generated_bleu(scores, w))
+    scored = bleu_scores_many(pairs)
+    raw = {name: [getattr(scores, name) for scores in scored] for name in ("s1", "s2", "s3", "s4")}
+    # One weight draw per sentence, in corpus order.
+    raw["weighted_sum"] = [generated_bleu(scores, weight_generator(ks, l_weight)) for scores in scored]
     channels = {}
     for name, values in raw.items():
         hist = score_histogram(np.array(values, dtype=np.float64) / Q32_ONE)

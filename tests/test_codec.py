@@ -157,6 +157,14 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match="not divisible"):
             decode(np.zeros((2, 6), dtype=np.uint8), model, noise_seed=0)
 
+    # Each used to decode to a token: 4,096 (outside the vocabulary),
+    # 1,044,225 and 0.
+    @pytest.mark.parametrize("bits", [[1] * 11 + [2], [-1] * 12, [0.6] * 12],
+                             ids=["two", "minus_one", "fraction"])
+    def test_bits_must_be_zeros_and_ones(self, bits):
+        with pytest.raises(ValueError, match="bits must be a bool or integer array of 0s and 1s"):
+            decode(np.array(bits), CodecModel(deviation_rate=0.0), noise_seed=0)
+
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), deviation_rate=st.sampled_from([0.0, 0.1, 1.0]),
@@ -170,6 +178,22 @@ def test_decode_stack_matches_each_row_alone(data, deviation_rate, vocab_size, n
     assert stacked.shape == (2, n)
     for got, bits in zip(stacked, rows):
         assert np.array_equal(got, decode(bits, model, noise_seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 3), n_bits=st.integers(1, 24),
+       bad=st.one_of(st.integers(-2**62, -1), st.integers(2, 2**62), st.floats(allow_nan=True)))
+def test_decode_rejects_any_stack_that_is_not_zeros_and_ones(data, rows, n_bits, bad):
+    # Any one value outside {0, 1}, or a float stack even of 0s and 1s, is refused.
+    model = CodecModel(vocab_size=2, deviation_rate=0.0)
+    stack = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n_bits, max_size=n_bits),
+                                        min_size=rows, max_size=rows)), dtype=np.int64)
+    if isinstance(bad, float):
+        stack = stack.astype(np.float64)
+    else:
+        stack[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, n_bits - 1))] = bad
+    with pytest.raises(ValueError, match="0s and 1s"):
+        decode(stack, model, noise_seed=0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -216,6 +240,17 @@ class TestBleuScores:
             bleu_scores([], [1])
         with pytest.raises(ValueError):
             bleu_scores([1], [])
+
+    # A (3, 4) array used to be scored as 12 tokens, and float tokens were scored.
+    @pytest.mark.parametrize("bad", [np.arange(12).reshape(3, 4), np.array([1.0, 2.0, 3.0])],
+                             ids=["2d", "float"])
+    def test_tokens_must_be_1d_integers(self, bad):
+        match = "tokens must be a 1-D bool or integer sequence"
+        for ref, hyp in ((bad, [1, 2, 3]), ([1, 2, 3], bad)):
+            with pytest.raises(InvalidTokenError, match=match):
+                bleu_scores(ref, hyp)
+            with pytest.raises(InvalidTokenError, match=match):
+                bleu_scores_many([([1, 2], [1, 2]), (ref, hyp)])
 
     def test_pure_function(self):
         a = bleu_scores([1, 2, 3, 4, 5], [1, 2, 9, 4, 5])

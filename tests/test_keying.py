@@ -491,6 +491,18 @@ class TestPlkSimulation:
         with pytest.raises(ValueError, match="finite"):
             ChannelTrace(samples)
 
+    # At coherence 1 a (64, 64) trace used to end in numpy's "kth(=2048) out
+    # of bounds (64)"; at 2 it was flattened into 8,192 probes and keyed a PLK.
+    @pytest.mark.parametrize("coherence", [1, 2])
+    def test_trace_samples_must_be_1d(self, coherence):
+        samples = np.random.default_rng(0).rayleigh(size=(64, 64))
+        with pytest.raises(ValueError, match="1-D"):
+            simulate_plk(ChannelTrace(samples, coherence=coherence), 128, 0.2)
+
+    def test_quantized_samples_must_be_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            quantize_samples(np.random.default_rng(0).rayleigh(size=(64, 64)), 0.2)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_trace_rejects_non_finite_noise_std(self, bad):
         with pytest.raises(ValueError, match="finite"):

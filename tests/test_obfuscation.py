@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import struct
 from unittest import mock
@@ -13,6 +14,7 @@ from semshield.bits import bits_from_bytes, bytes_from_bits
 from semshield.codec import CodecModel, decode, encode
 from semshield.keying import Keystream, expand_seed, label_nonce
 from semshield.obfuscation import (
+    DataUnit,
     DesyncError,
     FrameFormatError,
     ObfuscatedFrame,
@@ -28,7 +30,7 @@ from semshield.obfuscation import (
     recover_bits,
     serialize_frame,
 )
-from semshield.obfuscation import _capacity
+from semshield.obfuscation import _NO_UNITS, _capacity
 
 from spec import draw_by_draw
 
@@ -205,6 +207,20 @@ class TestObfuscate:
             assert unit.s == 1 and unit.k == 1
             assert unit.payload_bits.size == 4
             assert _capacity(unit.s, unit.k, p) == 3
+
+    @pytest.mark.parametrize("n_bits", [5, 300, 5000])
+    def test_units_cut_the_layout_and_air_in_order(self, n_bits):
+        p = ObfuscationParams(s_max=3, k_max=5, n_d=16, b=3)
+        frame = obfuscate(np.ones(n_bits, dtype=np.uint8), _seed(12), p, MODEL)
+        units = frame.units
+        assert [f.name for f in dataclasses.fields(DataUnit)] == ["s", "k", "dummy_locations", "payload_bits"]
+        assert [(u.s, u.k) for u in units] == list(zip(frame.s.tolist(), frame.k.tolist()))
+        start = np.cumsum(frame.s * p.n_d) - frame.s * p.n_d
+        assert np.array_equal(np.concatenate([_NO_UNITS] + [u.dummy_locations + at for u, at in zip(units, start)]),
+                              frame.dummy_locations)
+        assert np.array_equal(np.concatenate([_NO_UNITS] + [u.payload_bits for u in units]),
+                              frame.air[:frame.unit_bits])
+        assert [u.payload_bits.size for u in units] == [s * p.symbol_bits for s in frame.s.tolist()]
 
     def test_short_payload_goes_to_padded_tail(self):
         p = ObfuscationParams()
