@@ -1069,6 +1069,42 @@ def test_report_output_pinned(scenario, name):
     assert digest == REPORT_OUTPUT_SHA256[scenario, name]
 
 
+# SHA-256 of render_output for the 20 default configs: every scenario under
+# each channel kind, and keygen_demo and bleu_compare over a static channel.
+# keygen_demo, search_space and dispersion do not read the channel kind, so
+# their three digests agree.  Recorded before the keystream's word reader
+# and rejection limit moved into keying.
+DEFAULT_OUTPUT_SHA256 = {
+    ("ber_sweep", "awgn"): "00d09d0e5f79ddec2b869d0bc25b9b2c1399aadc0b51776eb6cdb836864bea4d",
+    ("ber_sweep", "rayleigh_flat"): "58e1f63a07295fc744d633fb1eb9b38b6cfd846c715252fc817253d8e75aac77",
+    ("ber_sweep", "rayleigh_multipath"): "3dab80797876977cef0bab2004d6648ff77335a49a16a162574b3f9a0b7802e1",
+    ("bleu_compare", "awgn"): "90ce4ff6fb4f9745b650484e83b581d3766680baec7d08b68f40d911012878d6",
+    ("bleu_compare", "rayleigh_flat"): "8cb9cca17895cbc6158786e7e959cf0976c9ee5f4717ec23aea1b6347fd63c16",
+    ("bleu_compare", "rayleigh_multipath"): "ca770316036a006440c9faa1653f28dd532a2067eb5053ef3ecf48b28c68b047",
+    ("constellation", "awgn"): "db9973b9380e1284c11745736f66bbd0a7f84f73da2f177a2bb88e23ca271cea",
+    ("constellation", "rayleigh_flat"): "0582cb37d10f24c0044ec748fd7b55c51fedf02c57bcca58141cb1310fe57f58",
+    ("constellation", "rayleigh_multipath"): "ba09707ff36e758d1b56eaf486e1a7d5cc517abe1ad0b2028e861bb9b4f2b66b",
+    ("keygen_demo", "awgn"): "8cb89380203add3a5917f40b751018d7eb112fb38928cf97378fb5b25280e38f",
+    ("keygen_demo", "rayleigh_flat"): "8cb89380203add3a5917f40b751018d7eb112fb38928cf97378fb5b25280e38f",
+    ("keygen_demo", "rayleigh_multipath"): "8cb89380203add3a5917f40b751018d7eb112fb38928cf97378fb5b25280e38f",
+    ("search_space", "awgn"): "825a6ba5424a5463b49cb49c9468837158ea938503ceb1ae53a9701f98463682",
+    ("search_space", "rayleigh_flat"): "825a6ba5424a5463b49cb49c9468837158ea938503ceb1ae53a9701f98463682",
+    ("search_space", "rayleigh_multipath"): "825a6ba5424a5463b49cb49c9468837158ea938503ceb1ae53a9701f98463682",
+    ("dispersion", "awgn"): "9267390d6907627e1d0b9865a0d874e6bf1f8ff4c0265eade020abf98ec67eac",
+    ("dispersion", "rayleigh_flat"): "9267390d6907627e1d0b9865a0d874e6bf1f8ff4c0265eade020abf98ec67eac",
+    ("dispersion", "rayleigh_multipath"): "9267390d6907627e1d0b9865a0d874e6bf1f8ff4c0265eade020abf98ec67eac",
+    ("keygen_demo", "static_channel"): "448e01bbbfdd2cf84d39963ee6c523ccd809e649e9f155d015b5c7b42f9d67df",
+    ("bleu_compare", "static_channel"): "325aa2cf3325cd3d93d7fd43dbf1fa6b79dd2293ba70b7d4181ed96f20f31b51",
+}
+
+
+@pytest.mark.parametrize("scenario,setting", sorted(DEFAULT_OUTPUT_SHA256))
+def test_default_output_pinned(scenario, setting):
+    change = {"static_channel": True} if setting == "static_channel" else {"channel_kind": setting}
+    digest = hashlib.sha256(render_output(load_config(scenario=scenario, **change)).encode("ascii")).hexdigest()
+    assert digest == DEFAULT_OUTPUT_SHA256[scenario, setting]
+
+
 # The spec against the pins above, so that it answers to the recorded bytes
 # and not only to src/.  The search space at (400, 200, 256, 1) is left out:
 # the spec sums its 80,000 binomials one math.comb call at a time (0.7 s).
