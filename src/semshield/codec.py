@@ -168,10 +168,11 @@ def bleu_scores_many(pairs) -> list[BleuScores]:
     about 3e9 tokens.  Counting the ids on each side, clipping and summing
     per pair gives every clipped count at once.
 
-    A sequence that is empty raises ValueError, and one that is not 1-D
-    bool or integer InvalidTokenError.
+    A pair that is not exactly one reference and one hypothesis, or a
+    sequence that is empty, raises ValueError, and a sequence that is not
+    1-D bool or integer InvalidTokenError.
     """
-    seqs = [_tokens(s) for pair in pairs for s in pair]  # ref 0, hyp 0, ref 1, ...
+    seqs = [_tokens(s) for ref, hyp in pairs for s in (ref, hyp)]  # ref 0, hyp 0, ref 1, ...
     if not seqs:
         return []
     lengths = np.array([s.size for s in seqs])

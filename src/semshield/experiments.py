@@ -376,10 +376,9 @@ def run_bleu_compare(cfg: ExperimentConfig) -> list[dict]:
     received = [np.empty((2 * n_points, bits.size), dtype=np.uint8) for bits in plain]
     for i, snr in enumerate(cfg.snr_list):
         scope = ("bleu_compare", i)
-        if cfg.key_refresh == "per_point":
-            keys = [c.keys.seed_key for c in _key_ceremonies(cfg, [scope])] * n
-        else:
-            keys = [c.keys.seed_key for c in _key_ceremonies(cfg, [(*scope, j) for j in range(n)])]
+        # per_point: one ceremony, its key shared by all n frames.
+        scopes = [scope] if cfg.key_refresh == "per_point" else [(*scope, j) for j in range(n)]
+        keys = [c.keys.seed_key for c in _key_ceremonies(cfg, scopes)] * (n // len(scopes))
         frames = [obfuscate(bits, key, p, cfg.codec) for bits, key in zip(plain, keys)]
         # The n encrypted frames, then the n plain ones.
         sent = [frame.air for frame in frames] + plain
@@ -471,7 +470,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_text(header: list[str], rows: list[dict]) -> str:
+def _csv_text(rows: list[dict]) -> str:
+    header = list(rows[0])
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(row[col]) for col in header))
@@ -501,10 +501,8 @@ class Scenario:
 # renderers call the scenario functions by module-global name, so a function
 # patched on this module is the one that runs.
 SCENARIOS = {
-    "ber_sweep": Scenario("csv", True, lambda cfg: _csv_text(
-        ["snr_db", "ber_plain", "ber_legit", "ber_eavesdropper", "n_bits"], run_ber_sweep(cfg))),
-    "bleu_compare": Scenario("csv", True, lambda cfg: _csv_text(
-        ["gram", "snr_db", "bleu_enc", "bleu_noenc"], run_bleu_compare(cfg))),
+    "ber_sweep": Scenario("csv", True, lambda cfg: _csv_text(run_ber_sweep(cfg))),
+    "bleu_compare": Scenario("csv", True, lambda cfg: _csv_text(run_bleu_compare(cfg))),
     "constellation": Scenario("csv", True, _render_constellation),
     "keygen_demo": Scenario("json", False, lambda cfg: _json_text(run_keygen_demo(cfg))),
     "search_space": Scenario("json", False, lambda cfg: _json_text(run_search_space(cfg))),

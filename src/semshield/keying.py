@@ -24,10 +24,21 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from .bits import BitString, _bit_array, _rng, bits_from_bytes, bytes_from_bits, int_from_bits, xor_bits
 from .codec import BleuScores
+from .fields import check_fields
 
 DEFAULT_KEY_BITS = 128
 CHACHA_BLOCK_BYTES = 64
 _WORD = 1 << 32
+
+
+def _words(bits: BitString) -> np.ndarray:
+    """The 32-bit words of ``bits`` as a native uint32 array."""
+    return np.packbits(bits).view(">u4").astype(np.uint32)
+
+
+def _draw_limit(m: int) -> int:
+    """The least word a draw from [0, m) rejects: the largest multiple of ``m`` not above 2**32."""
+    return _WORD - _WORD % m
 
 
 def _check_count(name: str, value) -> None:
@@ -153,14 +164,14 @@ class Keystream:
         if not 1 <= m <= _WORD:
             raise ValueError("m must lie in [1, 2^32]")
         want = 1 if n is None else n
-        limit = _WORD - _WORD % m
+        limit = _draw_limit(m)
         out = []
         for _ in range(1000):
             need = want - len(out)
             if not need:
                 return out if n is not None else out[0]
             # int64: for m = 2**32 the limit itself does not fit in uint32.
-            words = np.packbits(self.bits(32 * need)).view(">u4").astype(np.int64)
+            words = _words(self.bits(32 * need)).astype(np.int64)
             out += (words[words < limit] % m).tolist()
         raise RuntimeError("rejection sampling failed to terminate")
 
@@ -230,6 +241,10 @@ class KeyMaterial:
 
 # --- physical-layer key simulation -----------------------------------------
 
+# ChannelTrace's per-field rules (fields.check_fields), the rule kinds of
+# ExperimentConfig's probe_coherence and probe_noise_std.
+_TRACE_RULES = {"coherence": (int, 1, None), "probe_noise_std": (float, 0, None)}
+
 
 @dataclass(frozen=True)
 class ChannelTrace:
@@ -238,7 +253,7 @@ class ChannelTrace:
     ``samples`` holds the underlying gain process; each value is observed
     for ``coherence`` consecutive probes.  Each party sees the probes plus
     its own Gaussian observation noise of std ``probe_noise_std``.  Samples
-    must be 1-D and finite, noise std finite, ``coherence`` an integer >= 1.
+    must be 1-D and finite, ``coherence`` an int >= 1, the std finite and >= 0.
     """
 
     samples: np.ndarray
@@ -251,9 +266,7 @@ class ChannelTrace:
             raise ValueError(f"trace samples must be 1-D and non-empty, not of shape {self.samples.shape}")
         if not np.isfinite(self.samples).all():
             raise ValueError("trace samples must be finite")
-        _check_count("coherence", self.coherence)
-        if not math.isfinite(self.probe_noise_std) or self.probe_noise_std < 0:
-            raise ValueError("probe_noise_std must be finite and >= 0")
+        check_fields(self, _TRACE_RULES)
 
     def probes(self) -> np.ndarray:
         return self.samples if self.coherence == 1 else np.repeat(self.samples, self.coherence)
@@ -336,17 +349,11 @@ def empirical_bit_entropy(bits: BitString) -> float:
 
 
 def _amplify(agreed: BitString, target_bits: int) -> BitString:
-    # skey_hash in counter mode over the agreed bits (length-prefixed).
+    # skey_hash in counter mode over the agreed bits (length-prefixed): whole
+    # 256-bit blocks, cut once to target_bits.
     material = struct.pack(">Q", len(agreed)) + bytes_from_bits(agreed)
-    chunks = []
-    produced = 0
-    counter = 0
-    while produced < target_bits:
-        take = min(256, target_bits - produced)
-        chunks.append(skey_hash(material + struct.pack(">I", counter), take))
-        produced += take
-        counter += 1
-    return np.concatenate(chunks)
+    blocks = [skey_hash(material + struct.pack(">I", c), 256) for c in range(-(-target_bits // 256))]
+    return np.concatenate(blocks)[:target_bits]
 
 
 def simulate_plk(

@@ -50,9 +50,8 @@ import numpy as np
 from .bits import BitString, _bit_array, xor_bits
 from .codec import CodecModel, encode
 from .fields import check_fields, describe
-from .keying import Keystream, _seed_bytes, _stream_key, expand_seed
+from .keying import _WORD, Keystream, _draw_limit, _seed_bytes, _stream_key, _words, expand_seed
 
-_WORD = 1 << 32
 _NO_UNITS = np.zeros(0, dtype=np.int64)
 _NO_UNITS.flags.writeable = False
 # The last layout derive_layout made: ((stream key, l_d, params), (s, k,
@@ -279,9 +278,9 @@ def _layout(key: bytes, l_d: int, p: ObfuscationParams) -> tuple:
     if last is not None and last[0] == memo_key:
         return (ks.bits(l_d), *last[1])
     # The (s, k) draws' limits, and a bound no location draw's limit lies
-    # below: a draw from [0, m) rejects from 2**32 - 2**32 % m > 2**32 - m,
+    # below: a draw from [0, m) rejects from _draw_limit(m) > 2**32 - m,
     # and m <= s_max*n_d.
-    safe = min(_WORD - _WORD % s_max, _WORD - _WORD % k_max, _WORD - s_max * n_d + 1)
+    safe = min(_draw_limit(s_max), _draw_limit(k_max), _WORD - s_max * n_d + 1)
     # One read covers the encryption bits and the words of the units an
     # l_d-bit frame holds on average, plus two units' worth; the loop reads
     # a quarter as many words again whenever it runs out.
@@ -325,11 +324,6 @@ def _layout(key: bytes, l_d: int, p: ObfuscationParams) -> tuple:
         arr.flags.writeable = False
     _last_layout = (memo_key, layout)
     return (first[:l_d], *layout)
-
-
-def _words(bits: BitString) -> np.ndarray:
-    """The 32-bit words of ``bits`` as a native uint32 array."""
-    return np.packbits(bits).view(">u4").astype(np.uint32)
 
 
 def _single_draws(key: bytes, l_d: int, p: ObfuscationParams) -> tuple:
@@ -540,7 +534,8 @@ def deserialize_frame(buf: bytes, p: ObfuscationParams) -> ObfuscatedFrame:
     """Parse a wire frame; any malformed input raises FrameFormatError.
 
     Every field is checked against ``p`` and against the bytes left in
-    ``buf`` before anything is allocated from it.
+    ``buf`` before anything is allocated from it.  Padding bits must be 0,
+    so ``buf`` is ``serialize_frame`` of the frame returned.
     """
     if len(buf) < _HEADER.size:
         raise FrameFormatError(f"{len(buf)}-byte buffer is shorter than the frame header")
@@ -593,6 +588,10 @@ def deserialize_frame(buf: bytes, p: ObfuscationParams) -> ObfuscatedFrame:
     else:
         air = body[_runs(np.append(8 * (np.cumsum(pay) - pay), 8 * int(pay.sum())),
                          np.append(bits, tail_len))]
+        # Every bit is 0 or 1, so the padding cut out holds a 1 exactly when
+        # the counts differ; a wire with one would not be the frame's own.
+        if np.count_nonzero(body) != np.count_nonzero(air):
+            raise FrameFormatError("padding bits must be 0")
     n = s * p.n_d
     end = np.repeat(np.cumsum(n), k)
     locs += end - np.repeat(n, k)

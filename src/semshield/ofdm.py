@@ -263,8 +263,8 @@ def ofdm_demodulate_equalize(samples: np.ndarray, taps, n_symbols) -> np.ndarray
     if samples.size % SYMBOL_LEN:
         raise ValueError(f"sample count must be divisible by {SYMBOL_LEN}")
     freq = np.fft.fft(samples.reshape(-1, SYMBOL_LEN)[:, CP_LEN:], norm="ortho", axis=1)
-    if sum(n_symbols) != len(freq) or len(n_symbols) != len(taps):
-        raise ValueError("the channels' symbol counts must add up to the symbols received")
+    if sum(n_symbols) != len(freq) or len(n_symbols) != len(taps) or min(n_symbols, default=0) < 0:
+        raise ValueError("the channels' symbol counts must be >= 0 and add up to the symbols received")
     # Every channel's zero-padded taps in one array, for one FFT.
     responses = np.zeros((len(taps), N_FFT), dtype=np.complex128)
     for row, h in zip(responses, taps):

@@ -301,6 +301,15 @@ def test_bleu_scores_many_match_reference(pairs):
         [bleu_reference(r, h) for r, h in pairs]
 
 
+# [(a,), (b, c, d)] used to be re-paired as (a, b) and (c, d), and a lone
+# 3-tuple ended in numpy's broadcast error.
+@pytest.mark.parametrize("pairs", [[([1, 2],), ([1, 2], [3, 4], [5, 6])], [([1, 2], [1, 2], [1, 2])]],
+                         ids=["split", "triple"])
+def test_bleu_scores_many_takes_two_element_pairs(pairs):
+    with pytest.raises(ValueError, match="values to unpack"):
+        bleu_scores_many(pairs)
+
+
 def test_bleu_scores_many_empty_input():
     assert bleu_scores_many([]) == []
     for pairs in ([([], [1])], [([1, 2], [1]), ([3], [])]):

@@ -508,6 +508,11 @@ class TestPlkSimulation:
         with pytest.raises(ValueError, match="finite"):
             rayleigh_trace(64, seed=0, probe_noise_std=bad)
 
+    def test_trace_rejects_bool_noise_std(self):
+        # True used to pass as a noise std of 1.0, which the config refuses.
+        with pytest.raises(ValueError, match="probe_noise_std must be a finite number"):
+            rayleigh_trace(64, 0, probe_noise_std=True)
+
     def test_non_finite_std_raises(self):
         # Probe noise of std 1e300 used to overflow np.std with a RuntimeWarning
         # and leave a silent all-zero PLK.

@@ -672,6 +672,18 @@ class TestSerialization:
             deserialize_frame(bytes(blob), p)
 
 
+    # A set padding bit used to parse to the same frame as the clear one:
+    # two wires for one frame.  The first unit's payload is 3*s bits, and
+    # the last byte's low bit pads the tail or the last unit.
+    @pytest.mark.parametrize("where", ["unit", "last"])
+    def test_nonzero_padding_bits_rejected(self, where):
+        p = _RAGGED_PARAMS
+        frame = obfuscate(np.random.default_rng(23).integers(0, 2, 40).astype(np.uint8), _seed(49), p, MODEL)
+        blob = bytearray(serialize_frame(frame))
+        blob[17 + 4 + 4 * int(frame.k[0]) if where == "unit" else -1] ^= 1
+        with pytest.raises(FrameFormatError, match="padding bits must be 0"):
+            deserialize_frame(bytes(blob), p)
+
     @pytest.mark.parametrize("kind,message", [("past", "past its"), ("repeated", "increasing")])
     def test_bad_location_names_its_unit(self, kind, message):
         p = ObfuscationParams()
@@ -692,6 +704,26 @@ class TestSerialization:
 _FUZZ_PARAMS = ObfuscationParams(s_max=2, k_max=3, n_d=8, b=2)
 _FUZZ_BLOB = serialize_frame(obfuscate(
     np.random.default_rng(22).integers(0, 2, 200).astype(np.uint8), _seed(47), _FUZZ_PARAMS, MODEL))
+# Units and tail of 3-bit symbols, padded to whole bytes on the wire.
+_RAGGED_PARAMS = ObfuscationParams(s_max=2, k_max=2, n_d=3, b=1)
+_RAGGED_BLOB = serialize_frame(obfuscate(
+    np.random.default_rng(24).integers(0, 2, 40).astype(np.uint8), _seed(50), _RAGGED_PARAMS, MODEL))
+
+
+def _check_fuzzed(base, p, cut, flips):
+    """``base`` cut to ``cut`` bytes, each (pos, mask) XORed in, must raise
+    FrameFormatError or parse to a frame whose wire it is."""
+    blob = bytearray(base[:cut])
+    for pos, mask in flips:
+        if pos < len(blob):
+            blob[pos] ^= mask
+    try:
+        frame = deserialize_frame(bytes(blob), p)
+    except FrameFormatError:
+        return
+    assert isinstance(frame, ObfuscatedFrame)
+    assert frame.l_d >= 1
+    assert serialize_frame(frame) == blob
 
 
 @settings(max_examples=300, deadline=None)
@@ -701,16 +733,16 @@ _FUZZ_BLOB = serialize_frame(obfuscate(
 # l_d = 0 and no units.
 @example(cut=17, flips=[(12, _FUZZ_BLOB[12]), (16, _FUZZ_BLOB[16])])
 def test_fuzzed_frames_parse_or_raise_frame_format_error(cut, flips):
-    blob = bytearray(_FUZZ_BLOB[:cut])
-    for pos, mask in flips:
-        if pos < len(blob):
-            blob[pos] ^= mask
-    try:
-        frame = deserialize_frame(bytes(blob), _FUZZ_PARAMS)
-    except FrameFormatError:
-        return
-    assert isinstance(frame, ObfuscatedFrame)
-    assert frame.l_d >= 1
+    _check_fuzzed(_FUZZ_BLOB, _FUZZ_PARAMS, cut, flips)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut=st.integers(0, len(_RAGGED_BLOB)),
+       flips=st.lists(st.tuples(st.integers(0, len(_RAGGED_BLOB) - 1), st.integers(1, 255)), max_size=4))
+# The last byte's low bit, which pads the tail or the last unit.
+@example(cut=len(_RAGGED_BLOB), flips=[(len(_RAGGED_BLOB) - 1, 1)])
+def test_fuzzed_ragged_frames_parse_or_raise_frame_format_error(cut, flips):
+    _check_fuzzed(_RAGGED_BLOB, _RAGGED_PARAMS, cut, flips)
 
 
 @settings(max_examples=60, deadline=None)

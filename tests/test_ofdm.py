@@ -424,6 +424,13 @@ class TestDemodulate:
         with pytest.raises(ValueError, match="symbol counts"):
             ofdm_demodulate_equalize(rx, [realize_taps(ChannelModel(kind="awgn"))] * 2, n_symbols)
 
+    def test_rejects_a_negative_symbol_count(self):
+        # [5, -1] over 4 symbols used to pass the sum check: the first
+        # response divided all four symbols and the second went unused.
+        rx = ofdm_modulate(qam16_map(_bits(N_FFT * 4 * 4, 22)))
+        with pytest.raises(ValueError, match="symbol counts must be >= 0"):
+            ofdm_demodulate_equalize(rx, [realize_taps(ChannelModel(kind="awgn"))] * 2, [5, -1])
+
     def test_flat_fade_high_snr_symbol_errors_rare(self):
         n_sym = 156 * N_FFT  # 9984 symbols
         bits = _bits(n_sym * 4, 15)
