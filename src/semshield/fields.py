@@ -4,8 +4,11 @@ A table maps a field name to ``(kind, low, high)``.  ``kind`` is ``int``
 (not a bool), ``float`` (an int or float of finite float value, not a
 bool), a class or tuple of classes, or a tuple of the allowed strings.
 ``low`` and ``high`` are inclusive bounds; ``None`` means no bound.
+``is_int`` and ``checked_int`` check the counts that library callers pass.
 """
 from sys import float_info
+
+import numpy as np
 
 
 # Longest repr an error message quotes before cutting it short.
@@ -23,6 +26,19 @@ def describe(value) -> str:
         size = f" with {value.bit_length()} bits" if isinstance(value, int) else ""
         return f"an object of type {type(value).__name__}{size}, too large to print"
     return text if len(text) <= DESCRIBE_MAX_CHARS else text[:DESCRIBE_MAX_CHARS] + "..."
+
+
+def is_int(value) -> bool:
+    """True for a Python or numpy int; False for a bool, an int subclass, and anything else."""
+    return isinstance(value, (int, np.integer)) and type(value) is not bool
+
+
+def checked_int(name: str, value, low: int) -> int:
+    """``value`` as a Python int, so a small numpy int cannot overflow later sums,
+    or ValueError unless it ``is_int`` and is >= ``low``."""
+    if not is_int(value) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, not {describe(value)}")
+    return int(value)
 
 
 def check_fields(obj, rules: dict, error=ValueError) -> None:

@@ -24,7 +24,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from .bits import BitString, _bit_array, _rng, bits_from_bytes, bytes_from_bits, int_from_bits, xor_bits
 from .codec import BleuScores
-from .fields import check_fields
+from .fields import check_fields, checked_int
 
 DEFAULT_KEY_BITS = 128
 CHACHA_BLOCK_BYTES = 64
@@ -114,10 +114,10 @@ class Keystream:
     ``bits`` and reads no further than its last accepted word, so any
     interleaving of the two reads the stream in order.
 
-    A stream keeps only the cipher blocks its last generation made.  A
-    read that ends inside them slices them; any other read generates
-    exactly the blocks that cover it, from the block counter of
-    ``position``, and keeps those instead.
+    ChaCha20 is counter mode, so the stream keeps no cipher blocks: each
+    read of at least one bit generates exactly the blocks that cover it,
+    from the block counter of ``position``, and a read of 0 bits generates
+    nothing.
     """
 
     def __init__(self, seed: bytes, label: bytes | str):
@@ -128,9 +128,6 @@ class Keystream:
         self.seed = seed
         self.position = 0
         self._nonce = label_nonce(label)
-        # The last generated cipher blocks, from bit offset _at.
-        self._at = 0
-        self._raw = np.zeros(0, dtype=np.uint8)
 
     @classmethod
     def from_seed_bits(cls, seed_bits: BitString, label: bytes | str) -> "Keystream":
@@ -138,19 +135,15 @@ class Keystream:
 
     def bits(self, nbits: int) -> BitString:
         """Return the next ``nbits`` of the stream and advance the position."""
-        if nbits < 0:
-            raise ValueError("nbits must be non-negative")
-        stop = self.position + nbits
-        if stop > self._at + 8 * self._raw.size:
-            block_bits = 8 * CHACHA_BLOCK_BYTES
-            first = self.position // block_bits
-            n_blocks = -(-stop // block_bits) - first
-            fresh = chacha20_stream(self.seed, self._nonce, first, n_blocks * CHACHA_BLOCK_BYTES)
-            self._raw = np.frombuffer(fresh, dtype=np.uint8)
-            self._at = first * block_bits
-        start = self.position - self._at
-        self.position = stop
-        return np.unpackbits(self._raw[start // 8:(start + nbits + 7) // 8])[start % 8:start % 8 + nbits]
+        nbits = checked_int("nbits", nbits, 0)
+        if not nbits:
+            return np.zeros(0, dtype=np.uint8)
+        block_bits = 8 * CHACHA_BLOCK_BYTES
+        first, offset = divmod(self.position, block_bits)
+        self.position += nbits
+        n_blocks = -(-self.position // block_bits) - first
+        raw = chacha20_stream(self.seed, self._nonce, first, n_blocks * CHACHA_BLOCK_BYTES)
+        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[offset:offset + nbits]
 
     def draw_uniform(self, m: int, n: int | None = None) -> int | list[int]:
         """Unbiased draws from [0, m) by rejection on 32-bit stream words.
@@ -161,9 +154,10 @@ class Keystream:
         word is consumed and skipped.  The position ends right after the
         last accepted word, where ``n`` single draws would end.
         """
-        if not 1 <= m <= _WORD:
+        m = checked_int("m", m, 1)
+        if m > _WORD:
             raise ValueError("m must lie in [1, 2^32]")
-        want = 1 if n is None else n
+        want = 1 if n is None else checked_int("n", n, 0)
         limit = _draw_limit(m)
         out = []
         for _ in range(1000):

@@ -49,7 +49,7 @@ import numpy as np
 
 from .bits import BitString, _bit_array, xor_bits
 from .codec import CodecModel, encode
-from .fields import check_fields, describe
+from .fields import check_fields, checked_int
 from .keying import _WORD, Keystream, _draw_limit, _seed_bytes, _stream_key, _words, expand_seed
 
 _NO_UNITS = np.zeros(0, dtype=np.int64)
@@ -99,17 +99,6 @@ def _subcarriers(bits: np.ndarray, b: int) -> np.ndarray:
     return bits.view(np.dtype((np.void, b)))
 
 
-def _payload_length(l_d, low: int) -> int:
-    """``l_d`` as a Python int, or ValueError unless it is an integer >= ``low``.
-
-    One isinstance: Python and numpy ints pass, and bool, an int subclass,
-    does not.  The cast keeps a small numpy int from overflowing later sums.
-    """
-    if not isinstance(l_d, (int, np.integer)) or type(l_d) is bool or l_d < low:
-        raise ValueError(f"l_d must be an integer >= {low}, not {describe(l_d)}")
-    return int(l_d)
-
-
 def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Indices of consecutive runs: ``starts[i]`` up to ``starts[i] + lengths[i]``, run after run."""
     shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
@@ -156,7 +145,7 @@ class ObfuscatedFrame:
     air: BitString
 
     def __post_init__(self):
-        object.__setattr__(self, "l_d", _payload_length(self.l_d, 1))
+        object.__setattr__(self, "l_d", checked_int("l_d", self.l_d, 1))
         for name, dtype in (("s", np.int64), ("k", np.int64), ("dummy_locations", np.int64), ("air", np.uint8)):
             value = np.asarray(getattr(self, name))
             # The cast below would truncate floats; an empty list is float64.
@@ -481,7 +470,7 @@ def recover_bits(ota: BitString, l_d: int, seed: BitString, p: ObfuscationParams
     raise ValueError.
     """
     ota = np.ascontiguousarray(_bit_array(ota, "ota"))
-    l_d = _payload_length(l_d, 0)
+    l_d = checked_int("l_d", l_d, 0)
     xbits, s, k, locs, tail = derive_layout(seed, l_d, p)
     n_sub = _unit_subcarriers(s, p)
     n_air = n_sub * p.b + tail

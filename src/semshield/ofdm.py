@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitString, _bit_array, _rng
-from .fields import check_fields, describe
+from .fields import check_fields, describe, is_int
 
 N_FFT = 64
 CP_LEN = 16
@@ -263,7 +263,7 @@ def ofdm_demodulate_equalize(samples: np.ndarray, taps, n_symbols) -> np.ndarray
     if samples.size % SYMBOL_LEN:
         raise ValueError(f"sample count must be divisible by {SYMBOL_LEN}")
     freq = np.fft.fft(samples.reshape(-1, SYMBOL_LEN)[:, CP_LEN:], norm="ortho", axis=1)
-    if sum(n_symbols) != len(freq) or len(n_symbols) != len(taps) or min(n_symbols, default=0) < 0:
+    if not all(is_int(n) and n >= 0 for n in n_symbols) or sum(n_symbols) != len(freq) or len(n_symbols) != len(taps):
         raise ValueError("the channels' symbol counts must be >= 0 and add up to the symbols received")
     # Every channel's zero-padded taps in one array, for one FFT.
     responses = np.zeros((len(taps), N_FFT), dtype=np.complex128)

@@ -206,6 +206,35 @@ class TestDrawUniform:
         with pytest.raises(ValueError):
             ks.draw_uniform(10, -1)
 
+    # 2.5 and 7.0 used to draw from [0, 2.5) and [0, 7.0) and return floats,
+    # a True count to read one bit or draw once, and a float bit or draw
+    # count to end in cryptography's TypeError.
+    @pytest.mark.parametrize("name, read", [
+        ("m", lambda ks: ks.draw_uniform(2.5, 3)),
+        ("m", lambda ks: ks.draw_uniform(np.float64(7.0), 2)),
+        ("m", lambda ks: ks.draw_uniform(True)),
+        ("n", lambda ks: ks.draw_uniform(10, 2.0)),
+        ("n", lambda ks: ks.draw_uniform(10, True)),
+        ("nbits", lambda ks: ks.bits(True)),
+        ("nbits", lambda ks: ks.bits(np.True_)),
+        ("nbits", lambda ks: ks.bits(2.5)),
+    ], ids=["float_m", "numpy_float_m", "bool_m", "float_n", "bool_n", "bool_nbits", "numpy_bool_nbits",
+            "float_nbits"])
+    def test_counts_must_be_integers(self, name, read):
+        ks = Keystream(bytes(32), "xor")
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            read(ks)
+        assert ks.position == 0
+
+    def test_numpy_int_counts_read_like_python_ints(self):
+        # A uint8 m used to overflow in the rejection limit.
+        ks, twin = Keystream(bytes(32), "xor"), Keystream(bytes(32), "xor")
+        ks.bits(200)
+        twin.bits(200)
+        assert np.array_equal(ks.bits(np.int8(100)), twin.bits(100))
+        assert ks.draw_uniform(np.uint8(200), np.int16(3)) == twin.draw_uniform(200, 3)
+        assert ks.position == twin.position and type(ks.position) is int
+
     def test_residue_frequencies_uniform(self):
         ks = Keystream(bytes(32), "draws")
         counts = np.zeros(10, dtype=np.int64)
@@ -234,16 +263,25 @@ class TestKeystreamGeneration:
         Keystream(bytes(32), "weights").bits(64)
         assert generated == [(0, 64)]
 
-    def test_read_that_ends_inside_the_kept_blocks_generates_nothing(self, generated):
+    def test_every_read_generates_exactly_its_covering_blocks(self, generated):
         ks = Keystream(bytes(32), "xor")
         ks.bits(3)
         ks.bits(500)
         ks.bits(9)  # ends on the block boundary
         ks.bits(0)
-        assert generated == [(0, 64)]
+        assert generated == [(0, 64), (0, 64), (0, 64)]
         assert ks.draw_uniform(1 << 32) == int_from_bits(
             bits_from_bytes(chacha20_stream(bytes(32), label_nonce(b"xor"), 1, 4)))
-        assert generated == [(0, 64), (1, 64)]
+        assert generated == [(0, 64), (0, 64), (0, 64), (1, 64)]
+
+    @pytest.mark.parametrize("position", [0, 3, 512, 1003])
+    def test_empty_read_generates_nothing(self, generated, position):
+        ks = Keystream(bytes(32), "xor")
+        ks.bits(position)
+        generated.clear()
+        out = ks.bits(0)
+        assert generated == []
+        assert out.size == 0 and out.dtype == np.uint8 and ks.position == position
 
     @pytest.mark.parametrize("first,n,call", [
         (3, 1000, (0, 128)),       # ends in block 1, starts again at block 0

@@ -431,6 +431,22 @@ class TestDemodulate:
         with pytest.raises(ValueError, match="symbol counts must be >= 0"):
             ofdm_demodulate_equalize(rx, [realize_taps(ChannelModel(kind="awgn"))] * 2, [5, -1])
 
+    # [1.5, 1.5] and [3.0] add up to the 3 symbols received, so they used to
+    # end in a slice TypeError; a bool passed as a count of 1.
+    @pytest.mark.parametrize("n_symbols", [[1.5, 1.5], [3.0], [True, 2], [np.True_, 2]],
+                             ids=["floats", "whole_float", "bool", "numpy_bool"])
+    def test_rejects_symbol_counts_that_are_not_integers(self, n_symbols):
+        rx = ofdm_modulate(qam16_map(_bits(N_FFT * 4 * 3, 21)))
+        taps = [realize_taps(ChannelModel(kind="awgn"))] * len(n_symbols)
+        with pytest.raises(ValueError, match="symbol counts"):
+            ofdm_demodulate_equalize(rx, taps, n_symbols)
+
+    def test_numpy_int_symbol_counts_accepted(self):
+        rx = ofdm_modulate(qam16_map(_bits(N_FFT * 4 * 3, 21)))
+        taps = [realize_taps(ChannelModel(kind="awgn"))] * 2
+        assert np.array_equal(ofdm_demodulate_equalize(rx, taps, [np.int64(1), np.uint8(2)]),
+                              ofdm_demodulate_equalize(rx, taps, [1, 2]))
+
     def test_flat_fade_high_snr_symbol_errors_rare(self):
         n_sym = 156 * N_FFT  # 9984 symbols
         bits = _bits(n_sym * 4, 15)
