@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fields import checked_int
+
 BitString = np.ndarray
 
 
@@ -16,11 +18,11 @@ def _rng(*values: int) -> np.random.Generator:
     The one seeding path.  numpy turns each list entry into its 32-bit
     words, low word first and the high word only when non-zero; handing it
     those words as one uint32 array gives the same SeedSequence without its
-    per-int coercion.
+    per-int coercion.  Each value passes ``checked_int`` as ``seed``.
     """
     words = []
     for v in values:
-        v &= 0xFFFFFFFFFFFFFFFF
+        v = checked_int("seed", v) & 0xFFFFFFFFFFFFFFFF
         words.append(v & 0xFFFFFFFF)
         if v >> 32:
             words.append(v >> 32)
@@ -41,8 +43,7 @@ def _bit_array(bits, what: str) -> BitString:
 def bits_from_bytes(data: bytes, nbits: int | None = None) -> BitString:
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     if nbits is not None:
-        if nbits < 0:
-            raise ValueError(f"requested {nbits} bits; a bit count must be >= 0")
+        nbits = checked_int("nbits", nbits, 0)
         if nbits > bits.size:
             raise ValueError(f"requested {nbits} bits from {bits.size}-bit buffer")
         bits = bits[:nbits]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitString, _bit_array, _rng
-from .fields import check_fields
+from .fields import check_fields, is_int
 
 TokenSequence = np.ndarray
 
@@ -69,8 +69,8 @@ class CodecModel:
     def __post_init__(self):
         # token_bits defaults to the fewest bits that hold every id below
         # vocab_size; a vocab_size that is no integer fails the table instead.
-        if self.token_bits is None and isinstance(self.vocab_size, int):
-            object.__setattr__(self, "token_bits", (self.vocab_size - 1).bit_length())
+        if self.token_bits is None and is_int(self.vocab_size):
+            object.__setattr__(self, "token_bits", (int(self.vocab_size) - 1).bit_length())
         check_fields(self, _CODEC_RULES)
         if self.token_bits < (self.vocab_size - 1).bit_length():
             raise ValueError(f"token_bits={self.token_bits} cannot hold ids below {self.vocab_size}")

@@ -1,10 +1,10 @@
-"""One checker for the per-field rules tables of the config dataclasses.
+"""The one integer test, ``is_int``, the one count check, ``checked_int``, and
+one checker for the per-field rules tables of the config dataclasses.
 
-A table maps a field name to ``(kind, low, high)``.  ``kind`` is ``int``
-(not a bool), ``float`` (an int or float of finite float value, not a
-bool), a class or tuple of classes, or a tuple of the allowed strings.
-``low`` and ``high`` are inclusive bounds; ``None`` means no bound.
-``is_int`` and ``checked_int`` check the counts that library callers pass.
+A table maps a field name to ``(kind, low, high)``.  ``kind`` is ``int`` (a
+``checked_int`` count, stored back as a Python int), ``float`` (an int or float
+of finite float value, not a bool), a class or tuple of classes, or a tuple of
+the allowed strings.  ``low`` and ``high`` are inclusive bounds, or ``None``.
 """
 from sys import float_info
 
@@ -29,16 +29,21 @@ def describe(value) -> str:
 
 
 def is_int(value) -> bool:
-    """True for a Python or numpy int; False for a bool, an int subclass, and anything else."""
+    """True for a Python or numpy int or an int subclass; False for a bool, a numpy bool and anything else."""
     return isinstance(value, (int, np.integer)) and type(value) is not bool
 
 
-def checked_int(name: str, value, low: int) -> int:
-    """``value`` as a Python int, so a small numpy int cannot overflow later sums,
-    or ValueError unless it ``is_int`` and is >= ``low``."""
-    if not is_int(value) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, not {describe(value)}")
-    return int(value)
+def checked_int(name: str, value, low: int | None = None, high: int | None = None, error=ValueError) -> int:
+    """``value`` as a Python int, which neither overflows nor fails ``json.dumps``, or
+    ``error`` naming ``name`` unless it ``is_int`` and lies in [``low``, ``high``] (``None``: no bound)."""
+    if not is_int(value):
+        raise error(f"{name} must be an integer, not {describe(value)}")
+    value = int(value)
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}")
+    if high is not None and value > high:
+        raise error(f"{name} must be <= {high}")
+    return value
 
 
 def check_fields(obj, rules: dict, error=ValueError) -> None:
@@ -46,8 +51,9 @@ def check_fields(obj, rules: dict, error=ValueError) -> None:
     for name, (kind, low, high) in rules.items():
         value = getattr(obj, name)
         if kind is int:
-            ok, want = isinstance(value, int) and type(value) is not bool, "an integer"
-        elif kind is float:
+            object.__setattr__(obj, name, checked_int(name, value, low, high, error))
+            continue
+        if kind is float:
             # Also false for NaN, and for an int too large to convert to a float.
             ok = isinstance(value, (int, float)) and type(value) is not bool and abs(value) <= float_info.max
             want = "a finite number"

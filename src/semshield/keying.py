@@ -41,19 +41,9 @@ def _draw_limit(m: int) -> int:
     return _WORD - _WORD % m
 
 
-def _check_count(name: str, value) -> None:
-    """A ValueError unless ``value`` is an integer, not a bool, of at least 1."""
-    if not isinstance(value, int) or type(value) is bool:
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
-
-
 def skey_hash(data: bytes, nbits: int) -> BitString:
     """SHA-256 truncated to ``nbits``, the hash behind all key derivation."""
-    if nbits < 1 or nbits > 256:
-        raise ValueError("nbits must lie in [1, 256]")
-    return bits_from_bytes(hashlib.sha256(data).digest(), nbits)
+    return bits_from_bytes(hashlib.sha256(data).digest(), checked_int("nbits", nbits, 1, 256))
 
 
 def chacha20_stream(key: bytes, nonce: bytes, counter: int, nbytes: int) -> bytes:
@@ -268,8 +258,8 @@ class ChannelTrace:
 
 def rayleigh_trace(n_probes: int, seed: int, coherence: int = 1, probe_noise_std: float = 0.0) -> ChannelTrace:
     """I.i.d. Rayleigh gain magnitudes, a dynamic-environment trace."""
-    _check_count("n_probes", n_probes)
-    _check_count("coherence", coherence)
+    n_probes = checked_int("n_probes", n_probes, 1)
+    coherence = checked_int("coherence", coherence, 1)
     rng = _rng(seed, 0x7261)
     n_values = -(-n_probes // coherence)
     samples = rng.rayleigh(scale=1.0 / math.sqrt(2.0), size=n_values)
@@ -278,7 +268,7 @@ def rayleigh_trace(n_probes: int, seed: int, coherence: int = 1, probe_noise_std
 
 def constant_trace(n_probes: int, value: float = 1.0, probe_noise_std: float = 0.0) -> ChannelTrace:
     """A static-environment trace: one gain value held for the whole record."""
-    _check_count("n_probes", n_probes)
+    n_probes = checked_int("n_probes", n_probes, 1)
     return ChannelTrace(np.full(1, value), coherence=n_probes, probe_noise_std=probe_noise_std)
 
 
@@ -368,7 +358,7 @@ def simulate_plk(
     pre-amplification string.  Raises InsufficientEntropyError when fewer
     than 8 bits agree.
     """
-    _check_count("target_bits", target_bits)
+    target_bits = checked_int("target_bits", target_bits, 1)
     probes = trace.probes()
     obs_a = obs_b = probes
     if trace.probe_noise_std:

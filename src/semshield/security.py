@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .codec import Q32_ONE, CodecModel, _substitute, bleu_scores_many
+from .fields import checked_int
 from .keying import Keystream, generated_bleu, weight_generator
 
 
@@ -56,11 +57,13 @@ def analyze(s_max: int = 4, k_max: int = 10, n_d: int = 64, n_unit: int = 16,
       (s_max*k_max)**n_unit * 2**l_seedkey;
     - eq11, the layered total: eq5 * eq10.
 
-    The counts are built in that order, and the first one with more than
-    4300 decimal digits raises ValueError.
+    Every parameter is an integer >= 1 with k_max < s_max*n_d.  The counts
+    are built in that order; the first of over 4300 digits raises ValueError.
     """
-    if min(s_max, k_max, n_d, n_unit, l_weight, l_skey, l_seedkey) < 1 or k_max >= s_max * n_d:
-        raise ValueError("need every parameter >= 1 and k_max < s_max*n_d")
+    params = dict(s_max=s_max, k_max=k_max, n_d=n_d, n_unit=n_unit, l_weight=l_weight, l_skey=l_skey, l_seedkey=l_seedkey)
+    s_max, k_max, n_d, n_unit, l_weight, l_skey, l_seedkey = (checked_int(name, v, 1) for name, v in params.items())
+    if k_max >= s_max * n_d:
+        raise ValueError(f"need k_max < s_max*n_d, not k_max={k_max} with s_max*n_d={s_max * n_d}")
     units = dict(s_max=s_max, k_max=k_max, n_d=n_d)
     report = {"eq3": _entry("eq3", math.comb(s_max * n_d, k_max), s=s_max, k=k_max, n_d=n_d)}
     # Each C(n, k) comes from C(n, k-1) by the running product, and the sum

@@ -445,6 +445,17 @@ class TestGeneratedBleuAndSkey:
             bits_from_bytes(b"\xff", -1)
         assert bits_from_bytes(b"\xff", 0).size == 0
 
+    # True used to hash to 1 bit, and 2.5 or 3.0 to end in a slice TypeError.
+    @pytest.mark.parametrize("call", [lambda n: skey_hash(b"x", n), lambda n: bits_from_bytes(b"ab", n)],
+                             ids=["skey_hash", "bits_from_bytes"])
+    def test_bit_counts_must_be_integers(self, call):
+        assert np.array_equal(call(np.int64(3)), call(3))
+        for bad in (True, np.True_, 2.5, 3.0):
+            with pytest.raises(ValueError, match="^nbits must be an integer, not "):
+                call(bad)
+        with pytest.raises(ValueError, match="^requested 17 bits from 16-bit buffer$"):
+            bits_from_bytes(b"ab", np.int64(17))
+
     def test_skey_hash_range(self):
         with pytest.raises(ValueError):
             skey_hash(b"x", 0)

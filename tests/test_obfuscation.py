@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import re
 import struct
 from unittest import mock
 
@@ -364,10 +365,15 @@ class TestFrame:
     # A float l_d built and then failed in deobfuscate with a TypeError; 0, -4
     # and True failed there with a misleading DesyncError or "nbits must be
     # non-negative".
-    @pytest.mark.parametrize("l_d", [3000.0, 0, -4, True], ids=["float", "zero", "negative", "bool"])
-    def test_l_d_must_be_a_positive_integer(self, l_d):
+    @pytest.mark.parametrize("l_d, message", [
+        (3000.0, "l_d must be an integer, not 3000.0"),
+        (0, "l_d must be >= 1"),
+        (-4, "l_d must be >= 1"),
+        (True, "l_d must be an integer, not True"),
+    ], ids=["float", "zero", "negative", "bool"])
+    def test_l_d_must_be_a_positive_integer(self, l_d, message):
         frame = obfuscate(np.ones(3000, dtype=np.uint8), _seed(29), ObfuscationParams(), MODEL)
-        with pytest.raises(ValueError, match="l_d must be an integer >= 1"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _frame_with(frame, l_d=l_d)
 
     def test_numpy_int_l_d_accepted(self):
@@ -498,11 +504,16 @@ class TestRecoverBits:
             recover_bits(np.zeros(shape, dtype=np.uint8), l_d, _seed(35), ObfuscationParams())
 
     # A float l_d raised a bare TypeError, and True recovered one bit.
-    @pytest.mark.parametrize("l_d", [3000.0, True, -1, "3000"], ids=["float", "bool", "negative", "string"])
-    def test_l_d_must_be_a_non_negative_integer(self, l_d):
+    @pytest.mark.parametrize("l_d, message", [
+        (3000.0, "l_d must be an integer, not 3000.0"),
+        (True, "l_d must be an integer, not True"),
+        (-1, "l_d must be >= 0"),
+        ("3000", "l_d must be an integer, not '3000'"),
+    ], ids=["float", "bool", "negative", "string"])
+    def test_l_d_must_be_a_non_negative_integer(self, l_d, message):
         p, seed = ObfuscationParams(), _seed(39)
         air = ota_bits(obfuscate(np.ones(3000, dtype=np.uint8), seed, p, MODEL))
-        with pytest.raises(ValueError, match="l_d must be an integer >= 0"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             recover_bits(air, l_d, seed, p)
 
     @pytest.mark.parametrize("kind", [np.int64, np.uint16])

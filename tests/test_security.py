@@ -1,3 +1,5 @@
+import inspect
+import json
 import math
 
 import numpy as np
@@ -122,10 +124,22 @@ class TestKeyCounts:
         assert int(combined["exact"]) == int(report["eq5"]["exact"]) * int(report["eq10"]["exact"])
         assert combined["log2"] == pytest.approx(math.log2(int(combined["exact"])), rel=1e-12)
 
+    # True used to count as 1, 4.0 to end in math.comb's TypeError, and a
+    # numpy int in a math domain error or an OverflowError.
+    @pytest.mark.parametrize("name", ["s_max", "k_max", "n_d", "n_unit", "l_weight", "l_skey", "l_seedkey"])
+    def test_parameters_follow_the_integer_rule(self, name):
+        count = inspect.signature(analyze).parameters[name].default
+        expected = json.dumps(analyze())
+        for value in (np.int64(count), np.uint16(count)):
+            assert json.dumps(analyze(**{name: value})) == expected
+        for bad in (True, np.True_, float(count)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, not "):
+                analyze(**{name: bad})
+
     def test_validation(self):
-        for bad in (dict(l_weight=0), dict(l_skey=0), dict(l_seedkey=-1), dict(n_unit=0), dict(s_max=0)):
-            with pytest.raises(ValueError, match="need every parameter >= 1"):
-                analyze(**bad)
+        for name, bad in (("l_weight", 0), ("l_skey", 0), ("l_seedkey", -1), ("n_unit", 0), ("s_max", 0)):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+                analyze(**{name: bad})
 
 
 class TestBruteForce:
